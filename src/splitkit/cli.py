@@ -11,10 +11,10 @@ from .graphs import Graph, parse_edge_list, parse_graph6_lines
 from .harness import (
     THEOREM_IDS,
     census,
+    default_jobs,
     render_census_text,
     verify,
     verify_all,
-    _default_jobs,
 )
 from .recognition import ClassificationReport, classify
 
@@ -60,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jobs", type=int, default=_default_jobs(), help="worker processes")
+    p.add_argument("--jobs", type=int, default=default_jobs(), help="worker processes")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 

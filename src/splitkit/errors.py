@@ -45,6 +45,10 @@ class MalformedCorpus(SplitkitError):
         self.lineno = lineno
 
 
+class MalformedEdgeList(SplitkitError, ValueError):
+    """The text is not a valid edge list ('n m' then m lines 'u v')."""
+
+
 class OrderTooLargeForColoring(SplitkitError):
     """Exact chromatic number is capped at order 12."""
 

@@ -15,6 +15,7 @@ from .errors import (
     EmptySet,
     LoopEdge,
     MalformedCorpus,
+    MalformedEdgeList,
     MalformedGraph6,
     NotAnEdge,
     OrderOutOfRange,
@@ -430,22 +431,34 @@ def parse_graph6_lines(lines: Iterable[str]) -> list[Graph]:
     return out
 
 
+def _ascii_digits(t: str) -> bool:
+    # str.isdigit alone also accepts digits such as '²' that int() rejects
+    return t.isascii() and t.isdigit()
+
+
 def parse_edge_list(text: str) -> Graph:
-    """Parse the plain edge-list format: a line 'n m' then m lines 'u v'."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Parse the plain edge-list format: a line 'n m' then m lines 'u v'.
+
+    Numbers are ASCII decimal; blank lines are skipped. Raises
+    MalformedEdgeList naming the 1-based offending line.
+    """
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
-        raise ValueError("empty edge-list input")
-    head = lines[0].split()
-    if len(head) != 2 or not all(t.isdigit() for t in head):
-        raise ValueError(f"expected header 'n m', got {lines[0]!r}")
+        raise MalformedEdgeList("empty edge-list input")
+    i, ln = lines[0]
+    head = ln.split()
+    if len(head) != 2 or not all(_ascii_digits(t) for t in head):
+        raise MalformedEdgeList(f"line {i}: expected header 'n m', got {ln!r}")
     n, m = int(head[0]), int(head[1])
     if len(lines) - 1 != m:
-        raise ValueError(f"header claims {m} edges, found {len(lines) - 1} lines")
+        raise MalformedEdgeList(
+            f"line {i}: header claims {m} edges, found {len(lines) - 1} lines"
+        )
     edges = []
-    for ln in lines[1:]:
+    for i, ln in lines[1:]:
         parts = ln.split()
-        if len(parts) != 2 or not all(t.lstrip("-").isdigit() for t in parts):
-            raise ValueError(f"expected edge line 'u v', got {ln!r}")
+        if len(parts) != 2 or not all(_ascii_digits(t.removeprefix("-")) for t in parts):
+            raise MalformedEdgeList(f"line {i}: expected edge line 'u v', got {ln!r}")
         edges.append((int(parts[0]), int(parts[1])))
     return build(n, edges)
 
@@ -551,22 +564,70 @@ PATTERN_TAGS = (
 # enumeration
 
 
+def _components_without(rows: Sequence[int], w: int) -> list[int]:
+    """Vertex masks of the connected components of the graph minus w."""
+    rest = ((1 << len(rows)) - 1) & ~(1 << w)
+    comps = []
+    while rest:
+        seen = frontier = rest & -rest
+        while frontier:
+            reach = 0
+            for v in _bits(frontier):
+                reach |= rows[v]
+            frontier = reach & rest & ~seen
+            seen |= frontier
+        comps.append(seen)
+        rest &= ~seen
+    return comps
+
+
 @lru_cache(maxsize=None)
 def _connected_codes(n: int) -> tuple[int, ...]:
+    """Sorted canonical codes of the connected graphs of order n.
+
+    Enumeration by canonical deletion (McKay's canonical construction path).
+    Each connected graph of order n-1 gains a new vertex with every nonempty
+    neighbourhood, and a child is canonicalized only if its new vertex could
+    be the one deleted: no other vertex may have a strictly larger rank
+    (degree, sum of neighbour degrees), an isomorphism invariant, while
+    leaving the child connected when deleted. No class is lost: a connected
+    graph G has a non-cut vertex v of largest rank, G - v is connected and
+    enumerated at order n-1, and the child re-attaching v passes the test.
+    The set removes the duplicates that rank ties let through.
+    """
     if n == 1:
         return (0,)
+    m = n - 1
+    top = 1 << m
     seen = set()
-    for code in _connected_codes(n - 1):
-        base = _graph_from_code(n - 1, code)
-        top = 1 << (n - 1)
+    for code in _connected_codes(m):
+        base = _graph_from_code(m, code).rows
+        # per-parent tables: degrees, neighbour-degree sums, the components
+        # left by deleting each vertex, and each mask's sum of base degrees
+        bdeg = [r.bit_count() for r in base]
+        bsum = [sum(bdeg[v] for v in _bits(r)) for r in base]
+        comps = [_components_without(base, w) for w in range(m)]
+        msum = [0] * top
         for mask in range(1, top):
-            # attach a new vertex with this neighbourhood; every connected
-            # graph arises this way from deleting a non-cut vertex
-            rows = [
-                r | top if mask >> v & 1 else r for v, r in enumerate(base.rows)
-            ]
-            rows.append(mask)
-            seen.add(canonical_code(Graph(n, rows)))
+            low = mask & -mask
+            msum[mask] = msum[mask ^ low] + bdeg[low.bit_length() - 1]
+            d = mask.bit_count()
+            s = msum[mask] + d  # neighbour-degree sum of the new vertex
+            for w in range(m):
+                inw = mask >> w & 1
+                dw = bdeg[w] + inw
+                if dw < d or (
+                    dw == d and bsum[w] + (base[w] & mask).bit_count() + inw * d <= s
+                ):
+                    continue
+                # w outranks the new vertex; the child minus w is connected
+                # when the new vertex reaches every component of base minus w
+                if all(mask & c for c in comps[w]):
+                    break
+            else:
+                rows = [r | top if mask >> v & 1 else r for v, r in enumerate(base)]
+                rows.append(mask)
+                seen.add(canonical_code(Graph(n, rows)))
     return tuple(sorted(seen))
 
 

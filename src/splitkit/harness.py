@@ -7,7 +7,6 @@ re-sorted so reports are deterministic regardless of worker count.
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import os
 import time
@@ -16,6 +15,7 @@ from typing import Callable, Iterator
 
 from .errors import IsStar, NotPseudoSplit, NotSplit, OrderOutOfRange, UnclassifiablePartition
 from .graphs import (
+    ENUM_MAX_ORDER,
     Graph,
     NamedPattern,
     canonical_form,
@@ -288,17 +288,21 @@ def _check_lemma2(g: Graph):
 
 
 def _ks_partition_exists(g: Graph) -> bool:
-    # brute force, independent of both recognizers
-    vs = range(g.n)
-    for r in range(g.n + 1):
-        for k in itertools.combinations(vs, r):
-            chosen = set(k)
-            if any(not g.has_edge(x, y) for x, y in itertools.combinations(k, 2)):
-                continue
-            rest = [v for v in vs if v not in chosen]
-            if all(not g.has_edge(x, y) for x, y in itertools.combinations(rest, 2)):
-                return True
-    return False
+    # brute force over every candidate clique K, independent of both
+    # recognizers; clique[m] and indep[m] grow each subset m from m minus
+    # its lowest vertex
+    rows = g.rows
+    size = 1 << g.n
+    clique = [True] * size
+    indep = [True] * size
+    for m in range(1, size):
+        low = m & -m
+        rest = m ^ low
+        r = rows[low.bit_length() - 1]
+        clique[m] = clique[rest] and r & rest == rest
+        indep[m] = indep[rest] and not r & rest
+    full = size - 1
+    return any(clique[k] and indep[full ^ k] for k in range(size))
 
 
 def _check_split_triple(g: Graph):
@@ -465,13 +469,16 @@ def _run_chunk(args):
     return violations, members
 
 
-def _default_jobs() -> int:
+def default_jobs() -> int:
+    """Worker count for --jobs: the CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
 def _run_checks(theorem: str, graphs: list[Graph], jobs: int):
     if jobs is None or jobs < 1:
-        jobs = _default_jobs()
+        jobs = default_jobs()
     if jobs == 1 or len(graphs) < 256:
         return _run_chunk((theorem, graphs))
     step = max(1, -(-len(graphs) // (jobs * 4)))
@@ -586,8 +593,10 @@ def _census_one(g: Graph):
 
 def census(max_n: int = 7, jobs: int = 1) -> list[CensusRow]:
     """Classification counts over connected graphs of each order up to max_n."""
-    if not 1 <= max_n <= 8:
-        raise OrderOutOfRange(f"census supports max_n 1..8, got {max_n}")
+    if not 1 <= max_n <= ENUM_MAX_ORDER:
+        raise OrderOutOfRange(
+            f"census supports max_n 1..{ENUM_MAX_ORDER}, got {max_n}"
+        )
     rows = []
     for n in range(1, max_n + 1):
         graphs = list(enumerate_connected(n))

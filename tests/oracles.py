@@ -2,6 +2,9 @@
 
 Everything here reads graphs only through ``n`` and ``has_edge`` and does its
 own exhaustive search, so a library bug cannot hide behind a shared code path.
+The one exception is ``connected_codes_by_extension``, which pins the
+enumeration's output to the exhaustive construction it prunes and so shares
+the library's ``canonical_code``.
 """
 
 import itertools
@@ -93,3 +96,23 @@ def is_connected_search(g) -> bool:
                 seen.add(v)
                 stack.append(v)
     return len(seen) == g.n
+
+
+def connected_codes_by_extension(n, build, canonical_code):
+    """Canonical codes of connected order-n graphs, without pruning.
+
+    Canonicalizes every one-vertex extension of every connected order-(n-1)
+    class and deduplicates in a set: every connected graph arises from
+    deleting a non-cut vertex. Codes list the pairs (0,1), (0,2), (1,2),
+    (0,3), ... from the most significant bit.
+    """
+    if n == 1:
+        return (0,)
+    pairs = [(u, v) for v in range(1, n - 1) for u in range(v)]
+    seen = set()
+    for code in connected_codes_by_extension(n - 1, build, canonical_code):
+        edges = [p for k, p in enumerate(reversed(pairs)) if code >> k & 1]
+        for mask in range(1, 1 << (n - 1)):
+            extra = [(u, n - 1) for u in range(n - 1) if mask >> u & 1]
+            seen.add(canonical_code(build(n, edges + extra)))
+    return tuple(sorted(seen))

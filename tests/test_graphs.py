@@ -8,6 +8,7 @@ from splitkit import (
     EmptySet,
     LoopEdge,
     MalformedCorpus,
+    MalformedEdgeList,
     MalformedGraph6,
     NamedPattern,
     NotAnEdge,
@@ -37,7 +38,9 @@ from splitkit import (
     write_graph6,
 )
 
-from oracles import is_connected_search, iso_by_permutations
+from splitkit.graphs import _connected_codes
+
+from oracles import connected_codes_by_extension, is_connected_search, iso_by_permutations
 
 PAW = build(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
 
@@ -289,6 +292,15 @@ def test_parse_edge_list():
         parse_edge_list("3 1\n0 1 2")
     with pytest.raises(VertexOutOfRange):
         parse_edge_list("3 1\n0 5")
+    # only ASCII digits count; '²' passes str.isdigit but not int()
+    with pytest.raises(MalformedEdgeList, match="line 1:"):
+        parse_edge_list("\u00b2 0\n")
+    with pytest.raises(MalformedEdgeList, match="line 3:"):
+        parse_edge_list("3 1\n\n0 \u00b2\n")
+    with pytest.raises(MalformedEdgeList, match="line 2:"):
+        parse_edge_list("3 1\n0 1 2")
+    with pytest.raises(MalformedEdgeList, match="line 2:"):
+        parse_edge_list("3 1\n0 --1")
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +385,11 @@ def test_enumerate_all_covers_disconnected_classes():
     assert len(codes) == len(graphs)
     assert canonical_code(NamedPattern("TWO_K2").template) in codes
     assert canonical_code(build(4)) in codes
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_connected_codes_match_unpruned_extension(n):
+    assert _connected_codes(n) == connected_codes_by_extension(n, build, canonical_code)
 
 
 def test_enumeration_order_bounds():

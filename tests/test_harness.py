@@ -15,7 +15,11 @@ from splitkit import (
     verify,
     verify_all,
 )
+from splitkit import harness
+from splitkit.graphs import ENUM_MAX_ORDER, enumerate_all
 from splitkit.harness import render_census_text
+
+from oracles import ks_partition_exists
 
 E2 = build(2)  # two isolated vertices, graph6 "A?"
 
@@ -171,6 +175,22 @@ def test_verify_all_rejects_nonpositive_order():
         verify_all(0)
 
 
+def test_ks_partition_oracle_matches_brute_force():
+    for n in range(1, 7):
+        for g in enumerate_all(n):
+            assert harness._ks_partition_exists(g) == ks_partition_exists(g), g
+
+
+def test_default_jobs_follows_affinity(monkeypatch):
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 16)
+    assert harness.default_jobs() == 3
+    monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+    assert harness.default_jobs() == 16
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    assert harness.default_jobs() == 1
+
+
 def test_parallel_run_matches_sequential():
     seq = verify("LEMMA1", max_n=7, jobs=1)
     par = verify("LEMMA1", max_n=7, jobs=2)
@@ -215,8 +235,8 @@ def test_census_parallel_matches_sequential():
 def test_census_order_bounds():
     with pytest.raises(OrderOutOfRange):
         census(0)
-    with pytest.raises(OrderOutOfRange):
-        census(9)
+    with pytest.raises(OrderOutOfRange, match=f"1..{ENUM_MAX_ORDER}"):
+        census(ENUM_MAX_ORDER + 1)
 
 
 def test_render_census_text():

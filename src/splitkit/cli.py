@@ -32,7 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
     src = p_classify.add_mutually_exclusive_group(required=True)
     src.add_argument("--inline", metavar="STR", help="graph6 line(s) or edge-list text")
     src.add_argument("--file", metavar="PATH", help="file with the same content")
-    _common_flags(p_classify)
 
     p_verify = sub.add_parser("verify", help="exhaustively check one or all theorems")
     p_verify.add_argument(
@@ -47,7 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--file", metavar="PATH", help="graph6 corpus to check instead of enumerating"
     )
-    _common_flags(p_verify)
 
     p_census = sub.add_parser(
         "census", help="classification counts over connected graphs by order"
@@ -55,13 +53,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_census.add_argument(
         "--max-n", type=int, default=7, dest="max_n", help="largest order to tabulate"
     )
-    _common_flags(p_census)
+    for p in (p_verify, p_census):
+        p.add_argument(
+            "--jobs", type=_positive_int, default=default_jobs(), help="worker processes"
+        )
+    for p in (p_classify, p_verify, p_census):
+        p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jobs", type=int, default=default_jobs(), help="worker processes")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+def _positive_int(text: str) -> int:
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def _parse_classify_input(text: str) -> list[tuple[str, Graph]]:

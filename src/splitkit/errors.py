@@ -53,10 +53,6 @@ class OrderTooLargeForColoring(SplitkitError):
     """Exact chromatic number is capped at order 12."""
 
 
-class OrderTooLargeForPerfection(SplitkitError):
-    """The perfection test is capped at order 12."""
-
-
 class NotSplit(SplitkitError):
     """The graph admits no partition into a clique and an independent set."""
 

@@ -543,23 +543,6 @@ def _pattern_template(tag: str, param: int | None) -> Graph:
     raise ValueError(f"unknown pattern tag {tag!r}")
 
 
-PATTERN_TAGS = (
-    "TWO_K2",
-    "C4",
-    "C5",
-    "C6",
-    "P4",
-    "P5",
-    "CLAW",
-    "K_2_L",
-    "W4",
-    "OCTAHEDRON",
-    "HAMMER",
-    "BUTTERFLY",
-    "STAR",
-)
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 

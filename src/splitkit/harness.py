@@ -7,11 +7,12 @@ re-sorted so reports are deterministic regardless of worker count.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import IsStar, NotPseudoSplit, NotSplit, OrderOutOfRange, UnclassifiablePartition
 from .graphs import (
@@ -454,21 +455,6 @@ def check_one(theorem: str, g: Graph) -> tuple[str, ...]:
     return details
 
 
-def _run_chunk(args):
-    theorem, graphs = args
-    check = CHECKERS[theorem].check
-    violations = []
-    members = []
-    for g in graphs:
-        details, flag = check(g)
-        if details or flag:
-            g6 = write_graph6(g)
-            violations.extend((g6, d) for d in details)
-            if flag:
-                members.append(g6)
-    return violations, members
-
-
 def default_jobs() -> int:
     """Worker count for --jobs: the CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -476,22 +462,19 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def _run_checks(theorem: str, graphs: list[Graph], jobs: int):
-    if jobs is None or jobs < 1:
-        jobs = default_jobs()
-    if jobs == 1 or len(graphs) < 256:
-        return _run_chunk((theorem, graphs))
-    step = max(1, -(-len(graphs) // (jobs * 4)))
-    chunks = [
-        (theorem, graphs[i : i + step]) for i in range(0, len(graphs), step)
-    ]
-    violations = []
-    members = []
+def _map(fn, items: list, jobs: int) -> Iterable:
+    """fn over items in order, on a pool of jobs workers when that pays.
+
+    The serial path is lazy, so a caller that streams the results never
+    holds them all.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if jobs == 1 or len(items) < 256:
+        return map(fn, items)
+    chunksize = -(-len(items) // (jobs * 4))
     with multiprocessing.Pool(jobs) as pool:
-        for v, m in pool.map(_run_chunk, chunks):
-            violations.extend(v)
-            members.extend(m)
-    return violations, members
+        return pool.map(fn, items, chunksize)
 
 
 def verify(theorem: str, max_n: int = 7, source=None, jobs: int = 1) -> TheoremReport:
@@ -521,7 +504,14 @@ def verify(theorem: str, max_n: int = 7, source=None, jobs: int = 1) -> TheoremR
                 raise OrderOutOfRange(
                     f"corpus graph of order {g.n} exceeds {CORPUS_MAX_ORDER}"
                 )
-    violations, members = _run_checks(theorem, graphs, jobs)
+    violations = []
+    members = []
+    for g, (details, flag) in zip(graphs, _map(ck.check, graphs, jobs)):
+        if details or flag:
+            g6 = write_graph6(g)
+            violations.extend((g6, d) for d in details)
+            if flag:
+                members.append(g6)
     if source is None and ck.expected_set is not None:
         expected = ck.expected_set(max_n)
         found = set(members)
@@ -582,12 +572,13 @@ def _census_one(g: Graph):
     split = is_split(g)
     balanced = split and clique_number(g) + independence_number(g) == g.n
     tag = detect_exceptional(g)
+    pseudo = is_pseudo_split(g)
     return (
         split,
         balanced,
         None if tag is None else str(tag),
-        is_pseudo_split(g),
-        is_ng_by_characterisation(g),
+        pseudo,
+        pseudo and not balanced,  # the NG characterisation
     )
 
 
@@ -597,17 +588,13 @@ def census(max_n: int = 7, jobs: int = 1) -> list[CensusRow]:
         raise OrderOutOfRange(
             f"census supports max_n 1..{ENUM_MAX_ORDER}, got {max_n}"
         )
+    levels = [list(enumerate_connected(n)) for n in range(1, max_n + 1)]
+    results = iter(_map(_census_one, list(itertools.chain(*levels)), jobs))
     rows = []
-    for n in range(1, max_n + 1):
-        graphs = list(enumerate_connected(n))
-        if jobs > 1 and len(graphs) >= 256:
-            with multiprocessing.Pool(jobs) as pool:
-                results = pool.map(_census_one, graphs, chunksize=64)
-        else:
-            results = [_census_one(g) for g in graphs]
+    for n, level in enumerate(levels, 1):
         split = balanced = pseudo = ng = 0
         families: dict[str, int] = {}
-        for sp, bal, tag, ps, isng in results:
+        for sp, bal, tag, ps, isng in itertools.islice(results, len(level)):
             split += sp
             balanced += bal
             pseudo += ps
@@ -617,11 +604,11 @@ def census(max_n: int = 7, jobs: int = 1) -> list[CensusRow]:
         rows.append(
             CensusRow(
                 n=n,
-                connected=len(graphs),
+                connected=len(level),
                 split=split,
                 balanced_split=balanced,
                 unbalanced_split=split - balanced,
-                non_split=len(graphs) - split,
+                non_split=len(level) - split,
                 exceptional=dict(sorted(families.items())),
                 pseudo_split=pseudo,
                 ng=ng,

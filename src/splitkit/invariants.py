@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from .errors import OrderTooLargeForColoring, OrderTooLargeForPerfection
+from .errors import OrderTooLargeForColoring
 from .graphs import Graph, NamedPattern, complement, is_isomorphic, induced
 
 COLORING_MAX_ORDER = 12
-PERFECTION_MAX_ORDER = 12
 
 
 def clique_number(g: Graph) -> int:
@@ -116,15 +115,6 @@ def _neighbor_list(mask: int) -> list[int]:
     return out
 
 
-def dominates(g: Graph, vertices: Iterable[int]) -> bool:
-    """True when every vertex is in the set or adjacent to a member."""
-    cover = 0
-    for v in vertices:
-        g._check_vertex(v)
-        cover |= (1 << v) | g.rows[v]
-    return cover == g.full_mask
-
-
 # ---------------------------------------------------------------------------
 # induced-subgraph search
 
@@ -172,13 +162,6 @@ def find_induced(g: Graph, pattern: NamedPattern) -> PatternWitness | None:
     return None
 
 
-def has_induced(g: Graph, pattern: NamedPattern) -> bool:
-    fast = _FAST_CONTAINS.get(pattern.tag)
-    if fast is not None:
-        return fast(g)
-    return find_induced(g, pattern) is not None
-
-
 def contains_2k2(g: Graph) -> bool:
     """Induced 2K2: two edges with no endpoints shared or joined."""
     edges = g.edges()
@@ -218,44 +201,4 @@ def contains_c5(g: Graph) -> bool:
             mask |= 1 << v
         if all((rows[v] & mask).bit_count() == 2 for v in s):
             return True
-    return False
-
-
-_FAST_CONTAINS = {
-    "TWO_K2": contains_2k2,
-    "C4": contains_c4,
-    "C5": contains_c5,
-}
-
-
-def is_perfect(g: Graph) -> bool:
-    """No induced odd hole in g or its complement; order capped at 12."""
-    if g.n > PERFECTION_MAX_ORDER:
-        raise OrderTooLargeForPerfection(f"order {g.n} exceeds {PERFECTION_MAX_ORDER}")
-    return not _has_odd_hole(g) and not _has_odd_hole(complement(g))
-
-
-def _has_odd_hole(g: Graph) -> bool:
-    rows = g.rows
-    for k in range(5, g.n + 1, 2):
-        for s in itertools.combinations(range(g.n), k):
-            mask = 0
-            for v in s:
-                mask |= 1 << v
-            if not all((rows[v] & mask).bit_count() == 2 for v in s):
-                continue
-            # 2-regular induced subgraph is a hole iff it is one cycle
-            seen = 1 << s[0]
-            frontier = seen
-            while frontier:
-                reach = 0
-                m = frontier
-                while m:
-                    b = m & -m
-                    reach |= rows[b.bit_length() - 1] & mask
-                    m ^= b
-                frontier = reach & ~seen
-                seen |= frontier
-            if seen == mask:
-                return True
     return False

@@ -191,6 +191,9 @@ def test_census_max_n_over_cap(capsys):
         ["verify", "--theorem", "NOPE"],
         ["classify"],  # needs --inline or --file
         ["classify", "--inline", "Bw", "--file", "x"],
+        ["classify", "--inline", "Bw", "--jobs", "2"],  # classify takes no --jobs
+        ["census", "--max-n", "3", "--jobs", "-5"],
+        ["verify", "--theorem", "PROP4", "--max-n", "5", "--jobs", "0"],
     ],
 )
 def test_usage_errors_exit_2(argv):

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 
 import pytest
 
@@ -192,11 +193,30 @@ def test_default_jobs_follows_affinity(monkeypatch):
 
 
 def test_parallel_run_matches_sequential():
+    # THM_CONTRACTION also sends exceptional-region members back from the pool
+    for theorem in ("LEMMA1", "THM_CONTRACTION"):
+        seq = verify(theorem, max_n=7, jobs=1)
+        par = verify(theorem, max_n=7, jobs=2)
+        assert seq.graphs_checked == par.graphs_checked == 996
+        assert seq.counterexamples == par.counterexamples == ()
+        assert (seq.min_n, seq.max_n) == (par.min_n, par.max_n)
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_parallel_run_under_start_method(monkeypatch, method):
     seq = verify("LEMMA1", max_n=7, jobs=1)
+    census_seq = [r.to_dict() for r in census(7, jobs=1)]
+    monkeypatch.setattr(harness, "multiprocessing", multiprocessing.get_context(method))
     par = verify("LEMMA1", max_n=7, jobs=2)
-    assert seq.graphs_checked == par.graphs_checked == 996
-    assert seq.counterexamples == par.counterexamples == ()
-    assert (seq.min_n, seq.max_n) == (par.min_n, par.max_n)
+    assert (par.graphs_checked, par.counterexamples) == (seq.graphs_checked, seq.counterexamples)
+    assert [r.to_dict() for r in census(7, jobs=2)] == census_seq
+
+
+def test_jobs_below_one_rejected():
+    with pytest.raises(ValueError, match="jobs"):
+        census(3, jobs=0)
+    with pytest.raises(ValueError, match="jobs"):
+        verify("PROP4", 5, jobs=0)
 
 
 # ---------------------------------------------------------------------------

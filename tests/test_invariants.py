@@ -5,28 +5,21 @@ import pytest
 from splitkit import (
     NamedPattern,
     OrderTooLargeForColoring,
-    OrderTooLargeForPerfection,
-    VertexOutOfRange,
     build,
     chromatic_number,
     clique_number,
-    complement,
     complete_graph,
     contains_2k2,
     contains_c4,
     contains_c5,
     cycle_graph,
-    dominates,
     enumerate_all,
     enumerate_connected,
     find_induced,
-    has_induced,
     independence_number,
     induced,
-    is_perfect,
     max_clique,
     path_graph,
-    star_graph,
 )
 
 from oracles import (
@@ -94,16 +87,6 @@ def test_chromatic_number_order_cap():
         chromatic_number(build(13))
 
 
-def test_dominates():
-    c5 = cycle_graph(5)
-    assert not dominates(c5, [0, 1])
-    assert dominates(c5, [0, 2])
-    assert dominates(build(1), [0])
-    assert not dominates(c5, [])
-    with pytest.raises(VertexOutOfRange):
-        dominates(c5, [7])
-
-
 # ---------------------------------------------------------------------------
 # induced-subgraph search
 
@@ -126,7 +109,8 @@ SMALL_PATTERNS = [
 def test_has_induced_matches_permutation_scan():
     for g in all_graphs_upto(5):
         for pattern in SMALL_PATTERNS:
-            assert has_induced(g, pattern) == has_induced_copy(g, pattern.template)
+            found = find_induced(g, pattern) is not None
+            assert found == has_induced_copy(g, pattern.template)
 
 
 def test_fast_containment_agrees_with_generic_search():
@@ -157,44 +141,3 @@ def test_containment_spot_checks():
     assert not contains_2k2(path_graph(4))
     assert contains_c4(cycle_graph(4))
     assert not contains_c4(complete_graph(6))
-
-
-# ---------------------------------------------------------------------------
-# perfection
-
-
-def _perfect_by_subgraphs(g):
-    # chi = omega on every nonempty induced subgraph
-    for r in range(1, g.n + 1):
-        for s in itertools.combinations(range(g.n), r):
-            h = induced(g, s)
-            if chromatic_number(h) != clique_number(h):
-                return False
-    return True
-
-
-def test_is_perfect_matches_subgraph_definition():
-    for g in all_graphs_upto(5):
-        assert is_perfect(g) == _perfect_by_subgraphs(g)
-
-
-@pytest.mark.parametrize(
-    "g,expected",
-    [
-        (cycle_graph(4), True),
-        (cycle_graph(5), False),
-        (cycle_graph(7), False),
-        (complement(cycle_graph(7)), False),
-        (complete_graph(6), True),
-        (path_graph(6), True),
-        (star_graph(5), True),
-        (NamedPattern("OCTAHEDRON").template, True),
-    ],
-)
-def test_is_perfect_known_values(g, expected):
-    assert is_perfect(g) == expected
-
-
-def test_is_perfect_order_cap():
-    with pytest.raises(OrderTooLargeForPerfection):
-        is_perfect(build(13))

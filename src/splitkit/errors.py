@@ -49,6 +49,10 @@ class MalformedEdgeList(SplitkitError, ValueError):
     """The text is not a valid edge list ('n m' then m lines 'u v')."""
 
 
+class InvalidJobs(SplitkitError, ValueError):
+    """A worker count below 1."""
+
+
 class OrderTooLargeForColoring(SplitkitError):
     """Exact chromatic number is capped at order 12."""
 

@@ -14,7 +14,14 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .errors import IsStar, NotPseudoSplit, NotSplit, OrderOutOfRange, UnclassifiablePartition
+from .errors import (
+    InvalidJobs,
+    IsStar,
+    NotPseudoSplit,
+    NotSplit,
+    OrderOutOfRange,
+    UnclassifiablePartition,
+)
 from .graphs import (
     ENUM_MAX_ORDER,
     Graph,
@@ -39,10 +46,10 @@ from .invariants import (
 )
 from .recognition import (
     KSPartition,
+    _2k2_witness,
+    _c4_witness,
     classify_ks_case,
     detect_exceptional,
-    find_2k2_witness,
-    find_c4_witness,
     find_nonsplit_witness,
     find_unbalanced_witness,
     is_balanced_split,
@@ -250,7 +257,7 @@ def _check_lemma1(g: Graph):
         return (), False
     tag = detect_exceptional(g)
     terminal = tag is not None and tag.family in ("H1", "H2", "H3")
-    e = find_c4_witness(g)
+    e = _c4_witness(g)
     if terminal:
         if e is not None:
             return (f"terminal graph {tag} has witness ({e.u},{e.v})",), False
@@ -272,7 +279,7 @@ def _check_lemma2(g: Graph):
     terminal = (tag is not None and tag.family in _LEMMA2_TERMINAL_FAMILIES) or (
         g.n == 6 and is_isomorphic(g, cycle_graph(6))
     )
-    e = find_2k2_witness(g)
+    e = _2k2_witness(g)
     if terminal:
         if e is not None:
             return (f"terminal graph has witness ({e.u},{e.v})",), False
@@ -462,14 +469,18 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
+def _require_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise InvalidJobs(f"jobs must be at least 1, got {jobs}")
+
+
 def _map(fn, items: list, jobs: int) -> Iterable:
     """fn over items in order, on a pool of jobs workers when that pays.
 
     The serial path is lazy, so a caller that streams the results never
-    holds them all.
+    holds them all. Callers check jobs with ``_require_jobs`` before they
+    build the items.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if jobs == 1 or len(items) < 256:
         return map(fn, items)
     chunksize = -(-len(items) // (jobs * 4))
@@ -483,6 +494,7 @@ def verify(theorem: str, max_n: int = 7, source=None, jobs: int = 1) -> TheoremR
     source: None for the built-in substrate, a path to a graph6 file, or an
     iterable of Graph. Corpus graphs may have order up to 10.
     """
+    _require_jobs(jobs)
     if theorem not in CHECKERS:
         raise ValueError(f"unknown theorem id {theorem!r}")
     ck = CHECKERS[theorem]
@@ -584,6 +596,7 @@ def _census_one(g: Graph):
 
 def census(max_n: int = 7, jobs: int = 1) -> list[CensusRow]:
     """Classification counts over connected graphs of each order up to max_n."""
+    _require_jobs(jobs)
     if not 1 <= max_n <= ENUM_MAX_ORDER:
         raise OrderOutOfRange(
             f"census supports max_n 1..{ENUM_MAX_ORDER}, got {max_n}"

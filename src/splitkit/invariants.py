@@ -67,7 +67,11 @@ def chromatic_number(g: Graph) -> int:
     """
     if g.n > COLORING_MAX_ORDER:
         raise OrderTooLargeForColoring(f"order {g.n} exceeds {COLORING_MAX_ORDER}")
-    clique = max_clique(g)
+    return _chromatic(g, max_clique(g))
+
+
+def _chromatic(g: Graph, clique: tuple[int, ...]) -> int:
+    # clique must be a maximum clique of g, already found by the caller
     lb = len(clique)
     ub = _greedy_bound(g)
     if lb == ub:
@@ -192,13 +196,43 @@ def contains_c4(g: Graph) -> bool:
     return False
 
 
-def contains_c5(g: Graph) -> bool:
-    """Induced C5 via 5-subset scan; 2-regular on 5 vertices forces a cycle."""
+def _find_c5(g: Graph) -> tuple[int, ...] | None:
+    """Sorted vertex set of an induced C5, or None.
+
+    Grows the path b-a-e from each vertex a through two non-adjacent
+    neighbours above it, then closes it with an edge c-d, c in N(b) and d in
+    N(e), both outside N[a] and each non-adjacent to the far end. Every
+    induced C5 has a lowest vertex a, so none is missed.
+    """
     rows = g.rows
-    for s in itertools.combinations(range(g.n), 5):
-        mask = 0
-        for v in s:
-            mask |= 1 << v
-        if all((rows[v] & mask).bit_count() == 2 for v in s):
-            return True
-    return False
+    for a in range(g.n):
+        above = g.full_mask >> (a + 1) << (a + 1)
+        outside = above & ~rows[a]
+        nbrs = rows[a] & above
+        while nbrs:
+            bb = nbrs & -nbrs
+            nbrs ^= bb
+            b = bb.bit_length() - 1
+            rb = rows[b]
+            ends = nbrs & ~rb
+            while ends:
+                eb = ends & -ends
+                ends ^= eb
+                e = eb.bit_length() - 1
+                re = rows[e]
+                ds = re & outside & ~rb
+                cs = rb & outside & ~re
+                while ds and cs:
+                    cb = cs & -cs
+                    cs ^= cb
+                    c = cb.bit_length() - 1
+                    hit = rows[c] & ds
+                    if hit:
+                        d = (hit & -hit).bit_length() - 1
+                        return tuple(sorted((a, b, c, d, e)))
+    return None
+
+
+def contains_c5(g: Graph) -> bool:
+    """Induced C5, by the bitmask path closure of ``_find_c5``."""
+    return _find_c5(g) is not None

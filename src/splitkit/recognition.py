@@ -18,13 +18,15 @@ from .errors import (
 from .graphs import Edge, Graph, NamedPattern, complement, contract, is_isomorphic
 from .invariants import (
     COLORING_MAX_ORDER,
+    _chromatic,
+    _find_c5,
     chromatic_number,
     clique_number,
     contains_2k2,
     contains_c4,
     contains_c5,
-    find_induced,
     independence_number,
+    max_clique,
 )
 
 CASE_I = "I"
@@ -192,9 +194,13 @@ def ks_partition(g: Graph) -> KSPartition:
     """
     if not is_split(g):
         raise NotSplit("graph admits no clique/independent-set partition")
-    w = clique_number(g)
+    return _ks(g, clique_number(g))
+
+
+def _ks(g: Graph, omega: int) -> KSPartition:
+    # g split with clique number omega
     full = g.full_mask
-    for k in itertools.combinations(range(g.n), w):
+    for k in itertools.combinations(range(g.n), omega):
         kmask = _mask(k)
         if _is_clique(g, kmask) and _is_independent(g, full ^ kmask):
             s = tuple(v for v in range(g.n) if not kmask >> v & 1)
@@ -300,6 +306,11 @@ def find_c4_witness(g: Graph) -> Edge | None:
     """
     if not contains_c4(g):
         raise NoInducedC4("graph has no induced C4")
+    return _c4_witness(g)
+
+
+def _c4_witness(g: Graph) -> Edge | None:
+    # g has an induced C4
     for e in g.edges():
         if contains_c4(contract(g, e)):
             return e
@@ -313,6 +324,11 @@ def find_2k2_witness(g: Graph) -> Edge | None:
     """
     if not contains_2k2(g):
         raise NoInduced2K2("graph has no induced 2K2")
+    return _2k2_witness(g)
+
+
+def _2k2_witness(g: Graph) -> Edge | None:
+    # g has an induced 2K2
     for e in g.edges():
         h = contract(g, e)
         if contains_2k2(h) or contains_c4(h):
@@ -341,10 +357,19 @@ def find_unbalanced_witness(g: Graph) -> Edge | None:
         raise IsStar("the one-vertex graph has no edges")
     if g.n >= 3 and is_star(g):
         raise IsStar(f"stars K_(1,{g.n - 1}) are excluded")
-    w = clique_number(g)
+    return _unbalanced_witness(g, clique_number(g))
+
+
+def _unbalanced_witness(g: Graph, omega: int) -> Edge | None:
+    # g split, not a star, with clique number omega
     for e in g.edges():
         h = contract(g, e)
-        if clique_number(h) == w - 1 and not is_balanced_split(h):
+        omega_h = clique_number(h)
+        if omega_h != omega - 1:
+            continue
+        if not is_split(h):
+            raise NotSplit("balancedness is defined for split graphs only")
+        if omega_h + independence_number(h) != h.n:
             return e
     return None
 
@@ -361,17 +386,26 @@ def is_pseudo_split(g: Graph) -> bool:
 def pseudo_split_decompose(g: Graph) -> PseudoSplitDecomposition:
     """Decompose a (2K2, C4)-free graph into (a, b, c).
 
-    If an induced C5 exists, c is the first one found, a the vertices
-    adjacent to all of c, b the rest; otherwise c is empty and (a, b) is the
-    KS-partition.
+    If an induced C5 exists, c is its vertex set, a the vertices adjacent to
+    all of c, b the rest; otherwise c is empty and (a, b) is the
+    KS-partition. The C5 is unique: a b-vertex on an induced C5 would have
+    both cycle neighbours in the clique a, closing a triangle, and an
+    a-vertex is adjacent to every other vertex of a and c, so any induced C5
+    is exactly c.
     """
     if not is_pseudo_split(g):
         raise NotPseudoSplit("graph has an induced 2K2 or C4")
-    wit = find_induced(g, NamedPattern("C5"))
-    if wit is None:
-        p = ks_partition(g)
-        return PseudoSplitDecomposition(p.k, p.s, ())
-    cmask = _mask(wit.vertices)
+    return _psd(g, _ks(g, clique_number(g)) if is_split(g) else None)
+
+
+def _psd(g: Graph, ks: KSPartition | None) -> PseudoSplitDecomposition:
+    # g (2K2, C4)-free; ks its KS-partition, None when g is not split
+    c = _find_c5(g)
+    if c is None:
+        if ks is None:
+            raise NotSplit("graph admits no clique/independent-set partition")
+        return PseudoSplitDecomposition(ks.k, ks.s, ())
+    cmask = _mask(c)
     a = []
     b = []
     for v in range(g.n):
@@ -381,7 +415,7 @@ def pseudo_split_decompose(g: Graph) -> PseudoSplitDecomposition:
             a.append(v)
         else:
             b.append(v)
-    return PseudoSplitDecomposition(tuple(a), tuple(b), wit.vertices)
+    return PseudoSplitDecomposition(tuple(a), tuple(b), c)
 
 
 def is_ng_by_definition(g: Graph) -> bool:
@@ -406,23 +440,28 @@ def classify(g: Graph) -> ClassificationReport:
         raise OrderTooLargeForColoring(
             f"classification needs exact coloring, order {g.n} > {COLORING_MAX_ORDER}"
         )
-    omega = clique_number(g)
-    alpha = independence_number(g)
-    chi = chromatic_number(g)
-    chi_c = chromatic_number(complement(g))
+    clique = max_clique(g)
+    omega = len(clique)
+    gc = complement(g)
+    co_clique = max_clique(gc)
+    alpha = len(co_clique)
+    chi = _chromatic(g, clique)
+    chi_c = _chromatic(gc, co_clique)
     split = is_split(g)
-    ks = ks_partition(g) if split else None
+    ks = _ks(g, omega) if split else None
     balanced = (omega + alpha == g.n) if split else None
-    pseudo = is_pseudo_split(g)
-    psd = pseudo_split_decompose(g) if pseudo else None
+    has_2k2 = contains_2k2(g)
+    has_c4 = contains_c4(g)
+    pseudo = not has_2k2 and not has_c4
+    psd = _psd(g, ks) if pseudo else None
     tag = detect_exceptional(g)
     witnesses = []
-    if contains_c4(g):
-        e = find_c4_witness(g)
+    if has_c4:
+        e = _c4_witness(g)
         if e is not None:
             witnesses.append(("c4", e))
-    if contains_2k2(g):
-        e = find_2k2_witness(g)
+    if has_2k2:
+        e = _2k2_witness(g)
         if e is not None:
             witnesses.append(("2k2", e))
     if g.is_connected():
@@ -430,7 +469,7 @@ def classify(g: Graph) -> ClassificationReport:
         if e is not None:
             witnesses.append(("nonsplit", e))
     if split and g.n >= 2 and not (g.n >= 3 and is_star(g)):
-        e = find_unbalanced_witness(g)
+        e = _unbalanced_witness(g, omega)
         if e is not None:
             witnesses.append(("unbalanced", e))
     return ClassificationReport(

@@ -1,0 +1,32 @@
+"""Seeded random graphs past the exhaustive range, for the property tests.
+
+Three kinds, so that every branch of ``classify`` is taken: G(n, p) with p in
+{0.2, 0.5, 0.8}, split graphs (a clique joined to an independent set by
+random edges), and pseudo-split graphs with a C5 part (a C5 fully joined to
+a clique, plus an independent set with random edges to the clique). Labels
+are shuffled, so no structure shows in them.
+"""
+
+from splitkit import build
+
+
+def random_graph(rng, n):
+    """A random graph of order n >= 6 drawn from ``rng`` (a ``random.Random``)."""
+    kind = rng.choice(("gnp", "split", "pseudo_c5"))
+    edges = []
+    if kind == "gnp":
+        p = rng.choice((0.2, 0.5, 0.8))
+        edges = [(u, v) for v in range(n) for u in range(v) if rng.random() < p]
+    elif kind == "split":
+        k = rng.randint(1, n - 1)
+        edges = [(u, v) for v in range(k) for u in range(v)]
+        edges += [(u, s) for s in range(k, n) for u in range(k) if rng.random() < 0.5]
+    else:
+        edges = [(i, (i + 1) % 5) for i in range(5)]
+        a = rng.randint(0, n - 5)
+        clique = range(5, 5 + a)
+        edges += [(u, v) for v in clique for u in range(v)]
+        edges += [(u, s) for s in range(5 + a, n) for u in clique if rng.random() < 0.5]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return build(n, [(perm[u], perm[v]) for u, v in edges])

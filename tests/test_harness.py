@@ -4,8 +4,10 @@ import multiprocessing
 import pytest
 
 from splitkit import (
+    InvalidJobs,
     MalformedCorpus,
     OrderOutOfRange,
+    SplitkitError,
     THEOREM_IDS,
     build,
     census,
@@ -213,10 +215,26 @@ def test_parallel_run_under_start_method(monkeypatch, method):
 
 
 def test_jobs_below_one_rejected():
-    with pytest.raises(ValueError, match="jobs"):
+    with pytest.raises(ValueError, match="jobs") as exc:
         census(3, jobs=0)
-    with pytest.raises(ValueError, match="jobs"):
+    assert isinstance(exc.value, InvalidJobs) and isinstance(exc.value, SplitkitError)
+    with pytest.raises(ValueError, match="jobs") as exc:
         verify("PROP4", 5, jobs=0)
+    assert isinstance(exc.value, InvalidJobs)
+
+
+def test_jobs_checked_before_enumeration(monkeypatch):
+    def refuse(n):
+        raise AssertionError("enumerated before checking jobs")
+
+    monkeypatch.setattr(harness, "enumerate_connected", refuse)
+    monkeypatch.setattr(harness, "enumerate_all", refuse)
+    with pytest.raises(InvalidJobs):
+        verify("THM_CONTRACTION", 8, jobs=0)
+    with pytest.raises(InvalidJobs):
+        verify_all(8, jobs=-1)
+    with pytest.raises(InvalidJobs):
+        census(8, jobs=0)
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,14 @@ from splitkit import (
     max_clique,
     path_graph,
 )
+from splitkit.invariants import _find_c5
 
 from oracles import (
     chromatic_number_assignments,
     clique_number_subsets,
     has_induced_copy,
     independence_number_subsets,
+    iso_by_permutations,
 )
 
 
@@ -118,6 +120,16 @@ def test_fast_containment_agrees_with_generic_search():
         assert contains_2k2(g) == (find_induced(g, NamedPattern("TWO_K2")) is not None)
         assert contains_c4(g) == (find_induced(g, NamedPattern("C4")) is not None)
         assert contains_c5(g) == (find_induced(g, NamedPattern("C5")) is not None)
+
+
+def test_c5_finder_matches_permutation_scan():
+    c5 = cycle_graph(5)
+    for g in all_graphs_upto(7):
+        found = _find_c5(g)
+        assert (found is not None) == has_induced_copy(g, c5), g
+        if found is not None:
+            assert found == tuple(sorted(set(found))) and len(found) == 5
+            assert iso_by_permutations(induced(g, found), c5)
 
 
 def test_find_induced_returns_first_witness():

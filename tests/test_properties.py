@@ -1,0 +1,77 @@
+"""Property tests past the exhaustive range: random graphs of orders 9-12.
+
+Enumeration covers every graph to order 8; here Hypothesis draws seeded
+graphs of orders 9-12 (see graphgen.py) and checks the recognizers, the
+decompositions, omega and alpha, and every witness that ``classify``
+reports against the brute-force oracles. The run is derandomized, so it
+draws the same graphs every time.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from splitkit import (
+    build,
+    classify,
+    contract,
+    cycle_graph,
+    is_ng_by_characterisation,
+    is_split_degrees,
+    is_split_forbidden,
+    ks_partition,
+    pseudo_split_decompose,
+)
+
+from graphgen import random_graph
+from oracles import (
+    balanced_partition_exists,
+    clique_number_subsets,
+    has_induced_copy,
+    independence_number_subsets,
+    ks_partition_exists,
+)
+
+C4 = cycle_graph(4)
+TWO_K2 = build(4, [(0, 1), (2, 3)])
+
+
+@st.composite
+def big_graphs(draw):
+    rng = draw(st.randoms(use_true_random=False))
+    return random_graph(rng, draw(st.integers(9, 12)))
+
+
+def _check_witness(g, omega, label, e):
+    h = contract(g, e)
+    if label == "c4":
+        assert has_induced_copy(h, C4)
+    elif label == "2k2":
+        assert has_induced_copy(h, TWO_K2) or has_induced_copy(h, C4)
+    elif label == "nonsplit":
+        assert not ks_partition_exists(h)
+    else:
+        assert label == "unbalanced"
+        omega_h = clique_number_subsets(h)
+        assert ks_partition_exists(h) and omega_h == omega - 1
+        assert not balanced_partition_exists(h, omega_h, independence_number_subsets(h))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(big_graphs())
+def test_classify_past_the_exhaustive_range(g):
+    split = ks_partition_exists(g)
+    assert is_split_forbidden(g) == is_split_degrees(g) == split
+    r = classify(g)
+    assert r.is_split == split
+    assert (r.omega, r.alpha) == (clique_number_subsets(g), independence_number_subsets(g))
+    pseudo = not has_induced_copy(g, TWO_K2) and not has_induced_copy(g, C4)
+    assert r.is_pseudo_split == pseudo
+    if split:
+        assert r.ks == ks_partition(g) and r.ks.is_valid_for(g)
+        assert len(r.ks.k) == r.omega
+        assert r.is_balanced_split == balanced_partition_exists(g, r.omega, r.alpha)
+    if pseudo:
+        assert r.psd == pseudo_split_decompose(g) and r.psd.is_valid_for(g)
+        assert bool(r.psd.c) == (not split)
+    assert r.is_ng == is_ng_by_characterisation(g)
+    for label, e in r.witnesses:
+        _check_witness(g, r.omega, label, e)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 
@@ -7,6 +8,7 @@ from splitkit import (
     CASE_I,
     CASE_II,
     CASE_III,
+    ClassificationReport,
     Edge,
     FamilyTag,
     InvalidPartition,
@@ -21,8 +23,10 @@ from splitkit import (
     PseudoSplitDecomposition,
     build,
     classify,
+    chromatic_number,
     classify_ks_case,
     clique_number,
+    complement,
     complete_bipartite_graph,
     complete_graph,
     contains_2k2,
@@ -35,6 +39,7 @@ from splitkit import (
     find_2k2_witness,
     find_c4_witness,
     find_nonsplit_witness,
+    find_induced,
     find_unbalanced_witness,
     independence_number,
     is_balanced_split,
@@ -51,7 +56,9 @@ from splitkit import (
     relabel,
     star_graph,
 )
+from splitkit.invariants import _find_c5
 
+from graphgen import random_graph
 from oracles import balanced_partition_exists, ks_partition_exists
 
 PAW = build(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
@@ -290,6 +297,18 @@ def test_pseudo_split_decompose_rejects_others():
         pseudo_split_decompose(cycle_graph(4))
 
 
+def test_c5_part_is_the_unique_induced_c5():
+    # in a (2K2, C4)-free graph the finder's C5 and the lexicographically
+    # first one found by the generic search are the same set
+    for g in all_graphs_upto(8):
+        if not is_pseudo_split(g):
+            continue
+        wit = find_induced(g, NamedPattern("C5"))
+        expected = None if wit is None else wit.vertices
+        assert _find_c5(g) == expected, g
+        assert pseudo_split_decompose(g).c == (expected or ())
+
+
 def test_decomposition_validity_checks():
     c5 = cycle_graph(5)
     assert PseudoSplitDecomposition((), (), (0, 1, 2, 3, 4)).is_valid_for(c5)
@@ -319,6 +338,55 @@ def test_ng_both_ways(g, expected):
 
 # ---------------------------------------------------------------------------
 # aggregate classification
+
+
+def _report_from_public_functions(g):
+    # the seed's classify, call for call, through the public API only
+    split = is_split(g)
+    omega = clique_number(g)
+    alpha = independence_number(g)
+    chi = chromatic_number(g)
+    chi_c = chromatic_number(complement(g))
+    pseudo = is_pseudo_split(g)
+    witnesses = []
+    if contains_c4(g):
+        e = find_c4_witness(g)
+        if e is not None:
+            witnesses.append(("c4", e))
+    if contains_2k2(g):
+        e = find_2k2_witness(g)
+        if e is not None:
+            witnesses.append(("2k2", e))
+    if g.is_connected():
+        e = find_nonsplit_witness(g)
+        if e is not None:
+            witnesses.append(("nonsplit", e))
+    if split and g.n >= 2 and not (g.n >= 3 and is_star(g)):
+        e = find_unbalanced_witness(g)
+        if e is not None:
+            witnesses.append(("unbalanced", e))
+    return ClassificationReport(
+        is_split=split,
+        is_balanced_split=(omega + alpha == g.n) if split else None,
+        ks=ks_partition(g) if split else None,
+        exceptional=detect_exceptional(g),
+        is_pseudo_split=pseudo,
+        psd=pseudo_split_decompose(g) if pseudo else None,
+        is_ng=chi + chi_c == g.n + 1,
+        omega=omega,
+        alpha=alpha,
+        chi=chi,
+        chi_complement=chi_c,
+        witnesses=tuple(witnesses),
+    )
+
+
+def test_classify_matches_public_functions():
+    rng = random.Random(20211)
+    graphs = list(all_graphs_upto(7))
+    graphs += [random_graph(rng, rng.randint(9, 12)) for _ in range(300)]
+    for g in graphs:
+        assert classify(g) == _report_from_public_functions(g), g
 
 
 def test_classify_triangle():

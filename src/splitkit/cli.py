@@ -129,25 +129,23 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    source = None
+    if args.file is not None:
+        try:
+            with open(args.file) as fh:
+                source = parse_graph6_lines(fh)
+        except (OSError, MalformedCorpus) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    theorems = THEOREM_IDS if args.theorem == "all" else (args.theorem,)
     try:
-        if args.theorem == "all":
-            if args.file is not None:
-                reports = [
-                    verify(tid, args.max_n, source=args.file, jobs=args.jobs)
-                    for tid in THEOREM_IDS
-                ]
-            else:
-                reports = verify_all(args.max_n, jobs=args.jobs)
+        if args.theorem == "all" and source is None:
+            reports = verify_all(args.max_n, jobs=args.jobs)
         else:
-            reports = [
-                verify(args.theorem, args.max_n, source=args.file, jobs=args.jobs)
-            ]
-    except MalformedCorpus as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+            reports = [verify(t, args.max_n, source=source, jobs=args.jobs) for t in theorems]
     except OrderOutOfRange as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1 if args.file is not None else 2
+        return 1 if source is not None else 2
     if args.format == "json":
         payload = [r.to_dict() for r in reports]
         print(json.dumps(payload if len(payload) > 1 else payload[0], sort_keys=True, indent=2))

@@ -26,7 +26,7 @@ class EmptySet(SplitkitError):
 
 
 class OrderTooLargeForIsomorphism(SplitkitError):
-    """Brute-force isomorphism testing is capped at order 12."""
+    """Isomorphism testing and pattern search are capped at order 12."""
 
 
 class MalformedGraph6(SplitkitError):
@@ -51,6 +51,14 @@ class MalformedEdgeList(SplitkitError, ValueError):
 
 class InvalidJobs(SplitkitError, ValueError):
     """A worker count below 1."""
+
+
+class UnknownTheorem(SplitkitError, ValueError):
+    """A theorem id that is not in THEOREM_IDS."""
+
+
+class InvalidPattern(SplitkitError, ValueError):
+    """An unknown pattern tag, or a parameter the pattern does not accept."""
 
 
 class OrderTooLargeForColoring(SplitkitError):

@@ -13,6 +13,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     EmptySet,
+    InvalidPattern,
     LoopEdge,
     MalformedCorpus,
     MalformedEdgeList,
@@ -295,49 +296,14 @@ def _graph_from_code(n: int, code: int) -> Graph:
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
-    """Backtracking isomorphism test, order at most 12 on both sides."""
+    """Equal canonical codes, after order and degree-multiset prechecks; orders <= 12."""
     if g.n > ISO_MAX_ORDER or h.n > ISO_MAX_ORDER:
         raise OrderTooLargeForIsomorphism(
             f"orders {g.n}, {h.n}; both must be <= {ISO_MAX_ORDER}"
         )
-    if g.n != h.n:
+    if g.n != h.n or sorted(g.degrees()) != sorted(h.degrees()):
         return False
-    n = g.n
-    dg = g.degrees()
-    dh = h.degrees()
-    if sorted(dg) != sorted(dh):
-        return False
-
-    # place the most constrained vertex next: most already-placed neighbours
-    order = []
-    placed_mask = 0
-    for _ in range(n):
-        pick = max(
-            (v for v in range(n) if not placed_mask >> v & 1),
-            key=lambda v: ((g.rows[v] & placed_mask).bit_count(), dg[v], -v),
-        )
-        order.append(pick)
-        placed_mask |= 1 << pick
-
-    image = [-1] * n
-
-    def match(i: int, used: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        rv = g.rows[v]
-        for w in range(n):
-            if used >> w & 1 or dh[w] != dg[v]:
-                continue
-            rw = h.rows[w]
-            if all((rv >> order[j] & 1) == (rw >> image[order[j]] & 1) for j in range(i)):
-                image[v] = w
-                if match(i + 1, used | 1 << w):
-                    return True
-                image[v] = -1
-        return False
-
-    return match(0, 0)
+    return canonical_code(g) == canonical_code(h)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +486,7 @@ def _pattern_template(tag: str, param: int | None) -> Graph:
         return star_graph(3)
     if tag == "K_2_L":
         if param is None or param < 2:
-            raise ValueError("K_2_L needs param l >= 2")
+            raise InvalidPattern("K_2_L needs param l >= 2")
         return complete_bipartite_graph(2, param)
     if tag == "W4":
         # 4-cycle 0..3 plus hub 4
@@ -538,9 +504,9 @@ def _pattern_template(tag: str, param: int | None) -> Graph:
         return build(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
     if tag == "STAR":
         if param is None or param < 1:
-            raise ValueError("STAR needs param >= 1")
+            raise InvalidPattern("STAR needs param >= 1")
         return star_graph(param)
-    raise ValueError(f"unknown pattern tag {tag!r}")
+    raise InvalidPattern(f"unknown pattern tag {tag!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,15 @@ import itertools
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import OrderTooLargeForColoring
-from .graphs import Graph, NamedPattern, complement, is_isomorphic, induced
+from .errors import OrderTooLargeForColoring, OrderTooLargeForIsomorphism
+from .graphs import (
+    ISO_MAX_ORDER,
+    Graph,
+    NamedPattern,
+    canonical_code,
+    complement,
+    induced,
+)
 
 COLORING_MAX_ORDER = 12
 
@@ -149,9 +156,14 @@ def _template_codes(tag: str, param: int | None) -> frozenset[int]:
 
 
 def find_induced(g: Graph, pattern: NamedPattern) -> PatternWitness | None:
-    """First induced copy of the pattern in lexicographic vertex order, or None."""
+    """First induced copy of the pattern in lexicographic vertex order, or None.
+
+    A pattern of order above ISO_MAX_ORDER raises OrderTooLargeForIsomorphism.
+    """
     t = pattern.template
     k = t.n
+    if k > ISO_MAX_ORDER:
+        raise OrderTooLargeForIsomorphism(f"pattern {pattern} has order {k} > {ISO_MAX_ORDER}")
     if k > g.n:
         return None
     if k <= 8:
@@ -160,8 +172,9 @@ def find_induced(g: Graph, pattern: NamedPattern) -> PatternWitness | None:
             if _subset_code(g.rows, s) in codes:
                 return PatternWitness(pattern, s)
         return None
+    code = canonical_code(t)
     for s in itertools.combinations(range(g.n), k):
-        if is_isomorphic(induced(g, s), t):
+        if canonical_code(induced(g, s)) == code:
             return PatternWitness(pattern, s)
     return None
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import (
@@ -15,7 +16,7 @@ from .errors import (
     OrderTooLargeForColoring,
     UnclassifiablePartition,
 )
-from .graphs import Edge, Graph, NamedPattern, complement, contract, is_isomorphic
+from .graphs import Edge, Graph, NamedPattern, canonical_code, complement, contract
 from .invariants import (
     COLORING_MAX_ORDER,
     _chromatic,
@@ -274,25 +275,27 @@ def _k2l_parameter(g: Graph) -> int | None:
     return None
 
 
+@lru_cache(maxsize=None)
+def _fixed_family_codes() -> dict[tuple[int, int], str]:
+    # (order, canonical code) -> family, for the six families of fixed order
+    tags = {"H2": "W4", "H3": "OCTAHEDRON", "H4": "TWO_K2",
+            "H5": "P5", "H6": "HAMMER", "H7": "BUTTERFLY"}
+    templates = {family: NamedPattern(tag).template for family, tag in tags.items()}
+    return {(t.n, canonical_code(t)): family for family, t in templates.items()}
+
+
 def detect_exceptional(g: Graph) -> FamilyTag | None:
     """The family tag when g is one of the seven exceptional graphs.
 
-    H1 = K_{2,l} (l >= 2), H2 = wheel W4, H3 = octahedron, H4 = 2K2,
-    H5 = P5, H6 = hammer, H7 = butterfly.
+    H1 = K_{2,l} (l >= 2) is recognised structurally, at any order. The six
+    others (H2 = wheel W4, H3 = octahedron, H4 = 2K2, H5 = P5, H6 = hammer,
+    H7 = butterfly) have order 4 to 6 and are matched by canonical code.
     """
-    n = g.n
     l = _k2l_parameter(g)
     if l is not None:
         return FamilyTag("H1", l)
-    if n == 4 and g.edge_count() == 2 and sorted(g.degrees()) == [1, 1, 1, 1]:
-        return FamilyTag("H4")
-    if n == 5:
-        for family, tag in (("H2", "W4"), ("H5", "P5"), ("H6", "HAMMER"), ("H7", "BUTTERFLY")):
-            if is_isomorphic(g, NamedPattern(tag).template):
-                return FamilyTag(family)
-    if n == 6 and is_isomorphic(g, NamedPattern("OCTAHEDRON").template):
-        return FamilyTag("H3")
-    return None
+    family = 4 <= g.n <= 6 and _fixed_family_codes().get((g.n, canonical_code(g)))
+    return FamilyTag(family) if family else None
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from splitkit import cli, harness
 from splitkit.cli import main
 
 
@@ -130,6 +131,33 @@ def test_verify_corpus_order_too_large(tmp_path, capsys):
         capsys, "verify", "--theorem", "THM_NG", "--file", str(path)
     )
     assert code == 1 and err.startswith("error:")
+
+
+def test_verify_missing_file(capsys):
+    for theorem in ("LEMMA1", "all"):
+        code, _, err = run_cli(
+            capsys, "verify", "--theorem", theorem, "--file", "/no/such/file"
+        )
+        assert code == 1 and err.startswith("error:")
+
+
+def test_verify_all_parses_the_corpus_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "corpus.g6"
+    path.write_text("Bw\nA_\n")
+    calls = []
+
+    def counting(parse):
+        def wrapper(lines):
+            calls.append(1)
+            return parse(lines)
+
+        return wrapper
+
+    for module in (cli, harness):
+        monkeypatch.setattr(module, "parse_graph6_lines", counting(module.parse_graph6_lines))
+    code, out, _ = run_cli(capsys, "verify", "--theorem", "all", "--file", str(path))
+    assert code == 0 and out.count("PASS") == len(harness.THEOREM_IDS)
+    assert len(calls) == 1
 
 
 def test_verify_corpus_malformed(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from splitkit import (
     Edge,
     EmptySet,
+    InvalidPattern,
     LoopEdge,
     MalformedCorpus,
     MalformedEdgeList,
@@ -14,6 +15,7 @@ from splitkit import (
     NotAnEdge,
     OrderOutOfRange,
     OrderTooLargeForIsomorphism,
+    SplitkitError,
     UnsupportedOrder,
     VertexOutOfRange,
     build,
@@ -193,8 +195,9 @@ def test_canonical_code_separates_classes():
     assert len(codes) == 34
 
 
-def test_is_isomorphic_matches_permutation_search_order4():
-    graphs = list(enumerate_all(4))
+@pytest.mark.parametrize("n", [4, 5])
+def test_is_isomorphic_matches_permutation_search(n):
+    graphs = list(enumerate_all(n))
     for g, h in itertools.product(graphs, repeat=2):
         assert is_isomorphic(g, h) == iso_by_permutations(g, h)
 
@@ -335,14 +338,10 @@ def test_pattern_str():
 
 
 def test_pattern_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        NamedPattern("K_2_L").template
-    with pytest.raises(ValueError):
-        NamedPattern("K_2_L", 1).template
-    with pytest.raises(ValueError):
-        NamedPattern("STAR").template
-    with pytest.raises(ValueError):
-        NamedPattern("NO_SUCH").template
+    for tag, param in (("K_2_L", None), ("K_2_L", 1), ("STAR", None), ("NO_SUCH", None)):
+        with pytest.raises(ValueError) as exc:
+            NamedPattern(tag, param).template
+        assert isinstance(exc.value, InvalidPattern) and isinstance(exc.value, SplitkitError)
 
 
 def test_small_constructors():

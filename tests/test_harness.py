@@ -9,6 +9,7 @@ from splitkit import (
     OrderOutOfRange,
     SplitkitError,
     THEOREM_IDS,
+    UnknownTheorem,
     build,
     census,
     check_one,
@@ -85,8 +86,9 @@ def test_render_text():
 
 
 def test_verify_rejects_bad_arguments():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         verify("NO_SUCH_THEOREM")
+    assert isinstance(exc.value, UnknownTheorem) and isinstance(exc.value, SplitkitError)
     with pytest.raises(OrderOutOfRange):
         verify("PROP1", max_n=7)  # capped at 6
     with pytest.raises(OrderOutOfRange):
@@ -97,8 +99,9 @@ def test_verify_rejects_bad_arguments():
 
 def test_check_one():
     assert check_one("THM_NG", complete_graph(3)) == ()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         check_one("NO_SUCH_THEOREM", complete_graph(3))
+    assert isinstance(exc.value, UnknownTheorem) and isinstance(exc.value, SplitkitError)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,12 @@ import pytest
 from splitkit import (
     NamedPattern,
     OrderTooLargeForColoring,
+    OrderTooLargeForIsomorphism,
     build,
     chromatic_number,
     clique_number,
+    complement,
+    complete_bipartite_graph,
     complete_graph,
     contains_2k2,
     contains_c4,
@@ -144,6 +147,17 @@ def test_find_induced_returns_first_witness():
 def test_find_induced_none_when_absent():
     assert find_induced(complete_graph(5), NamedPattern("C4")) is None
     assert find_induced(build(3), NamedPattern("P4")) is None  # pattern larger than host
+
+
+def test_find_induced_large_patterns():
+    # orders 9-12 take the canonical-code scan, above 12 the pattern is refused
+    k2l = NamedPattern("K_2_L", 8)
+    host = complete_bipartite_graph(2, 9)
+    assert find_induced(host, k2l).vertices == tuple(range(10))
+    assert find_induced(complement(host), k2l) is None
+    for host in (complete_graph(14), build(3)):
+        with pytest.raises(OrderTooLargeForIsomorphism):
+            find_induced(host, NamedPattern("K_2_L", 11))
 
 
 def test_containment_spot_checks():

@@ -3,22 +3,27 @@
 Enumeration covers every graph to order 8; here Hypothesis draws seeded
 graphs of orders 9-12 (see graphgen.py) and checks the recognizers, the
 decompositions, omega and alpha, and every witness that ``classify``
-reports against the brute-force oracles. The run is derandomized, so it
-draws the same graphs every time.
+reports against the brute-force oracles, and the canonical codes that
+isomorphism answers by. The run is derandomized, so it draws the same
+graphs every time.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from splitkit import (
     build,
+    canonical_code,
+    canonical_form,
     classify,
     contract,
     cycle_graph,
+    is_isomorphic,
     is_ng_by_characterisation,
     is_split_degrees,
     is_split_forbidden,
     ks_partition,
     pseudo_split_decompose,
+    relabel,
 )
 
 from graphgen import random_graph
@@ -75,3 +80,17 @@ def test_classify_past_the_exhaustive_range(g):
     assert r.is_ng == is_ng_by_characterisation(g)
     for label, e in r.witnesses:
         _check_witness(g, r.omega, label, e)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(big_graphs(), st.randoms(use_true_random=False))
+def test_canonical_code_past_the_exhaustive_range(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    h = relabel(g, perm)
+    code = canonical_code(g)
+    assert canonical_code(h) == code
+    assert is_isomorphic(g, h)
+    f = canonical_form(g)
+    assert sorted(f.degrees()) == sorted(g.degrees())
+    assert canonical_code(f) == code

@@ -7,7 +7,7 @@ import json
 import sys
 
 from .errors import MalformedCorpus, OrderOutOfRange, SplitkitError
-from .graphs import Graph, parse_edge_list, parse_graph6_lines
+from .graphs import Graph, _read_lines, _read_text, parse_edge_list, parse_graph6_lines
 from .harness import (
     THEOREM_IDS,
     census,
@@ -104,19 +104,11 @@ def _render_classification(label: str, r: ClassificationReport) -> str:
 
 
 def _cmd_classify(args) -> int:
-    if args.inline is not None:
-        text = args.inline
-    else:
-        try:
-            with open(args.file) as fh:
-                text = fh.read()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
     try:
+        text = args.inline if args.inline is not None else _read_text(args.file)
         pairs = _parse_classify_input(text)
         reports = [(label, classify(g)) for label, g in pairs]
-    except (SplitkitError, ValueError) as exc:
+    except (OSError, SplitkitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":
@@ -132,8 +124,7 @@ def _cmd_verify(args) -> int:
     source = None
     if args.file is not None:
         try:
-            with open(args.file) as fh:
-                source = parse_graph6_lines(fh)
+            source = parse_graph6_lines(_read_lines(args.file))
         except (OSError, MalformedCorpus) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -7,6 +7,7 @@ for any order up to 64.
 
 from __future__ import annotations
 
+import io
 import itertools
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -152,17 +153,6 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, tuple(full & ~r & ~(1 << v) for v, r in enumerate(g.rows)))
 
 
-def _drop_vertex(rows: Sequence[int], v: int) -> list[int]:
-    # remove index v and shift every label above it down by one
-    low = (1 << v) - 1
-    out = []
-    for w, r in enumerate(rows):
-        if w == v:
-            continue
-        out.append((r & low) | (r >> (v + 1)) << v)
-    return out
-
-
 def contract(g: Graph, e) -> Graph:
     """Contract edge e: merge the larger endpoint into the smaller.
 
@@ -173,12 +163,28 @@ def contract(g: Graph, e) -> Graph:
     u, v = _as_edge(e)
     if not g.has_edge(u, v):
         raise NotAnEdge(f"({u}, {v}) is not an edge")
-    pair = (1 << u) | (1 << v)
-    rows = list(g.rows)
-    rows[u] = (rows[u] | rows[v]) & ~pair
-    for w in _bits(rows[u]):
-        rows[w] |= 1 << u
-    return Graph(g.n - 1, _drop_vertex(rows, v))
+    return _contract(g, u, v)
+
+
+def _contract(g: Graph, u: int, v: int) -> Graph:
+    """``contract`` without its checks, for loops that walk ``rows``.
+
+    u < v must be an edge of g.
+    """
+    bu = 1 << u
+    merged = (g.rows[u] | g.rows[v]) & ~(bu | 1 << v)
+    low = (1 << v) - 1
+    out = []
+    for w, r in enumerate(g.rows):
+        if w == v:
+            continue
+        if w == u:
+            r = merged
+        elif merged >> w & 1:
+            r |= bu
+        # drop bit v and shift every label above it down by one
+        out.append((r & low) | (r >> (v + 1)) << v)
+    return Graph(g.n - 1, out)
 
 
 def induced(g: Graph, vertices: Iterable[int]) -> Graph:
@@ -381,6 +387,26 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, rows)
 
 
+def _read_text(path) -> str:
+    """The text of a UTF-8 file.
+
+    A file that is not UTF-8 raises MalformedCorpus naming the 1-based line
+    of the first bad byte.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise MalformedCorpus(line, f"not UTF-8 ({exc.reason})") from exc
+
+
+def _read_lines(path) -> Iterator[str]:
+    """The lines of a UTF-8 file, split as a text-mode file splits them."""
+    return io.StringIO(_read_text(path), newline=None)
+
+
 def parse_graph6_lines(lines: Iterable[str]) -> list[Graph]:
     """Parse a graph6 corpus, one graph per nonblank line.
 
@@ -580,12 +606,22 @@ def _connected_codes(n: int) -> tuple[int, ...]:
     return tuple(sorted(seen))
 
 
+@lru_cache(maxsize=None)
+def _connected_graphs(n: int) -> tuple[Graph, ...]:
+    """The decoded ``_connected_codes(n)``, shared by every sweep of order n.
+
+    Graphs are immutable, so one decoded tuple serves every caller. The
+    cache is sized for ENUM_MAX_ORDER = 8 (11,117 graphs at order 8);
+    order 9, with 261,080 connected graphs, would have to stream instead.
+    """
+    return tuple(_graph_from_code(n, code) for code in _connected_codes(n))
+
+
 def enumerate_connected(n: int) -> Iterator[Graph]:
     """One canonically labelled representative per connected graph of order n."""
     if not 1 <= n <= ENUM_MAX_ORDER:
         raise OrderOutOfRange(f"order {n} not in 1..{ENUM_MAX_ORDER}")
-    for code in _connected_codes(n):
-        yield _graph_from_code(n, code)
+    yield from _connected_graphs(n)
 
 
 def disjoint_union(parts: Sequence[Graph]) -> Graph:
@@ -611,11 +647,11 @@ def enumerate_all(n: int) -> Iterator[Graph]:
     """
     if not 1 <= n <= ENUM_MAX_ORDER:
         raise OrderOutOfRange(f"order {n} not in 1..{ENUM_MAX_ORDER}")
-    comps = {k: tuple(enumerate_connected(k)) for k in range(1, n + 1)}
+    comps = {k: _connected_graphs(k) for k in range(1, n + 1)}
 
     def assemble(remaining: int, size_cap: int, index_floor: int, chosen: list[Graph]):
         if remaining == 0:
-            yield disjoint_union(chosen)
+            yield chosen[0] if len(chosen) == 1 else disjoint_union(chosen)
             return
         for k in range(min(remaining, size_cap), 0, -1):
             start = index_floor if k == size_cap else 0

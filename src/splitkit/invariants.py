@@ -180,14 +180,45 @@ def find_induced(g: Graph, pattern: NamedPattern) -> PatternWitness | None:
 
 
 def contains_2k2(g: Graph) -> bool:
-    """Induced 2K2: two edges with no endpoints shared or joined."""
-    edges = g.edges()
+    """Induced 2K2: two edges with no endpoints shared or joined.
+
+    For each edge ab with a < b, looks for an edge among the vertices above
+    a outside N[a] and N[b]. Every induced 2K2 has a lowest vertex a, so
+    none is missed.
+    """
     rows = g.rows
-    for i, (a, b) in enumerate(edges):
-        block = rows[a] | rows[b] | (1 << a) | (1 << b)
-        for c, d in edges[i + 1 :]:
-            if not (block >> c & 1) and not (block >> d & 1):
-                return True
+    full = g.full_mask
+    for a in range(g.n):
+        above = full >> (a + 1) << (a + 1)
+        far_a = above & ~rows[a]
+        nbrs = rows[a] & above
+        while nbrs:
+            bb = nbrs & -nbrs
+            nbrs ^= bb
+            m = far_a & ~rows[bb.bit_length() - 1]
+            while m:
+                cb = m & -m
+                m ^= cb
+                if rows[cb.bit_length() - 1] & m:
+                    return True
+    return False
+
+
+def _contains_claw(g: Graph) -> bool:
+    """Induced claw: a vertex with three pairwise non-adjacent neighbours."""
+    rows = g.rows
+    for v in range(g.n):
+        m = rows[v]
+        while m:
+            ab = m & -m
+            m ^= ab
+            # neighbours of v above a and not adjacent to a
+            free = m & ~rows[ab.bit_length() - 1]
+            while free:
+                bb = free & -free
+                free ^= bb
+                if free & ~rows[bb.bit_length() - 1]:
+                    return True
     return False
 
 

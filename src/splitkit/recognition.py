@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import (
     InvalidPartition,
@@ -16,7 +16,7 @@ from .errors import (
     OrderTooLargeForColoring,
     UnclassifiablePartition,
 )
-from .graphs import Edge, Graph, NamedPattern, canonical_code, complement, contract
+from .graphs import Edge, Graph, NamedPattern, _contract, canonical_code, complement
 from .invariants import (
     COLORING_MAX_ORDER,
     _chromatic,
@@ -302,6 +302,51 @@ def detect_exceptional(g: Graph) -> FamilyTag | None:
 # witness edges
 
 
+def _witnesses(g: Graph, tests: dict[str, Callable[[Graph], bool]]) -> dict[str, Edge]:
+    """The first edge, in lexicographic order, whose contraction passes each test.
+
+    ``tests`` maps a label to a predicate on the contraction. Each edge is
+    contracted once and checked against every test still without a witness;
+    the walk stops when every test has one. Labels with no witness are absent.
+    """
+    found = {}
+    pending = list(tests.items())
+    rows = g.rows
+    for u in range(g.n):
+        m = rows[u] >> (u + 1) << (u + 1)
+        while m and pending:
+            b = m & -m
+            m ^= b
+            v = b.bit_length() - 1
+            h = _contract(g, u, v)
+            hits = [label for label, test in pending if test(h)]
+            if hits:
+                found.update(dict.fromkeys(hits, Edge(u, v)))
+                pending = [p for p in pending if p[0] not in found]
+    return found
+
+
+def _has_2k2_or_c4(h: Graph) -> bool:
+    return contains_2k2(h) or contains_c4(h)
+
+
+def _not_split(h: Graph) -> bool:
+    return not is_split(h)
+
+
+def _unbalanced_test(omega: int) -> Callable[[Graph], bool]:
+    # the contraction drops the clique number and is unbalanced split
+    def test(h: Graph) -> bool:
+        omega_h = clique_number(h)
+        if omega_h != omega - 1:
+            return False
+        if not is_split(h):
+            raise NotSplit("balancedness is defined for split graphs only")
+        return omega_h + independence_number(h) != h.n
+
+    return test
+
+
 def find_c4_witness(g: Graph) -> Edge | None:
     """First edge whose contraction still has an induced C4, or None.
 
@@ -314,10 +359,7 @@ def find_c4_witness(g: Graph) -> Edge | None:
 
 def _c4_witness(g: Graph) -> Edge | None:
     # g has an induced C4
-    for e in g.edges():
-        if contains_c4(contract(g, e)):
-            return e
-    return None
+    return _witnesses(g, {"c4": contains_c4}).get("c4")
 
 
 def find_2k2_witness(g: Graph) -> Edge | None:
@@ -332,19 +374,12 @@ def find_2k2_witness(g: Graph) -> Edge | None:
 
 def _2k2_witness(g: Graph) -> Edge | None:
     # g has an induced 2K2
-    for e in g.edges():
-        h = contract(g, e)
-        if contains_2k2(h) or contains_c4(h):
-            return e
-    return None
+    return _witnesses(g, {"2k2": _has_2k2_or_c4}).get("2k2")
 
 
 def find_nonsplit_witness(g: Graph) -> Edge | None:
     """First edge whose contraction is not split, or None."""
-    for e in g.edges():
-        if not is_split(contract(g, e)):
-            return e
-    return None
+    return _witnesses(g, {"nonsplit": _not_split}).get("nonsplit")
 
 
 def find_unbalanced_witness(g: Graph) -> Edge | None:
@@ -365,16 +400,7 @@ def find_unbalanced_witness(g: Graph) -> Edge | None:
 
 def _unbalanced_witness(g: Graph, omega: int) -> Edge | None:
     # g split, not a star, with clique number omega
-    for e in g.edges():
-        h = contract(g, e)
-        omega_h = clique_number(h)
-        if omega_h != omega - 1:
-            continue
-        if not is_split(h):
-            raise NotSplit("balancedness is defined for split graphs only")
-        if omega_h + independence_number(h) != h.n:
-            return e
-    return None
+    return _witnesses(g, {"unbalanced": _unbalanced_test(omega)}).get("unbalanced")
 
 
 # ---------------------------------------------------------------------------
@@ -458,23 +484,17 @@ def classify(g: Graph) -> ClassificationReport:
     pseudo = not has_2k2 and not has_c4
     psd = _psd(g, ks) if pseudo else None
     tag = detect_exceptional(g)
-    witnesses = []
+    # witness labels in report order; one walk contracts each edge once
+    tests = {}
     if has_c4:
-        e = _c4_witness(g)
-        if e is not None:
-            witnesses.append(("c4", e))
+        tests["c4"] = contains_c4
     if has_2k2:
-        e = _2k2_witness(g)
-        if e is not None:
-            witnesses.append(("2k2", e))
+        tests["2k2"] = _has_2k2_or_c4
     if g.is_connected():
-        e = find_nonsplit_witness(g)
-        if e is not None:
-            witnesses.append(("nonsplit", e))
+        tests["nonsplit"] = _not_split
     if split and g.n >= 2 and not (g.n >= 3 and is_star(g)):
-        e = _unbalanced_witness(g, omega)
-        if e is not None:
-            witnesses.append(("unbalanced", e))
+        tests["unbalanced"] = _unbalanced_test(omega)
+    found = _witnesses(g, tests)
     return ClassificationReport(
         is_split=split,
         is_balanced_split=balanced,
@@ -487,5 +507,5 @@ def classify(g: Graph) -> ClassificationReport:
         alpha=alpha,
         chi=chi,
         chi_complement=chi_c,
-        witnesses=tuple(witnesses),
+        witnesses=tuple((label, found[label]) for label in tests if label in found),
     )

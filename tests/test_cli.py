@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -60,6 +61,20 @@ def test_classify_from_file(tmp_path, capsys):
 def test_classify_missing_file(capsys):
     code, _, err = run_cli(capsys, "classify", "--file", "/no/such/file")
     assert code == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv", [("classify",), ("verify", "--theorem", "LEMMA1")], ids=["classify", "verify"]
+)
+def test_file_not_utf8(tmp_path, capsys, argv):
+    data = random.Random(2107).randbytes(200)
+    with pytest.raises(UnicodeDecodeError):
+        data.decode("utf-8")
+    path = tmp_path / "noise.bin"
+    path.write_bytes(data)
+    code, out, err = run_cli(capsys, *argv, "--file", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: line ") and "not UTF-8" in err
 
 
 @pytest.mark.parametrize("text", ["!!", "A", "3 9\n0 1"])
@@ -180,7 +195,9 @@ def test_verify_jobs_flag_changes_nothing(capsys):
     )
     assert code1 == code2 == 0
     a, b = json.loads(out1), json.loads(out2)
-    a.pop("elapsed_ms"), b.pop("elapsed_ms")
+    for d in (a, b):
+        for key in ("enumerate_ms", "check_ms", "elapsed_ms"):
+            d.pop(key)
     assert a == b
 
 

@@ -40,7 +40,7 @@ from splitkit import (
     write_graph6,
 )
 
-from splitkit.graphs import _connected_codes
+from splitkit.graphs import _connected_codes, _contract, _graph_from_code
 
 from oracles import connected_codes_by_extension, is_connected_search, iso_by_permutations
 
@@ -150,6 +150,28 @@ def test_contract_requires_an_edge():
 
 def test_contract_k2_gives_k1():
     assert contract(complete_graph(2), (0, 1)) == build(1)
+
+
+def _contraction_by_edge_list(g, u, v):
+    # v merged into u < v, labels above v shifted down, loop dropped
+    def image(w):
+        w = u if w == v else w
+        return w - 1 if w > v else w
+
+    pairs = {(image(a), image(b)) for a, b in g.edges()}
+    return build(g.n - 1, [(a, b) for a, b in pairs if a != b])
+
+
+def test_unchecked_contract_matches_public_contract():
+    for g in all_graphs_upto(6):
+        for u, v in itertools.combinations(range(g.n), 2):
+            if not g.has_edge(u, v):
+                with pytest.raises(NotAnEdge):
+                    contract(g, (u, v))
+                continue
+            h = _contract(g, u, v)
+            assert h == contract(g, (u, v)) == contract(g, (v, u)), (g, u, v)
+            assert h == _contraction_by_edge_list(g, u, v), (g, u, v)
 
 
 def test_induced_relabels_in_sorted_order():
@@ -389,6 +411,33 @@ def test_enumerate_all_covers_disconnected_classes():
 @pytest.mark.parametrize("n", range(1, 8))
 def test_connected_codes_match_unpruned_extension(n):
     assert _connected_codes(n) == connected_codes_by_extension(n, build, canonical_code)
+
+
+def _all_by_decoding(n):
+    # every multiset of connected classes with orders summing to n, as
+    # enumerate_all lists them: larger components first, and components of
+    # one order in code order
+    classes = [(k, c) for k in range(n, 0, -1) for c in _connected_codes(k)]
+    out = []
+
+    def pick(start, remaining, chosen):
+        if remaining == 0:
+            parts = [_graph_from_code(k, c) for k, c in chosen]
+            out.append(write_graph6(disjoint_union(parts)))
+            return
+        for j in range(start, len(classes)):
+            if classes[j][0] <= remaining:
+                pick(j, remaining - classes[j][0], chosen + [classes[j]])
+
+    pick(0, n, [])
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_enumeration_matches_decoded_codes(n):
+    connected = [write_graph6(_graph_from_code(n, c)) for c in _connected_codes(n)]
+    assert [write_graph6(g) for g in enumerate_connected(n)] == connected
+    assert [write_graph6(g) for g in enumerate_all(n)] == _all_by_decoding(n)
 
 
 def test_enumeration_order_bounds():

@@ -65,13 +65,17 @@ def test_report_to_dict_shape():
     r = verify("THM_NG", max_n=3)
     d = r.to_dict()
     assert sorted(d) == [
+        "check_ms",
         "counterexamples",
         "elapsed_ms",
+        "enumerate_ms",
         "graphs_checked",
         "order_range",
         "theorem",
         "verdict",
     ]
+    assert d["enumerate_ms"] >= 0.0 and d["check_ms"] >= 0.0
+    assert d["elapsed_ms"] == d["enumerate_ms"] + d["check_ms"]
     assert d["order_range"] == {"min": 1, "max": 3}
     assert d["graphs_checked"] == 7
     assert d["counterexamples"] == []
@@ -138,6 +142,15 @@ def test_corpus_malformed_line(tmp_path):
     assert err.value.lineno == 2
 
 
+def test_corpus_not_utf8(tmp_path):
+    path = tmp_path / "bad.g6"
+    path.write_bytes(b"Bw\nA_\nB\xffw\n")
+    with pytest.raises(MalformedCorpus) as err:
+        verify("THM_NG", source=str(path))
+    assert err.value.lineno == 3
+    assert "not UTF-8" in str(err.value)
+
+
 def test_corpus_counterexample_is_reported():
     # E2 is split and unbalanced yet edgeless, so no witness edge can exist;
     # the witness equivalence genuinely needs connectivity
@@ -182,7 +195,7 @@ def test_verify_all_rejects_nonpositive_order():
 
 
 def test_ks_partition_oracle_matches_brute_force():
-    for n in range(1, 7):
+    for n in range(1, 8):
         for g in enumerate_all(n):
             assert harness._ks_partition_exists(g) == ks_partition_exists(g), g
 

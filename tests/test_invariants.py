@@ -23,8 +23,9 @@ from splitkit import (
     induced,
     max_clique,
     path_graph,
+    star_graph,
 )
-from splitkit.invariants import _find_c5
+from splitkit.invariants import _contains_claw, _find_c5
 
 from oracles import (
     chromatic_number_assignments,
@@ -123,6 +124,15 @@ def test_fast_containment_agrees_with_generic_search():
         assert contains_2k2(g) == (find_induced(g, NamedPattern("TWO_K2")) is not None)
         assert contains_c4(g) == (find_induced(g, NamedPattern("C4")) is not None)
         assert contains_c5(g) == (find_induced(g, NamedPattern("C5")) is not None)
+
+
+def test_pattern_scans_match_permutation_scan():
+    two_k2 = build(4, [(0, 1), (2, 3)])
+    c4, claw = cycle_graph(4), star_graph(3)
+    for g in all_graphs_upto(7):
+        assert contains_2k2(g) == has_induced_copy(g, two_k2), g
+        assert contains_c4(g) == has_induced_copy(g, c4), g
+        assert _contains_claw(g) == has_induced_copy(g, claw), g
 
 
 def test_c5_finder_matches_permutation_scan():

@@ -2,10 +2,11 @@
 
 Enumeration covers every graph to order 8; here Hypothesis draws seeded
 graphs of orders 9-12 (see graphgen.py) and checks the recognizers, the
-decompositions, omega and alpha, and every witness that ``classify``
-reports against the brute-force oracles, and the canonical codes that
-isomorphism answers by. The run is derandomized, so it draws the same
-graphs every time.
+decompositions, omega and alpha, the 2K2, C4 and claw scans, and every
+witness that ``classify`` and the C4 and 2K2 witness searches report
+against the brute-force oracles, and the canonical codes that isomorphism
+answers by. The run is derandomized, so it draws the same graphs every
+time.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -15,8 +16,11 @@ from splitkit import (
     canonical_code,
     canonical_form,
     classify,
+    contains_2k2,
+    contains_c4,
     contract,
     cycle_graph,
+    detect_exceptional,
     is_isomorphic,
     is_ng_by_characterisation,
     is_split_degrees,
@@ -24,7 +28,10 @@ from splitkit import (
     ks_partition,
     pseudo_split_decompose,
     relabel,
+    star_graph,
 )
+from splitkit.invariants import _contains_claw
+from splitkit.recognition import _2k2_witness, _c4_witness
 
 from graphgen import random_graph
 from oracles import (
@@ -37,6 +44,7 @@ from oracles import (
 
 C4 = cycle_graph(4)
 TWO_K2 = build(4, [(0, 1), (2, 3)])
+CLAW = star_graph(3)
 
 
 @st.composite
@@ -94,3 +102,25 @@ def test_canonical_code_past_the_exhaustive_range(g, rng):
     f = canonical_form(g)
     assert sorted(f.degrees()) == sorted(g.degrees())
     assert canonical_code(f) == code
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(big_graphs())
+def test_pattern_scans_past_the_exhaustive_range(g):
+    has_2k2 = has_induced_copy(g, TWO_K2)
+    has_c4 = has_induced_copy(g, C4)
+    assert contains_2k2(g) == has_2k2
+    assert contains_c4(g) == has_c4
+    assert _contains_claw(g) == has_induced_copy(g, CLAW)
+    # LEMMA1 and LEMMA2: past order 6 only K_{2,l} lacks a witness
+    if has_c4:
+        e = _c4_witness(g)
+        if e is None:
+            assert detect_exceptional(g).family == "H1"
+        else:
+            assert has_induced_copy(contract(g, e), C4)
+    if has_2k2:
+        e = _2k2_witness(g)
+        assert e is not None
+        h = contract(g, e)
+        assert has_induced_copy(h, TWO_K2) or has_induced_copy(h, C4)

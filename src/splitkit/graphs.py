@@ -221,66 +221,123 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
 # canonical form and isomorphism
 
 
+_MEMO_MAX_ORDER = 6
+# codes of the labelled graphs of order <= _MEMO_MAX_ORDER coded so far,
+# keyed by rows; there are 33,867 such labelled graphs in all
+_small_codes: dict[tuple[int, ...], int] = {}
+
+
 def canonical_code(g: Graph) -> int:
     """Lexicographically minimal adjacency bitstring over vertex orderings.
 
     Bits are read column by column (x01, x02, x12, x03, ...), first bit most
-    significant. Orderings are restricted to non-decreasing degree, which is
-    isomorphism-invariant, and the search prunes on shared prefixes; twin
-    vertices (same neighbourhood off the pair) are expanded once per node.
+    significant. Only orderings that are non-decreasing in the key (degree,
+    sum of neighbour degrees) are searched. The key is one round of
+    isomorphism-invariant refinement, not iterated to stability; it splits
+    the vertices into cells, and each position draws from one cell. The
+    depth-first search prunes a prefix that is already above the best code,
+    and places twin vertices (same neighbourhood off the pair) in label
+    order, so each twin class is expanded once per node.
+
+    Graphs of order <= 6 are memoised by ``rows``: the PROP sweeps code a
+    few hundred distinct small graphs tens of thousands of times. Larger
+    orders are searched on every call.
     """
+    if g.n > _MEMO_MAX_ORDER:
+        return _search_code(g)
+    code = _small_codes.get(g.rows)
+    if code is None:
+        code = _small_codes[g.rows] = _search_code(g)
+    return code
+
+
+def _search_code(g: Graph) -> int:
+    """``canonical_code`` without the memo."""
     n = g.n
     if n == 1:
         return 0
     rows = g.rows
     degs = [r.bit_count() for r in rows]
-    req = sorted(degs)
+    # cell_of[key]: the vertices with that key; the neighbour-degree sum is
+    # below 1 << 12 for every order up to 64
+    cell_of: dict[int, int] = {}
+    for v, r in enumerate(rows):
+        key = degs[v] << 12
+        while r:
+            b = r & -r
+            key += degs[b.bit_length() - 1]
+            r ^= b
+        cell_of[key] = cell_of.get(key, 0) | 1 << v
+    # cells[pos]: the cell that position pos draws from
+    cells = []
+    for key in sorted(cell_of):
+        cells += [cell_of[key]] * cell_of[key].bit_count()
     total_bits = n * (n - 1) // 2
 
-    twin = list(range(n))
-    for v in range(n):
-        if twin[v] != v:
-            continue
-        for w in range(v + 1, n):
-            if twin[w] == w and degs[v] == degs[w]:
-                off = ~((1 << v) | (1 << w))
-                if rows[v] & off == rows[w] & off:
-                    twin[w] = v
+    # prev[w]: the next lower member of w's twin class (0 for the lowest);
+    # w is placed only after prev[w], so a class is expanded once per node.
+    # Twins of equal degree have equal keys, so a class lies in one cell.
+    prev = [0] * n
+    for cell in cell_of.values():
+        if cell & (cell - 1):
+            members = list(_bits(cell))
+            for i, v in enumerate(members):
+                if prev[v]:
+                    continue
+                top = v
+                for w in members[i + 1:]:
+                    off = ~((1 << v) | (1 << w))
+                    if not prev[w] and rows[v] & off == rows[w] & off:
+                        prev[w] = 1 << top
+                        top = w
 
-    best = None
+    # best starts above every code; once position pos is placed the code
+    # has (pos + 1) pos / 2 bits, and rem[pos] more follow
+    best = 1 << total_bits
+    rem = [total_bits - (pos + 1) * pos // 2 for pos in range(n)]
     placed = [0] * n
 
-    def extend(pos: int, used: int, code: int, nbits: int) -> None:
+    def extend(pos: int, used: int, code: int) -> None:
         nonlocal best
-        want = req[pos]
-        cands = []
-        seen_classes = set()
-        for v in range(n):
-            if used >> v & 1 or degs[v] != want:
-                continue
-            c = twin[v]
-            if c in seen_classes:
-                continue
-            seen_classes.add(c)
-            rv = rows[v]
-            w = 0
-            for j in range(pos):
-                w = w << 1 | (rv >> placed[j] & 1)
-            cands.append((w, v))
+        while True:
+            cands = []
+            m = cells[pos] & ~used
+            while m:
+                b = m & -m
+                m ^= b
+                v = b.bit_length() - 1
+                if prev[v] & ~used:
+                    continue
+                rv = rows[v]
+                w = 0
+                for j in range(pos):
+                    w = w << 1 | (rv >> placed[j] & 1)
+                cands.append((w, v))
+            if len(cands) > 1:
+                break
+            # a forced position extends the code in place
+            w, v = cands[0]
+            code = code << pos | w
+            if code > best >> rem[pos]:
+                return
+            if pos + 1 == n:
+                best = code
+                return
+            placed[pos] = v
+            used |= 1 << v
+            pos += 1
         cands.sort()
-        rem = total_bits - nbits - pos
         for w, v in cands:
             ncode = code << pos | w
-            if best is not None and ncode > best >> rem:
+            if ncode > best >> rem[pos]:
                 break
             if pos + 1 == n:
-                if best is None or ncode < best:
-                    best = ncode
+                best = ncode
             else:
                 placed[pos] = v
-                extend(pos + 1, used | 1 << v, ncode, nbits + pos)
+                extend(pos + 1, used | 1 << v, ncode)
 
-    extend(0, 0, 0, 0)
+    extend(0, 0, 0)
     return best
 
 

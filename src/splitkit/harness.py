@@ -54,8 +54,8 @@ from .recognition import (
     _2k2_witness,
     _c4_witness,
     _ks,
+    _ks_case,
     _psd,
-    classify_ks_case,
     detect_exceptional,
     find_nonsplit_witness,
     find_unbalanced_witness,
@@ -386,14 +386,15 @@ def _check_ks_cases(g: Graph):
         return (), False
     bad = []
     case_i = 0
+    omega = clique_number(g)
+    alpha = independence_number(g)
     for kmask in range(1 << g.n):
         k = tuple(x for x in range(g.n) if kmask >> x & 1)
         s = tuple(x for x in range(g.n) if not kmask >> x & 1)
-        p = KSPartition(k, s)
-        if not p.is_valid_for(g):
+        if not KSPartition(k, s).is_valid_for(g):
             continue
         try:
-            case = classify_ks_case(g, p)
+            case = _ks_case((len(k), len(s)), omega, alpha)
         except UnclassifiablePartition as exc:
             bad.append(f"K={k}: {exc}")
             continue
@@ -401,7 +402,7 @@ def _check_ks_cases(g: Graph):
             case_i += 1
     if case_i > 1:
         bad.append(f"{case_i} distinct case-I partitions")
-    if (case_i == 1) != (clique_number(g) + independence_number(g) == g.n):
+    if (case_i == 1) != (omega + alpha == g.n):
         bad.append("omega+alpha=n criterion disagrees with case-I existence")
     return tuple(bad), False
 

@@ -148,16 +148,46 @@ def _subset_code(rows, verts) -> int:
 
 
 @lru_cache(maxsize=None)
-def _template_codes(tag: str, param: int | None) -> frozenset[int]:
+def _template_prefixes(tag: str, param: int | None) -> tuple[frozenset[int], ...]:
+    """Entry j: the codes of the first j + 1 vertices of every ordered tuple
+    of template vertices, i.e. the top (j + 1) j / 2 bits of each full code;
+    the last entry holds the full codes."""
     t = NamedPattern(tag, param).template
-    return frozenset(
-        _subset_code(t.rows, p) for p in itertools.permutations(range(t.n))
+    codes = {_subset_code(t.rows, p) for p in itertools.permutations(range(t.n))}
+    total = t.n * (t.n - 1) // 2
+    return tuple(
+        frozenset(c >> (total - (j + 1) * j // 2) for c in codes) for j in range(t.n)
     )
+
+
+def _first_copy(rows, n: int, prefixes) -> tuple[int, ...] | None:
+    """First increasing vertex tuple, in combinations order, whose code is in
+    ``prefixes[-1]``; a prefix whose code is not in its entry is pruned."""
+    k = len(prefixes)
+    verts = [0] * k
+
+    def extend(j: int, start: int, code: int) -> bool:
+        ok = prefixes[j]
+        for v in range(start, n - k + j + 1):
+            rv = rows[v]
+            c = code
+            for i in range(j):
+                c = c << 1 | (rv >> verts[i] & 1)
+            if c in ok:
+                verts[j] = v
+                if j + 1 == k or extend(j + 1, v + 1, c):
+                    return True
+        return False
+
+    return tuple(verts) if extend(0, 0, 0) else None
 
 
 def find_induced(g: Graph, pattern: NamedPattern) -> PatternWitness | None:
     """First induced copy of the pattern in lexicographic vertex order, or None.
 
+    Patterns of order <= 8 are searched depth first over increasing vertex
+    tuples, growing the column-major code of the tuple one vertex at a time
+    and pruning a prefix that no ordering of the template starts with.
     A pattern of order above ISO_MAX_ORDER raises OrderTooLargeForIsomorphism.
     """
     t = pattern.template
@@ -167,11 +197,8 @@ def find_induced(g: Graph, pattern: NamedPattern) -> PatternWitness | None:
     if k > g.n:
         return None
     if k <= 8:
-        codes = _template_codes(pattern.tag, pattern.param)
-        for s in itertools.combinations(range(g.n), k):
-            if _subset_code(g.rows, s) in codes:
-                return PatternWitness(pattern, s)
-        return None
+        s = _first_copy(g.rows, g.n, _template_prefixes(pattern.tag, pattern.param))
+        return None if s is None else PatternWitness(pattern, s)
     code = canonical_code(t)
     for s in itertools.combinations(range(g.n), k):
         if canonical_code(induced(g, s)) == code:

@@ -217,9 +217,12 @@ def classify_ks_case(g: Graph, p: KSPartition) -> str:
     """
     if not p.is_valid_for(g):
         raise InvalidPartition(f"K={p.k} S={p.s} is not a valid partition")
-    w = clique_number(g)
-    a = independence_number(g)
-    sizes = (len(p.k), len(p.s))
+    return _ks_case((len(p.k), len(p.s)), clique_number(g), independence_number(g))
+
+
+def _ks_case(sizes: tuple[int, int], w: int, a: int) -> str:
+    # the case of a valid partition with these (|K|, |S|) in a split graph
+    # with clique number w and independence number a
     if sizes == (w, a):
         return CASE_I
     if sizes == (w - 1, a):

@@ -33,6 +33,36 @@ def has_induced_copy(g, template) -> bool:
     return False
 
 
+class _InducedView:
+    """The subgraph of g induced on the vertex tuple s, relabelled 0..k-1."""
+
+    def __init__(self, g, s):
+        self.n = len(s)
+        self._g = g
+        self._s = s
+
+    def has_edge(self, i, j) -> bool:
+        return self._g.has_edge(self._s[i], self._s[j])
+
+
+def first_induced_copy(g, template):
+    """The first vertex tuple, in itertools.combinations order, that induces a
+    copy of template, or None."""
+    k = template.n
+    if k > g.n:
+        return None
+    pairs = list(itertools.combinations(range(k), 2))
+    m = sum(template.has_edge(i, j) for i, j in pairs)
+    for s in itertools.combinations(range(g.n), k):
+        view = _InducedView(g, s)
+        # an edge-count mismatch rules a copy out before the permutation scan
+        if sum(view.has_edge(i, j) for i, j in pairs) == m and iso_by_permutations(
+            view, template
+        ):
+            return s
+    return None
+
+
 def clique_number_subsets(g) -> int:
     for r in range(g.n, 1, -1):
         for s in itertools.combinations(range(g.n), r):

@@ -37,10 +37,18 @@ from splitkit import (
     path_graph,
     relabel,
     star_graph,
+    verify,
     write_graph6,
 )
 
-from splitkit.graphs import _connected_codes, _contract, _graph_from_code
+from splitkit.graphs import (
+    Graph,
+    _connected_codes,
+    _contract,
+    _graph_from_code,
+    _search_code,
+    _small_codes,
+)
 
 from oracles import connected_codes_by_extension, is_connected_search, iso_by_permutations
 
@@ -215,6 +223,41 @@ def test_canonical_form_is_isomorphic_to_input():
 def test_canonical_code_separates_classes():
     codes = {canonical_code(g) for g in enumerate_all(5)}
     assert len(codes) == 34
+
+
+def _labelled_graphs(n):
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield build(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+@pytest.mark.parametrize("n, classes", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34)])
+def test_canonical_code_groups_labelled_graphs_into_classes(n, classes):
+    # independent of the enumeration: every labelled graph of order n, grouped
+    # by code, gives OEIS A000088(n) groups of pairwise isomorphic graphs
+    groups = {}
+    for g in _labelled_graphs(n):
+        groups.setdefault(canonical_code(g), []).append(g)
+    assert len(groups) == classes
+    for first, *rest in groups.values():
+        for g in rest:
+            assert iso_by_permutations(first, g)
+
+
+def test_memoised_codes_match_the_uncached_search():
+    verify("PROP1", 6)  # fills the memo with the sweep's induced subgraphs
+    assert _small_codes
+    graphs = list(enumerate_all(6))
+    assert len(graphs) == 156
+    rng = random.Random(11)
+    for g in graphs:
+        for _ in range(3):
+            perm = list(range(6))
+            rng.shuffle(perm)
+            h = relabel(g, perm)
+            assert canonical_code(h) == _search_code(h)
+    for rows, code in list(_small_codes.items()):
+        assert code == _search_code(Graph(len(rows), rows))
 
 
 @pytest.mark.parametrize("n", [4, 5])

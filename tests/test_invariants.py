@@ -30,6 +30,7 @@ from splitkit.invariants import _contains_claw, _find_c5
 from oracles import (
     chromatic_number_assignments,
     clique_number_subsets,
+    first_induced_copy,
     has_induced_copy,
     independence_number_subsets,
     iso_by_permutations,
@@ -152,6 +153,27 @@ def test_find_induced_returns_first_witness():
     assert wit.vertices == (0, 1, 2, 3, 4)
     # the witness really induces the pattern
     assert sorted(induced(cycle_graph(6), wit.vertices).degrees()) == [1, 1, 2, 2, 2]
+
+
+PATTERNS_UPTO_6 = SMALL_PATTERNS + [
+    NamedPattern("C6"),
+    NamedPattern("K_2_L", 4),
+    NamedPattern("OCTAHEDRON"),
+] + [NamedPattern("STAR", m) for m in (1, 3, 4, 5)]
+
+
+def test_find_induced_first_witness_matches_combinations_scan():
+    for g in all_graphs_upto(6):
+        for pattern in PATTERNS_UPTO_6:
+            wit = find_induced(g, pattern)
+            found = None if wit is None else wit.vertices
+            assert found == first_induced_copy(g, pattern.template), (g, pattern)
+    # the patterns the LEMMA1 and LEMMA2 sweeps re-check with
+    for pattern in (NamedPattern("C4"), NamedPattern("TWO_K2")):
+        t = pattern.template
+        for g in enumerate_all(7):
+            wit = find_induced(g, pattern)
+            assert (None if wit is None else wit.vertices) == first_induced_copy(g, t), g
 
 
 def test_find_induced_none_when_absent():

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import io
 import itertools
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -189,17 +189,28 @@ def _contract(g: Graph, u: int, v: int) -> Graph:
 
 def induced(g: Graph, vertices: Iterable[int]) -> Graph:
     """Subgraph induced on the given vertices, relabelled 0..k-1 in sorted order."""
-    vs = sorted(set(vertices))
+    vs = set(vertices)
     if not vs:
         raise EmptySet("induced subgraph needs at least one vertex")
+    mask = 0
     for v in vs:
         g._check_vertex(v)
+        mask |= 1 << v
+    return _induced(g, mask)
+
+
+def _induced(g: Graph, mask: int) -> Graph:
+    """``induced`` on a nonempty vertex mask, without its checks."""
+    vs = list(_bits(mask))
+    place = {1 << v: 1 << j for j, v in enumerate(vs)}
     rows = []
-    for a in vs:
+    for v in vs:
         r = 0
-        for j, b in enumerate(vs):
-            if g.rows[a] >> b & 1:
-                r |= 1 << j
+        m = g.rows[v] & mask
+        while m:
+            b = m & -m
+            m ^= b
+            r |= place[b]
         rows.append(r)
     return Graph(len(vs), rows)
 
@@ -613,8 +624,12 @@ def _components_without(rows: Sequence[int], w: int) -> list[int]:
     return comps
 
 
-@lru_cache(maxsize=None)
-def _connected_codes(n: int) -> tuple[int, ...]:
+# sorted canonical codes of the connected graphs of each order, filled by
+# _connected_codes; the codes do not depend on the mapper that filled them
+_codes: dict[int, tuple[int, ...]] = {1: (0,)}
+
+
+def _connected_codes(n: int, mapper=map) -> tuple[int, ...]:
     """Sorted canonical codes of the connected graphs of order n.
 
     Enumeration by canonical deletion (McKay's canonical construction path).
@@ -626,41 +641,79 @@ def _connected_codes(n: int) -> tuple[int, ...]:
     graph G has a non-cut vertex v of largest rank, G - v is connected and
     enumerated at order n-1, and the child re-attaching v passes the test.
     The set removes the duplicates that rank ties let through.
+
+    Only neighbourhoods that meet each twin class of the parent (vertices
+    with equal rows off each pair) in an initial segment of the class, in
+    label order, are tried. This loses no class either: any permutation of
+    a twin class is an automorphism of the parent, it maps each child to an
+    isomorphic child with the new vertex mapped to the new vertex, and the
+    acceptance test is invariant under that map; sorting each class's part
+    of a neighbourhood to the front of the class is such a permutation.
+
+    ``mapper(fn, parents)`` applies the per-parent kernel ``_child_codes``
+    to the codes of order n-1 (the builtin map, or a pool map); orders not
+    yet cached are filled with the same mapper.
     """
-    if n == 1:
-        return (0,)
+    codes = _codes.get(n)
+    if codes is None:
+        seen = set()
+        for children in mapper(partial(_child_codes, n), _connected_codes(n - 1, mapper)):
+            seen.update(children)
+        codes = _codes[n] = tuple(sorted(seen))
+    return codes
+
+
+def _child_codes(n: int, parent_code: int) -> tuple[int, ...]:
+    """Canonical codes of the accepted order-n children of one parent.
+
+    The parent is the connected graph of order n-1 with the given code; see
+    ``_connected_codes`` for the acceptance test and the twin-prefix masks.
+    """
     m = n - 1
     top = 1 << m
+    base = _graph_from_code(m, parent_code).rows
+    # per-parent tables: degrees, neighbour-degree sums, and the components
+    # left by deleting each vertex
+    bdeg = [r.bit_count() for r in base]
+    bsum = [sum(bdeg[v] for v in _bits(r)) for r in base]
+    comps = [_components_without(base, w) for w in range(m)]
+    # twin-prefix masks, each with its sum of parent degrees; twins are an
+    # equivalence relation, so each class is the twins of its lowest member
+    masks = [(0, 0)]
+    left = top - 1
+    while left:
+        low = left & -left
+        v = low.bit_length() - 1
+        prefixes = [(0, 0)]
+        pmask = psum = 0
+        for w in _bits(left):
+            off = ~(low | 1 << w)
+            if w == v or base[v] & off == base[w] & off:
+                pmask |= 1 << w
+                psum += bdeg[w]
+                prefixes.append((pmask, psum))
+        left &= ~pmask
+        masks = [(a | b, s + t) for a, s in masks for b, t in prefixes]
     seen = set()
-    for code in _connected_codes(m):
-        base = _graph_from_code(m, code).rows
-        # per-parent tables: degrees, neighbour-degree sums, the components
-        # left by deleting each vertex, and each mask's sum of base degrees
-        bdeg = [r.bit_count() for r in base]
-        bsum = [sum(bdeg[v] for v in _bits(r)) for r in base]
-        comps = [_components_without(base, w) for w in range(m)]
-        msum = [0] * top
-        for mask in range(1, top):
-            low = mask & -mask
-            msum[mask] = msum[mask ^ low] + bdeg[low.bit_length() - 1]
-            d = mask.bit_count()
-            s = msum[mask] + d  # neighbour-degree sum of the new vertex
-            for w in range(m):
-                inw = mask >> w & 1
-                dw = bdeg[w] + inw
-                if dw < d or (
-                    dw == d and bsum[w] + (base[w] & mask).bit_count() + inw * d <= s
-                ):
-                    continue
-                # w outranks the new vertex; the child minus w is connected
-                # when the new vertex reaches every component of base minus w
-                if all(mask & c for c in comps[w]):
-                    break
-            else:
-                rows = [r | top if mask >> v & 1 else r for v, r in enumerate(base)]
-                rows.append(mask)
-                seen.add(canonical_code(Graph(n, rows)))
-    return tuple(sorted(seen))
+    for mask, msum in masks[1:]:
+        d = mask.bit_count()
+        s = msum + d  # neighbour-degree sum of the new vertex
+        for w in range(m):
+            inw = mask >> w & 1
+            dw = bdeg[w] + inw
+            if dw < d or (
+                dw == d and bsum[w] + (base[w] & mask).bit_count() + inw * d <= s
+            ):
+                continue
+            # w outranks the new vertex; the child minus w is connected
+            # when the new vertex reaches every component of base minus w
+            if all(mask & c for c in comps[w]):
+                break
+        else:
+            rows = [r | top if mask >> v & 1 else r for v, r in enumerate(base)]
+            rows.append(mask)
+            seen.add(canonical_code(Graph(n, rows)))
+    return tuple(seen)
 
 
 @lru_cache(maxsize=None)

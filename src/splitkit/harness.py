@@ -27,7 +27,9 @@ from .graphs import (
     ENUM_MAX_ORDER,
     Graph,
     NamedPattern,
+    _connected_codes,
     _contract,
+    _induced,
     _read_lines,
     canonical_code,
     canonical_form,
@@ -36,7 +38,6 @@ from .graphs import (
     enumerate_all,
     enumerate_connected,
     contract,
-    induced,
     is_isomorphic,
     parse_graph6_lines,
     write_graph6,
@@ -50,9 +51,10 @@ from .invariants import (
     independence_number,
 )
 from .recognition import (
-    KSPartition,
     _2k2_witness,
     _c4_witness,
+    _is_clique,
+    _is_independent,
     _ks,
     _ks_case,
     _psd,
@@ -169,13 +171,12 @@ def _sub_cliques(max_n: int) -> Iterator[Graph]:
 # per-graph checks; each returns (violation details, in-exceptional-region)
 
 
-def _contraction_image(cset, u: int, v: int) -> list[int]:
-    lo, hi = (u, v) if u < v else (v, u)
-    img = set()
-    for w in cset:
-        x = lo if w == u or w == v else w
-        img.add(x if x < hi else x - 1)
-    return sorted(img)
+def _contraction_image(cmask: int, u: int, v: int) -> int:
+    """The vertex mask cmask becomes after contracting u < v."""
+    if cmask >> v & 1:
+        cmask = cmask & ~(1 << v) | 1 << u
+    # drop bit v and shift every label above it down by one
+    return (cmask & ((1 << v) - 1)) | (cmask >> (v + 1)) << v
 
 
 def _check_prop1(g: Graph):
@@ -183,7 +184,7 @@ def _check_prop1(g: Graph):
     rows = g.rows
     for cmask in range(1, 1 << g.n):
         cset = [x for x in range(g.n) if cmask >> x & 1]
-        code = canonical_code(induced(g, cset))
+        code = canonical_code(_induced(g, cmask))
         for u in cset:
             ncu = rows[u] & cmask
             outside = rows[u] & ~cmask
@@ -193,9 +194,9 @@ def _check_prop1(g: Graph):
                 v = b.bit_length() - 1
                 if rows[v] & cmask & ~(1 << u) & ~ncu:
                     continue  # N_C(v) minus u not inside N_C(u)
-                h = _contract(g, min(u, v), max(u, v))
-                img = _contraction_image(cset, u, v)
-                if canonical_code(induced(h, img)) != code:
+                lo, hi = (u, v) if u < v else (v, u)
+                h = _contract(g, lo, hi)
+                if canonical_code(_induced(h, _contraction_image(cmask, lo, hi))) != code:
                     bad.append(
                         f"C={cset} u={u} v={v}: induced subgraph not preserved"
                     )
@@ -206,14 +207,13 @@ def _check_prop2(g: Graph):
     bad = []
     edges = g.edges()
     for cmask in range(1, 1 << g.n):
-        cset = [x for x in range(g.n) if cmask >> x & 1]
-        code = canonical_code(induced(g, cset))
+        code = canonical_code(_induced(g, cmask))
         for u, v in edges:
             if cmask >> u & 1 or cmask >> v & 1:
                 continue
             h = _contract(g, u, v)
-            img = _contraction_image(cset, u, v)
-            if canonical_code(induced(h, img)) != code:
+            if canonical_code(_induced(h, _contraction_image(cmask, u, v))) != code:
+                cset = [x for x in range(g.n) if cmask >> x & 1]
                 bad.append(f"C={cset} e=({u},{v}): induced subgraph not preserved")
     return tuple(bad), False
 
@@ -234,10 +234,10 @@ def _check_prop3(g: Graph):
             cover |= b | rows[x]
         if cover == g.full_mask:
             continue  # dominating sets are out of scope
-        code = canonical_code(induced(g, cset))
+        code = canonical_code(_induced(g, cmask))
         # an edge inside C shrinks the image, which then cannot match
         if not any(
-            canonical_code(induced(_contract(g, *e), _contraction_image(cset, e.u, e.v))) == code
+            canonical_code(_induced(_contract(g, *e), _contraction_image(cmask, e.u, e.v))) == code
             for e in edges
             if not (cmask >> e.u & 1 and cmask >> e.v & 1)
         ):
@@ -388,14 +388,15 @@ def _check_ks_cases(g: Graph):
     case_i = 0
     omega = clique_number(g)
     alpha = independence_number(g)
+    full = g.full_mask
     for kmask in range(1 << g.n):
-        k = tuple(x for x in range(g.n) if kmask >> x & 1)
-        s = tuple(x for x in range(g.n) if not kmask >> x & 1)
-        if not KSPartition(k, s).is_valid_for(g):
+        if not (_is_clique(g, kmask) and _is_independent(g, full ^ kmask)):
             continue
+        size = kmask.bit_count()
         try:
-            case = _ks_case((len(k), len(s)), omega, alpha)
+            case = _ks_case((size, g.n - size), omega, alpha)
         except UnclassifiablePartition as exc:
+            k = tuple(x for x in range(g.n) if kmask >> x & 1)
             bad.append(f"K={k}: {exc}")
             continue
         if case == "I":
@@ -459,14 +460,15 @@ class _Checker:
     substrate: Callable[[int], Iterator[Graph]]
     check: Callable[[Graph], tuple[tuple[str, ...], bool]]
     expected_set: Callable[[int], set[str]] | None = None
+    enumerated: bool = True  # the substrate walks the enumeration
 
 
 CHECKERS: dict[str, _Checker] = {
     "PROP1": _Checker(6, _sub_all, _check_prop1),
     "PROP2": _Checker(6, _sub_all, _check_prop2),
     "PROP3": _Checker(6, _sub_connected, _check_prop3),
-    "PROP4": _Checker(10, _sub_cycles, _check_prop4),
-    "PROP5": _Checker(10, _sub_cliques, _check_prop5),
+    "PROP4": _Checker(10, _sub_cycles, _check_prop4, enumerated=False),
+    "PROP5": _Checker(10, _sub_cliques, _check_prop5, enumerated=False),
     "LEMMA1": _Checker(8, _sub_connected, _check_lemma1),
     "LEMMA2": _Checker(8, _sub_connected, _check_lemma2),
     "THM_SPLIT_FORBIDDEN": _Checker(8, _sub_all_then_connected, _check_split_triple),
@@ -513,6 +515,13 @@ def _map(fn, items: list, jobs: int) -> Iterable:
         return pool.map(fn, items, chunksize)
 
 
+def _fill_codes(n: int, jobs: int) -> None:
+    """Enumerate the connected graphs of orders up to n, each order's
+    parents mapped through ``_map``: order 8, with 853 parents, goes to the
+    pool at jobs > 1; smaller orders stay serial."""
+    _connected_codes(n, lambda fn, parents: _map(fn, parents, jobs))
+
+
 def verify(theorem: str, max_n: int = 7, source=None, jobs: int = 1) -> TheoremReport:
     """Sweep one theorem over the built-in enumeration or a graph6 corpus.
 
@@ -529,6 +538,8 @@ def verify(theorem: str, max_n: int = 7, source=None, jobs: int = 1) -> TheoremR
             raise OrderOutOfRange(
                 f"{theorem} supports max_n 1..{ck.cap}, got {max_n}"
             )
+        if ck.enumerated:
+            _fill_codes(max_n, jobs)
         graphs = list(ck.substrate(max_n))
     else:
         if isinstance(source, (str, os.PathLike)):
@@ -629,6 +640,7 @@ def census(max_n: int = 7, jobs: int = 1) -> list[CensusRow]:
         raise OrderOutOfRange(
             f"census supports max_n 1..{ENUM_MAX_ORDER}, got {max_n}"
         )
+    _fill_codes(max_n, jobs)
     levels = [list(enumerate_connected(n)) for n in range(1, max_n + 1)]
     results = iter(_map(_census_one, list(itertools.chain(*levels)), jobs))
     rows = []

@@ -41,11 +41,13 @@ from splitkit import (
     write_graph6,
 )
 
+from splitkit import graphs
 from splitkit.graphs import (
     Graph,
     _connected_codes,
     _contract,
     _graph_from_code,
+    _induced,
     _search_code,
     _small_codes,
 )
@@ -190,6 +192,13 @@ def test_induced_relabels_in_sorted_order():
         induced(PAW, [])
     with pytest.raises(VertexOutOfRange):
         induced(PAW, [0, 4])
+
+
+def test_unchecked_induced_matches_public_induced():
+    for g in all_graphs_upto(5):
+        for mask in range(1, 1 << g.n):
+            vs = [v for v in range(g.n) if mask >> v & 1]
+            assert _induced(g, mask) == induced(g, vs), (g, vs)
 
 
 def test_relabel_applies_permutation():
@@ -454,6 +463,29 @@ def test_enumerate_all_covers_disconnected_classes():
 @pytest.mark.parametrize("n", range(1, 8))
 def test_connected_codes_match_unpruned_extension(n):
     assert _connected_codes(n) == connected_codes_by_extension(n, build, canonical_code)
+
+
+def test_connected_counts_to_order_8():
+    # OEIS A001349
+    assert [len(_connected_codes(n)) for n in range(1, 9)] == [
+        1, 1, 2, 6, 21, 112, 853, 11117,
+    ]
+
+
+def test_enumeration_canonical_code_calls(monkeypatch):
+    # twin-prefix masks cut the calls over orders 2-8 from 19,473 (every
+    # mask) to 15,808; the cache is bypassed so every order is recomputed
+    cached = _connected_codes(8)
+    calls = []
+
+    def counting(g):
+        calls.append(1)
+        return canonical_code(g)
+
+    monkeypatch.setattr(graphs, "_codes", {1: (0,)})
+    monkeypatch.setattr(graphs, "canonical_code", counting)
+    assert graphs._connected_codes(8) == cached
+    assert len(calls) == 15808
 
 
 def _all_by_decoding(n):

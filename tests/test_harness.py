@@ -1,3 +1,4 @@
+import itertools
 import json
 import multiprocessing
 
@@ -19,7 +20,7 @@ from splitkit import (
     verify,
     verify_all,
 )
-from splitkit import harness
+from splitkit import graphs, harness
 from splitkit.graphs import ENUM_MAX_ORDER, enumerate_all
 from splitkit.harness import render_census_text
 
@@ -200,6 +201,15 @@ def test_ks_partition_oracle_matches_brute_force():
             assert harness._ks_partition_exists(g) == ks_partition_exists(g), g
 
 
+def test_contraction_image_follows_the_contraction():
+    for n in range(2, 7):
+        for u, v in itertools.combinations(range(n), 2):
+            for cmask in range(1 << n):
+                image = {u if w == v else w for w in range(n) if cmask >> w & 1}
+                expect = sum(1 << (w - 1 if w > v else w) for w in image)
+                assert harness._contraction_image(cmask, u, v) == expect, (n, u, v, cmask)
+
+
 def test_default_jobs_follows_affinity(monkeypatch):
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 16)
@@ -230,6 +240,26 @@ def test_parallel_run_under_start_method(monkeypatch, method):
     assert [r.to_dict() for r in census(7, jobs=2)] == census_seq
 
 
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+def test_pool_enumeration_matches_serial(monkeypatch, method):
+    serial = graphs._connected_codes(8)
+    census_seq = [r.to_dict() for r in census(8, jobs=1)]
+    maps = []
+    real_map = harness._map
+
+    def recording(fn, items, jobs):
+        maps.append((len(items), jobs))
+        return real_map(fn, items, jobs)
+
+    monkeypatch.setattr(harness, "multiprocessing", multiprocessing.get_context(method))
+    monkeypatch.setattr(harness, "_map", recording)
+    # forget order 8, so that census refills it through the pool
+    monkeypatch.setattr(graphs, "_codes", {n: c for n, c in graphs._codes.items() if n < 8})
+    assert [r.to_dict() for r in census(8, jobs=2)] == census_seq
+    assert (853, 2) in maps  # the order-7 parents, more than _map's serial threshold
+    assert graphs._codes[8] == serial
+
+
 def test_jobs_below_one_rejected():
     with pytest.raises(ValueError, match="jobs") as exc:
         census(3, jobs=0)
@@ -245,6 +275,7 @@ def test_jobs_checked_before_enumeration(monkeypatch):
 
     monkeypatch.setattr(harness, "enumerate_connected", refuse)
     monkeypatch.setattr(harness, "enumerate_all", refuse)
+    monkeypatch.setattr(harness, "_fill_codes", lambda n, jobs: refuse(n))
     with pytest.raises(InvalidJobs):
         verify("THM_CONTRACTION", 8, jobs=0)
     with pytest.raises(InvalidJobs):

@@ -11,6 +11,8 @@ import itertools
 import multiprocessing
 import os
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -316,20 +318,17 @@ def _ks_partition_exists(g: Graph) -> bool:
     # brute force over every clique K, independent of both recognizers and
     # of omega: a depth-first walk grows each clique once, by common
     # neighbours above its largest vertex, and tests whether V - K is
-    # independent
+    # independent. A clique is dropped with its whole branch when the
+    # vertices outside it that can no longer join it already span an edge.
     rows = g.rows
     full = g.full_mask
     stack = [(0, full)]
     while stack:
         k, cand = stack.pop()
         rest = full ^ k
-        m = rest
-        while m:
-            b = m & -m
-            m ^= b
-            if rows[b.bit_length() - 1] & rest:
-                break
-        else:
+        if not _is_independent(g, rest & ~cand):
+            continue
+        if _is_independent(g, rest):
             return True
         while cand:
             b = cand & -cand
@@ -501,18 +500,43 @@ def _require_jobs(jobs: int) -> None:
         raise InvalidJobs(f"jobs must be at least 1, got {jobs}")
 
 
+# the pools of the innermost ``_one_pool`` block, by worker count
+_block_pools: ContextVar[dict | None] = ContextVar("_block_pools", default=None)
+
+
+@contextmanager
+def _one_pool() -> Iterator[None]:
+    """Inside the block every parallel ``_map`` of the same jobs shares one
+    pool, started on first use and terminated when the block ends."""
+    pools: dict = {}
+    token = _block_pools.set(pools)
+    try:
+        yield
+    finally:
+        _block_pools.reset(token)
+        for pool in pools.values():
+            pool.terminate()
+
+
 def _map(fn, items: list, jobs: int) -> Iterable:
     """fn over items in order, on a pool of jobs workers when that pays.
 
     The serial path is lazy, so a caller that streams the results never
     holds them all. Callers check jobs with ``_require_jobs`` before they
-    build the items.
+    build the items. Outside a ``_one_pool`` block each parallel call starts
+    and ends its own pool.
     """
     if jobs == 1 or len(items) < 256:
         return map(fn, items)
     chunksize = -(-len(items) // (jobs * 4))
-    with multiprocessing.Pool(jobs) as pool:
-        return pool.map(fn, items, chunksize)
+    pools = _block_pools.get()
+    if pools is None:
+        with multiprocessing.Pool(jobs) as pool:
+            return pool.map(fn, items, chunksize)
+    pool = pools.get(jobs)
+    if pool is None:
+        pool = pools[jobs] = multiprocessing.Pool(jobs)
+    return pool.map(fn, items, chunksize)
 
 
 def _fill_codes(n: int, jobs: int) -> None:
@@ -640,9 +664,10 @@ def census(max_n: int = 7, jobs: int = 1) -> list[CensusRow]:
         raise OrderOutOfRange(
             f"census supports max_n 1..{ENUM_MAX_ORDER}, got {max_n}"
         )
-    _fill_codes(max_n, jobs)
-    levels = [list(enumerate_connected(n)) for n in range(1, max_n + 1)]
-    results = iter(_map(_census_one, list(itertools.chain(*levels)), jobs))
+    with _one_pool():
+        _fill_codes(max_n, jobs)
+        levels = [list(enumerate_connected(n)) for n in range(1, max_n + 1)]
+        results = iter(_map(_census_one, list(itertools.chain(*levels)), jobs))
     rows = []
     for n, level in enumerate(levels, 1):
         split = balanced = pseudo = ng = 0

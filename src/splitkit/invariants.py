@@ -53,17 +53,18 @@ def independence_number(g: Graph) -> int:
 
 
 def _greedy_bound(g: Graph) -> int:
-    order = sorted(range(g.n), key=lambda v: -g.rows[v].bit_count())
-    color = {}
-    used = 0
-    for v in order:
-        taken = {color[w] for w in color if g.rows[v] >> w & 1}
-        c = 0
-        while c in taken:
-            c += 1
-        color[v] = c
-        used = max(used, c + 1)
-    return used
+    # first fit in non-increasing degree order; colour classes are vertex
+    # masks, and v fits class c iff it has no neighbour there
+    rows = g.rows
+    classes: list[int] = []
+    for v in sorted(range(g.n), key=lambda v: -rows[v].bit_count()):
+        for c, members in enumerate(classes):
+            if not rows[v] & members:
+                classes[c] = members | 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    return len(classes)
 
 
 def chromatic_number(g: Graph) -> int:
@@ -83,47 +84,32 @@ def _chromatic(g: Graph, clique: tuple[int, ...]) -> int:
     ub = _greedy_bound(g)
     if lb == ub:
         return lb
+    rows = g.rows
     rest = sorted(
         (v for v in range(g.n) if v not in clique),
-        key=lambda v: -g.rows[v].bit_count(),
+        key=lambda v: -rows[v].bit_count(),
     )
-    order = list(clique) + rest
-    color = [-1] * g.n
-    for i, v in enumerate(clique):
-        color[v] = i
-    rows = g.rows
 
-    def colorable(i: int, used: int, k: int) -> bool:
-        if i == g.n:
+    def colorable(i: int, used: int, classes: list[int]) -> bool:
+        # colour rest[i:] into len(classes) vertex-mask classes, opening
+        # class `used` only after classes 0..used-1
+        if i == len(rest):
             return True
-        v = order[i]
-        taken = 0
-        for w in _neighbor_list(rows[v]):
-            if color[w] >= 0:
-                taken |= 1 << color[w]
-        cap = min(used + 1, k)
-        for c in range(cap):
-            if taken >> c & 1:
+        v = rest[i]
+        rv = rows[v]
+        for c in range(min(used + 1, len(classes))):
+            if rv & classes[c]:
                 continue
-            color[v] = c
-            if colorable(i + 1, max(used, c + 1), k):
+            classes[c] |= 1 << v
+            if colorable(i + 1, max(used, c + 1), classes):
                 return True
-        color[v] = -1
+            classes[c] ^= 1 << v
         return False
 
     for k in range(lb, ub):
-        if colorable(lb, lb, k):
+        if colorable(0, lb, [1 << v for v in clique] + [0] * (k - lb)):
             return k
     return ub
-
-
-def _neighbor_list(mask: int) -> list[int]:
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -171,14 +170,35 @@ def is_split_forbidden(g: Graph) -> bool:
 
 
 def is_split_degrees(g: Graph) -> bool:
-    """Split test from the degree sequence.
+    """Split test from the degree sequence (see ``_hammer_simeone``)."""
+    return _hammer_simeone(sorted(g.degrees(), reverse=True))[1]
 
-    With degrees d1 >= ... >= dn and m the largest i with d_i >= i-1, the
-    graph is split iff sum(d_i, i <= m) = m(m-1) + sum(d_i, i > m).
+
+def _hammer_simeone(d: list[int]) -> tuple[int, bool]:
+    """(m, split) for a graph with non-increasing degree list d.
+
+    m is the largest i with d_i >= i - 1, and the graph is split iff
+    sum(d_i, i <= m) = m(m-1) + sum(d_i, i > m) (Hammer and Simeone, *The
+    splittance of a graph*, Combinatorica 1 (1981)). The i with
+    d_i >= i - 1 form a prefix, since d falls while i - 1 rises.
+
+    For a split graph h, omega(h) = m, and h is unbalanced iff
+    d_m = m - 1. Take a partition (K, S) with |K| = omega (``ks_partition``
+    says why one exists). Every K-vertex has degree >= omega - 1, and every
+    S-vertex has degree <= omega - 1, since an S-vertex adjacent to all of
+    K would extend the maximum clique K. So the top omega degrees are those
+    of K, any omega + 1 vertices include an S-vertex, and
+    d_omega >= omega - 1 > d_(omega+1) - 1, i.e. m = omega. An
+    independent set meets K at most once, so alpha is |S| + 1 when some
+    K-vertex has no S-neighbour (S plus that vertex) and |S| otherwise.
+    Such a vertex has degree omega - 1 exactly, so alpha = |S| + 1, i.e.
+    omega + alpha != n, iff the smallest K-degree d_m is m - 1.
     """
-    d = sorted(g.degrees(), reverse=True)
-    m = max(i for i in range(1, g.n + 1) if d[i - 1] >= i - 1)
-    return sum(d[:m]) == m * (m - 1) + sum(d[m:])
+    n = len(d)
+    m = 1
+    while m < n and d[m] >= m:
+        m += 1
+    return m, sum(d[:m]) == m * (m - 1) + sum(d[m:])
 
 
 def is_split(g: Graph) -> bool:
@@ -199,14 +219,33 @@ def ks_partition(g: Graph) -> KSPartition:
 
 
 def _ks(g: Graph, omega: int) -> KSPartition:
-    # g split with clique number omega
+    # g split with clique number omega. A depth-first walk grows cliques in
+    # increasing vertex order by common neighbours above the last vertex, so
+    # it meets the omega-cliques in combinations order; a branch ends when
+    # the vertices that can no longer join K already span an edge.
+    rows = g.rows
     full = g.full_mask
-    for k in itertools.combinations(range(g.n), omega):
-        kmask = _mask(k)
-        if _is_clique(g, kmask) and _is_independent(g, full ^ kmask):
-            s = tuple(v for v in range(g.n) if not kmask >> v & 1)
-            return KSPartition(k, s)
-    raise NotSplit("no partition found")  # unreachable on split inputs
+
+    def walk(k: int, cand: int, size: int) -> int:
+        if size == omega:
+            return k if _is_independent(g, full ^ k) else 0
+        if size + cand.bit_count() < omega or not _is_independent(g, full & ~k & ~cand):
+            return 0
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            found = walk(k | b, cand & rows[b.bit_length() - 1], size + 1)
+            if found:
+                return found
+        return 0
+
+    kmask = walk(0, full, 0)
+    if not kmask:
+        raise NotSplit("no partition found")  # unreachable on split inputs
+    return KSPartition(
+        tuple(v for v in range(g.n) if kmask >> v & 1),
+        tuple(v for v in range(g.n) if not kmask >> v & 1),
+    )
 
 
 def classify_ks_case(g: Graph, p: KSPartition) -> str:
@@ -305,47 +344,79 @@ def detect_exceptional(g: Graph) -> FamilyTag | None:
 # witness edges
 
 
-def _witnesses(g: Graph, tests: dict[str, Callable[[Graph], bool]]) -> dict[str, Edge]:
+def _witnesses(
+    g: Graph,
+    on_graph: dict[str, Callable[[Graph], bool]],
+    on_degrees: dict[str, Callable[[list[int]], bool]] | None = None,
+) -> dict[str, Edge]:
     """The first edge, in lexicographic order, whose contraction passes each test.
 
-    ``tests`` maps a label to a predicate on the contraction. Each edge is
-    contracted once and checked against every test still without a witness;
-    the walk stops when every test has one. Labels with no witness are absent.
+    ``on_graph`` maps a label to a predicate on the contraction g/e, and
+    ``on_degrees`` one to a predicate on its non-increasing degree list
+    alone. Each edge is checked against every test still without a witness;
+    the contraction and its degree list are each built at most once per
+    edge, and only while a pending test reads it. The walk stops when every
+    test has a witness. Labels with no witness are absent.
     """
     found = {}
-    pending = list(tests.items())
+    graph_tests = list(on_graph.items())
+    degree_tests = list(on_degrees.items()) if on_degrees else []
     rows = g.rows
+    degrees = g.degrees() if degree_tests else None
     for u in range(g.n):
         m = rows[u] >> (u + 1) << (u + 1)
-        while m and pending:
+        while m and (graph_tests or degree_tests):
             b = m & -m
             m ^= b
             v = b.bit_length() - 1
-            h = _contract(g, u, v)
-            hits = [label for label, test in pending if test(h)]
+            hits = []
+            if graph_tests:
+                h = _contract(g, u, v)
+                hits = [label for label, test in graph_tests if test(h)]
+            if degree_tests:
+                d = _contracted_degrees(degrees, rows, u, v)
+                hits += [label for label, test in degree_tests if test(d)]
             if hits:
                 found.update(dict.fromkeys(hits, Edge(u, v)))
-                pending = [p for p in pending if p[0] not in found]
+                graph_tests = [t for t in graph_tests if t[0] not in found]
+                degree_tests = [t for t in degree_tests if t[0] not in found]
     return found
+
+
+def _contracted_degrees(degrees: list[int], rows, u: int, v: int) -> list[int]:
+    """The non-increasing degree list of g/uv, u < v adjacent, from g's.
+
+    Each common neighbour of u and v loses one, the merged vertex is
+    adjacent to N(u) | N(v) minus u and v, and every other degree stays.
+    """
+    d = degrees.copy()
+    common = rows[u] & rows[v]
+    while common:
+        b = common & -common
+        common ^= b
+        d[b.bit_length() - 1] -= 1
+    d[u] = (rows[u] | rows[v]).bit_count() - 2
+    del d[v]
+    d.sort(reverse=True)
+    return d
 
 
 def _has_2k2_or_c4(h: Graph) -> bool:
     return contains_2k2(h) or contains_c4(h)
 
 
-def _not_split(h: Graph) -> bool:
-    return not is_split(h)
+def _not_split(d: list[int]) -> bool:
+    return not _hammer_simeone(d)[1]
 
 
-def _unbalanced_test(omega: int) -> Callable[[Graph], bool]:
-    # the contraction drops the clique number and is unbalanced split
-    def test(h: Graph) -> bool:
-        omega_h = clique_number(h)
-        if omega_h != omega - 1:
-            return False
-        if not is_split(h):
+def _unbalanced_test(omega: int) -> Callable[[list[int]], bool]:
+    # the contraction drops the clique number and is unbalanced split; both
+    # read off its degree list (see _hammer_simeone)
+    def test(d: list[int]) -> bool:
+        m, split = _hammer_simeone(d)
+        if not split:
             raise NotSplit("balancedness is defined for split graphs only")
-        return omega_h + independence_number(h) != h.n
+        return m == omega - 1 and d[m - 1] == m - 1
 
     return test
 
@@ -382,7 +453,7 @@ def _2k2_witness(g: Graph) -> Edge | None:
 
 def find_nonsplit_witness(g: Graph) -> Edge | None:
     """First edge whose contraction is not split, or None."""
-    return _witnesses(g, {"nonsplit": _not_split}).get("nonsplit")
+    return _witnesses(g, {}, {"nonsplit": _not_split}).get("nonsplit")
 
 
 def find_unbalanced_witness(g: Graph) -> Edge | None:
@@ -403,7 +474,7 @@ def find_unbalanced_witness(g: Graph) -> Edge | None:
 
 def _unbalanced_witness(g: Graph, omega: int) -> Edge | None:
     # g split, not a star, with clique number omega
-    return _witnesses(g, {"unbalanced": _unbalanced_test(omega)}).get("unbalanced")
+    return _witnesses(g, {}, {"unbalanced": _unbalanced_test(omega)}).get("unbalanced")
 
 
 # ---------------------------------------------------------------------------
@@ -487,17 +558,18 @@ def classify(g: Graph) -> ClassificationReport:
     pseudo = not has_2k2 and not has_c4
     psd = _psd(g, ks) if pseudo else None
     tag = detect_exceptional(g)
-    # witness labels in report order; one walk contracts each edge once
-    tests = {}
+    # witness labels in report order; one walk over the edges serves all
+    on_graph = {}
+    on_degrees = {}
     if has_c4:
-        tests["c4"] = contains_c4
+        on_graph["c4"] = contains_c4
     if has_2k2:
-        tests["2k2"] = _has_2k2_or_c4
+        on_graph["2k2"] = _has_2k2_or_c4
     if g.is_connected():
-        tests["nonsplit"] = _not_split
+        on_degrees["nonsplit"] = _not_split
     if split and g.n >= 2 and not (g.n >= 3 and is_star(g)):
-        tests["unbalanced"] = _unbalanced_test(omega)
-    found = _witnesses(g, tests)
+        on_degrees["unbalanced"] = _unbalanced_test(omega)
+    found = _witnesses(g, on_graph, on_degrees)
     return ClassificationReport(
         is_split=split,
         is_balanced_split=balanced,
@@ -510,5 +582,7 @@ def classify(g: Graph) -> ClassificationReport:
         alpha=alpha,
         chi=chi,
         chi_complement=chi_c,
-        witnesses=tuple((label, found[label]) for label in tests if label in found),
+        witnesses=tuple(
+            (label, found[label]) for label in [*on_graph, *on_degrees] if label in found
+        ),
     )

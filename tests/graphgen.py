@@ -1,13 +1,27 @@
-"""Seeded random graphs past the exhaustive range, for the property tests.
+"""Graph generators for the tests.
 
-Three kinds, so that every branch of ``classify`` is taken: G(n, p) with p in
-{0.2, 0.5, 0.8}, split graphs (a clique joined to an independent set by
-random edges), and pseudo-split graphs with a C5 part (a C5 fully joined to
-a clique, plus an independent set with random edges to the clique). Labels
-are shuffled, so no structure shows in them.
+``labelled_graphs(n)`` yields every labelled graph of order n, for checks
+whose answer depends on the labels and not only on the isomorphism class;
+the enumeration gives one labelling per class.
+
+``random_graph`` draws seeded graphs past the exhaustive range, for the
+property tests. Three kinds, so that every branch of ``classify`` is
+taken: G(n, p) with p in {0.2, 0.5, 0.8}, split graphs (a clique joined to
+an independent set by random edges), and pseudo-split graphs with a C5
+part (a C5 fully joined to a clique, plus an independent set with random
+edges to the clique). Labels are shuffled, so no structure shows in them.
 """
 
+import itertools
+
 from splitkit import build
+
+
+def labelled_graphs(n):
+    """Every labelled graph of order n, 2^(n(n-1)/2) of them."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield build(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
 
 
 def random_graph(rng, n):

@@ -101,6 +101,20 @@ def ks_partition_exists(g) -> bool:
     return False
 
 
+def first_ks_partition(g):
+    """(K, S) with |K| as large as any partition allows and K first in
+    itertools.combinations order among those, or None when g is not split."""
+    vs = range(g.n)
+    for r in range(g.n, -1, -1):
+        for k in itertools.combinations(vs, r):
+            if any(not g.has_edge(u, v) for u, v in itertools.combinations(k, 2)):
+                continue
+            rest = tuple(v for v in vs if v not in k)
+            if not any(g.has_edge(u, v) for u, v in itertools.combinations(rest, 2)):
+                return k, rest
+    return None
+
+
 def balanced_partition_exists(g, omega: int, alpha: int) -> bool:
     if omega + alpha != g.n:
         return False

@@ -1,10 +1,12 @@
 import json
+import os
 import random
 import subprocess
 import sys
 
 import pytest
 
+import splitkit
 from splitkit import cli, harness
 from splitkit.cli import main
 
@@ -248,10 +250,16 @@ def test_usage_errors_exit_2(argv):
 
 
 def test_module_entry_point():
+    # the child imports the same splitkit package as this process, from a
+    # checkout or an installed copy alike
+    home = os.path.dirname(os.path.dirname(splitkit.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [home, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "splitkit.cli", "classify", "--inline", "A_"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("A_:")

@@ -52,6 +52,7 @@ from splitkit.graphs import (
     _small_codes,
 )
 
+from graphgen import labelled_graphs
 from oracles import connected_codes_by_extension, is_connected_search, iso_by_permutations
 
 PAW = build(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
@@ -234,18 +235,12 @@ def test_canonical_code_separates_classes():
     assert len(codes) == 34
 
 
-def _labelled_graphs(n):
-    pairs = list(itertools.combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        yield build(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
-
-
 @pytest.mark.parametrize("n, classes", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34)])
 def test_canonical_code_groups_labelled_graphs_into_classes(n, classes):
     # independent of the enumeration: every labelled graph of order n, grouped
     # by code, gives OEIS A000088(n) groups of pairwise isomorphic graphs
     groups = {}
-    for g in _labelled_graphs(n):
+    for g in labelled_graphs(n):
         groups.setdefault(canonical_code(g), []).append(g)
     assert len(groups) == classes
     for first, *rest in groups.values():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import multiprocessing
+import multiprocessing.pool
 
 import pytest
 
@@ -24,6 +25,7 @@ from splitkit import graphs, harness
 from splitkit.graphs import ENUM_MAX_ORDER, enumerate_all
 from splitkit.harness import render_census_text
 
+from graphgen import labelled_graphs
 from oracles import ks_partition_exists
 
 E2 = build(2)  # two isolated vertices, graph6 "A?"
@@ -201,6 +203,13 @@ def test_ks_partition_oracle_matches_brute_force():
             assert harness._ks_partition_exists(g) == ks_partition_exists(g), g
 
 
+def test_ks_partition_oracle_on_every_labelling():
+    # the walk's pruning depends on the labels
+    for n in range(1, 6):
+        for g in labelled_graphs(n):
+            assert harness._ks_partition_exists(g) == ks_partition_exists(g), g
+
+
 def test_contraction_image_follows_the_contraction():
     for n in range(2, 7):
         for u, v in itertools.combinations(range(n), 2):
@@ -258,6 +267,24 @@ def test_pool_enumeration_matches_serial(monkeypatch, method):
     assert [r.to_dict() for r in census(8, jobs=2)] == census_seq
     assert (853, 2) in maps  # the order-7 parents, more than _map's serial threshold
     assert graphs._codes[8] == serial
+
+
+def test_census_starts_one_pool(monkeypatch):
+    census_seq = [r.to_dict() for r in census(8, jobs=1)]
+    started = []
+    real_init = multiprocessing.pool.Pool.__init__
+
+    def counting(self, *args, **kwargs):
+        started.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", counting)
+    # forget order 8, so that the order-8 fill and the per-graph census both
+    # go to the pool
+    monkeypatch.setattr(graphs, "_codes", {n: c for n, c in graphs._codes.items() if n < 8})
+    assert [r.to_dict() for r in census(8, jobs=2)] == census_seq
+    assert len(started) == 1
+    assert harness._block_pools.get() is None
 
 
 def test_jobs_below_one_rejected():

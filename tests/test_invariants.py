@@ -70,8 +70,9 @@ def test_max_clique_prefers_low_vertices():
 
 
 def test_chromatic_number_matches_assignment_scan():
-    for g in all_graphs_upto(5):
-        assert chromatic_number(g) == chromatic_number_assignments(g)
+    for g in all_graphs_upto(6):
+        for h in (g, complement(g)):
+            assert chromatic_number(h) == chromatic_number_assignments(h), h
 
 
 @pytest.mark.parametrize(

@@ -2,11 +2,11 @@
 
 Enumeration covers every graph to order 8; here Hypothesis draws seeded
 graphs of orders 9-12 (see graphgen.py) and checks the recognizers, the
-decompositions, omega and alpha, the 2K2, C4 and claw scans, and every
-witness that ``classify`` and the C4 and 2K2 witness searches report
-against the brute-force oracles, and the canonical codes that isomorphism
-answers by. The run is derandomized, so it draws the same graphs every
-time.
+decompositions, omega and alpha, the 2K2, C4 and claw scans, every witness
+that ``classify`` and the C4 and 2K2 witness searches report, and the
+degree-list witness tests on every edge against the brute-force oracles,
+and the canonical codes that isomorphism answers by. The run is
+derandomized, so it draws the same graphs every time.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -37,10 +37,12 @@ from graphgen import random_graph
 from oracles import (
     balanced_partition_exists,
     clique_number_subsets,
+    first_ks_partition,
     has_induced_copy,
     independence_number_subsets,
     ks_partition_exists,
 )
+from test_recognition import check_degree_tests
 
 C4 = cycle_graph(4)
 TWO_K2 = build(4, [(0, 1), (2, 3)])
@@ -79,7 +81,7 @@ def test_classify_past_the_exhaustive_range(g):
     pseudo = not has_induced_copy(g, TWO_K2) and not has_induced_copy(g, C4)
     assert r.is_pseudo_split == pseudo
     if split:
-        assert r.ks == ks_partition(g) and r.ks.is_valid_for(g)
+        assert r.ks == ks_partition(g) == first_ks_partition(g) and r.ks.is_valid_for(g)
         assert len(r.ks.k) == r.omega
         assert r.is_balanced_split == balanced_partition_exists(g, r.omega, r.alpha)
     if pseudo:
@@ -88,6 +90,12 @@ def test_classify_past_the_exhaustive_range(g):
     assert r.is_ng == is_ng_by_characterisation(g)
     for label, e in r.witnesses:
         _check_witness(g, r.omega, label, e)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(big_graphs())
+def test_degree_tests_past_the_exhaustive_range(g):
+    check_degree_tests(g)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60, database=None)

@@ -36,6 +36,7 @@ from splitkit import (
     detect_exceptional,
     disjoint_union,
     enumerate_all,
+    enumerate_connected,
     find_2k2_witness,
     find_c4_witness,
     find_nonsplit_witness,
@@ -56,10 +57,24 @@ from splitkit import (
     relabel,
     star_graph,
 )
+from splitkit.graphs import _contract
 from splitkit.invariants import _find_c5
+from splitkit.recognition import (
+    _contracted_degrees,
+    _hammer_simeone,
+    _ks,
+    _not_split,
+    _unbalanced_test,
+)
 
-from graphgen import random_graph
-from oracles import balanced_partition_exists, ks_partition_exists
+from graphgen import labelled_graphs, random_graph
+from oracles import (
+    balanced_partition_exists,
+    clique_number_subsets,
+    first_ks_partition,
+    independence_number_subsets,
+    ks_partition_exists,
+)
 
 PAW = build(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
 
@@ -100,6 +115,15 @@ def test_ks_partition_is_valid_max_and_lex_first():
             if KSPartition(k, tuple(sorted(set(range(g.n)) - set(k)))).is_valid_for(g)
         )
         assert p.k == first
+
+
+def test_ks_walk_matches_combinations_scan():
+    # every labelling to order 5: the first clique depends on the labels
+    labelled = itertools.chain.from_iterable(labelled_graphs(n) for n in range(1, 6))
+    for g in itertools.chain(labelled, all_graphs_upto(7)):
+        expected = first_ks_partition(g)
+        if expected is not None:
+            assert _ks(g, clique_number(g)) == expected, g
 
 
 def test_ks_partition_requires_split():
@@ -207,6 +231,35 @@ def test_family_tag_str():
 
 # ---------------------------------------------------------------------------
 # witness edges
+
+
+def check_degree_tests(g):
+    """The degree-list witness tests on every edge of g agree with the
+    contraction itself, its split test and the brute-force omega and alpha."""
+    degrees = g.degrees()
+    for u, v in g.edges():
+        h = _contract(g, u, v)
+        d = _contracted_degrees(degrees, g.rows, u, v)
+        assert d == sorted(h.degrees(), reverse=True)
+        split = is_split_degrees(h)
+        assert _not_split(d) == (not split)
+        if not split:
+            with pytest.raises(NotSplit):
+                _unbalanced_test(2)(d)
+            continue
+        omega = clique_number_subsets(h)
+        unbalanced = omega + independence_number_subsets(h) != h.n
+        assert _hammer_simeone(d)[0] == omega
+        for omega_g in (omega, omega + 1, omega + 2):
+            assert _unbalanced_test(omega_g)(d) == (omega == omega_g - 1 and unbalanced)
+
+
+def test_degree_tests_match_the_contraction():
+    for g in all_graphs_upto(7):
+        check_degree_tests(g)
+    for g in enumerate_connected(8):
+        if is_split(g):
+            check_degree_tests(g)
 
 
 def test_find_c4_witness():

@@ -74,10 +74,9 @@ def _parse_classify_input(text: str) -> list[tuple[str, Graph]]:
     if stripped and stripped[0].isdigit():
         g = parse_edge_list(text)
         return [("edge-list", g)]
-    lines = text.splitlines()
+    lines = [ln.strip() for ln in text.splitlines()]
     graphs = parse_graph6_lines(lines)
-    labels = [ln.strip() for ln in lines if ln.strip()]
-    return list(zip(labels, graphs))
+    return list(zip([ln for ln in lines if ln], graphs))
 
 
 def _yn(flag) -> str:
@@ -106,17 +105,19 @@ def _render_classification(label: str, r: ClassificationReport) -> str:
 def _cmd_classify(args) -> int:
     try:
         text = args.inline if args.inline is not None else _read_text(args.file)
-        pairs = _parse_classify_input(text)
-        reports = [(label, classify(g)) for label, g in pairs]
+        reports = ((label, classify(g)) for label, g in _parse_classify_input(text))
+        if args.format == "json":
+            items = [r.to_json(label) for label, r in reports]
+        else:
+            items = [_render_classification(label, r) for label, r in reports]
     except (OSError, SplitkitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # one print after every report is written, so an error leaves stdout empty
     if args.format == "json":
-        payload = [{"input": label, **r.to_dict()} for label, r in reports]
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for label, r in reports:
-            print(_render_classification(label, r))
+        print("[\n" + ",\n".join(items) + "\n]" if items else "[]")
+    elif items:
+        print("\n".join(items))
     return 0
 
 

@@ -358,14 +358,20 @@ def canonical_form(g: Graph) -> Graph:
 
 
 def _graph_from_code(n: int, code: int) -> Graph:
+    """The graph whose pairs x01, x02, x12, x03, ... are code's bits, first
+    most significant: the canonical-code order and the graph6 body order."""
     rows = [0] * n
     k = n * (n - 1) // 2
     for v in range(1, n):
-        for u in range(v):
-            k -= 1
-            if code >> k & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
+        # column v holds x0v .. x(v-1)v; bit v-1-u of col is x_uv
+        k -= v
+        col = code >> k & ((1 << v) - 1)
+        while col:
+            b = col & -col
+            col ^= b
+            u = v - b.bit_length()
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
     return Graph(n, rows)
 
 
@@ -407,6 +413,9 @@ def write_graph6(g: Graph) -> str:
     return head + "".join(body)
 
 
+_G6_OCTAL = {63 + i: f"{i:02o}" for i in range(64)}
+
+
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 line; a leading '>>graph6<<' header is tolerated."""
     s = text.strip()
@@ -414,7 +423,7 @@ def parse_graph6(text: str) -> Graph:
         s = s[10:]
     if not s:
         raise MalformedGraph6("empty line")
-    if any(not 63 <= ord(ch) <= 126 for ch in s):
+    if min(s) < "?" or max(s) > "~":
         raise MalformedGraph6(f"byte outside graph6 range in {text!r}")
     if s[0] == "~":
         if len(s) >= 2 and s[1] == "~":
@@ -432,27 +441,18 @@ def parse_graph6(text: str) -> Graph:
         body = s[1:]
     if not 1 <= n <= MAX_ORDER:
         raise UnsupportedOrder(f"order {n} not in 1..{MAX_ORDER}")
-    need = (n * (n - 1) // 2 + 5) // 6
+    total = n * (n - 1) // 2
+    need = (total + 5) // 6
     if len(body) != need:
         raise MalformedGraph6(
             f"expected {need} body bytes for order {n}, got {len(body)}"
         )
-    rows = [0] * n
-    k = 0
-    pad = ~0
-    for v in range(1, n):
-        for u in range(v):
-            ch = ord(body[k // 6]) - 63
-            if ch >> (5 - k % 6) & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            k += 1
-    # padding bits past the triangle must be zero
-    while k % 6:
-        if (ord(body[k // 6]) - 63) >> (5 - k % 6) & 1:
-            raise MalformedGraph6("nonzero padding bits")
-        k += 1
-    return Graph(n, rows)
+    # each byte becomes two octal digits, so the body is one base-8 numeral
+    code = int(body.translate(_G6_OCTAL) or "0", 8)
+    pad = 6 * need - total
+    if code & ((1 << pad) - 1):
+        raise MalformedGraph6("nonzero padding bits")
+    return _graph_from_code(n, code >> pad)
 
 
 def _read_text(path) -> str:

@@ -507,7 +507,11 @@ _block_pools: ContextVar[dict | None] = ContextVar("_block_pools", default=None)
 @contextmanager
 def _one_pool() -> Iterator[None]:
     """Inside the block every parallel ``_map`` of the same jobs shares one
-    pool, started on first use and terminated when the block ends."""
+    pool, started on first use and terminated when the block ends. A block
+    opened inside another one uses the outer block's pools."""
+    if _block_pools.get() is not None:
+        yield
+        return
     pools: dict = {}
     token = _block_pools.set(pools)
     try:
@@ -546,6 +550,7 @@ def _fill_codes(n: int, jobs: int) -> None:
     _connected_codes(n, lambda fn, parents: _map(fn, parents, jobs))
 
 
+@_one_pool()
 def verify(theorem: str, max_n: int = 7, source=None, jobs: int = 1) -> TheoremReport:
     """Sweep one theorem over the built-in enumeration or a graph6 corpus.
 
@@ -604,6 +609,7 @@ def verify(theorem: str, max_n: int = 7, source=None, jobs: int = 1) -> TheoremR
     )
 
 
+@_one_pool()
 def verify_all(max_n: int = 7, jobs: int = 1) -> list[TheoremReport]:
     """One report per theorem id; per-checker caps clamp max_n (shown in the report)."""
     if max_n < 1:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 from .errors import (
@@ -158,6 +159,52 @@ class ClassificationReport(NamedTuple):
                 {"label": label, "edge": [e.u, e.v]} for label, e in self.witnesses
             ],
         }
+
+    def to_json(self, label: str) -> str:
+        """``{"input": label, **self.to_dict()}`` as one element of a JSON list:
+        the text ``json.dumps([...], sort_keys=True, indent=2)`` gives for it,
+        written from the fixed schema with the same string escaper."""
+        q, c = encode_basestring_ascii, _JSON_CONST
+        # a newline and the indent of the report's keys, and of two deeper levels
+        p, w, e = "\n    ", "\n      ", "\n        "
+        ks, psd, tag = self.ks, self.psd, self.exceptional
+        return _REPORT_JSON.format(
+            self.alpha,
+            self.chi,
+            self.chi_complement,
+            "null" if tag is None else f'{{{w}"family": {q(tag.family)},'
+            f'{w}"l": {"null" if tag.l is None else tag.l}{p}}}',
+            q(label),
+            c[self.is_balanced_split],
+            c[self.is_ng],
+            c[self.is_pseudo_split],
+            c[self.is_split],
+            "null" if ks is None else
+            f'{{{w}"k": {_json_list(ks.k, w)},{w}"s": {_json_list(ks.s, w)}{p}}}',
+            self.omega,
+            "null" if psd is None else f'{{{w}"a": {_json_list(psd.a, w)},'
+            f'{w}"b": {_json_list(psd.b, w)},{w}"c": {_json_list(psd.c, w)}{p}}}',
+            _json_list([f'{{{e}"edge": {_json_list(edge, e)},{e}"label": {q(lbl)}{w}}}'
+                        for lbl, edge in self.witnesses], p),
+        )
+
+
+# the keys in sorted order, at the indent of an element of the top-level list
+_REPORT_JSON = (
+    '  {{\n    "alpha": {},\n    "chi": {},\n    "chi_complement": {},\n'
+    '    "exceptional": {},\n    "input": {},\n    "is_balanced_split": {},\n'
+    '    "is_ng": {},\n    "is_pseudo_split": {},\n    "is_split": {},\n'
+    '    "ks": {},\n    "omega": {},\n    "psd": {},\n    "witnesses": {}\n  }}'
+)
+_JSON_CONST = {True: "true", False: "false", None: "null"}
+
+
+def _json_list(items, pad: str) -> str:
+    # pad is a newline and the indent of the line the list opens on
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(map(str, items)) + pad + "]"
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Everything here reads graphs only through ``n`` and ``has_edge`` and does its
 own exhaustive search, so a library bug cannot hide behind a shared code path.
 The one exception is ``connected_codes_by_extension``, which pins the
 enumeration's output to the exhaustive construction it prunes and so shares
-the library's ``canonical_code``.
+the library's ``canonical_code``. ``decode_graph6_bits`` reads a graph6 line
+one bit at a time and imports nothing from splitkit.
 """
 
 import itertools
@@ -160,3 +161,19 @@ def connected_codes_by_extension(n, build, canonical_code):
             extra = [(u, n - 1) for u in range(n - 1) if mask >> u & 1]
             seen.add(canonical_code(build(n, edges + extra)))
     return tuple(sorted(seen))
+
+
+def decode_graph6_bits(line):
+    """(n, sorted edge list) of a well-formed graph6 line, read bit by bit:
+    the upper triangle column by column, x01, x02, x12, x03, ..., each byte
+    minus 63 holding six bits, most significant first."""
+    data = [ord(ch) - 63 for ch in line.strip()]
+    if data[0] == 63:  # '~': the order is in the next three bytes
+        n = data[1] * 4096 + data[2] * 64 + data[3]
+        body = data[4:]
+    else:
+        n = data[0]
+        body = data[1:]
+    bits = [byte >> (5 - i) & 1 for byte in body for i in range(6)]
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    return n, sorted(p for p, bit in zip(pairs, bits) if bit)

@@ -7,8 +7,10 @@ import sys
 import pytest
 
 import splitkit
-from splitkit import cli, harness
+from splitkit import classify, cli, harness, parse_graph6, write_graph6
 from splitkit.cli import main
+
+from graphgen import random_graph
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +53,31 @@ def test_classify_json(capsys):
     assert payload[0]["is_split"] is True
     assert payload[0]["ks"] == {"k": [0, 1, 2], "s": []}
     assert payload[0]["witnesses"] == [{"label": "unbalanced", "edge": [0, 1]}]
+
+
+def test_classify_json_file_matches_json_dumps(tmp_path, capsys):
+    rng = random.Random(6021)
+    lines = [write_graph6(random_graph(rng, rng.randint(6, 12))) for _ in range(300)]
+    path = tmp_path / "graphs.g6"
+    path.write_text("\n".join(lines) + "\n")
+    payload = [{"input": ln, **classify(parse_graph6(ln)).to_dict()} for ln in lines]
+    code, out, _ = run_cli(capsys, "classify", "--format", "json", "--file", str(path))
+    assert code == 0
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def test_classify_empty_input(capsys):
+    assert run_cli(capsys, "classify", "--format", "json", "--inline", "\n") == (0, "[]\n", "")
+    assert run_cli(capsys, "classify", "--inline", "\n") == (0, "", "")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_classify_error_after_valid_lines_prints_nothing(capsys, fmt):
+    # an order-13 graph is past the exact colouring; the lines before it classify
+    text = "Bw\nA_\nL" + "?" * 13
+    code, out, err = run_cli(capsys, "classify", "--format", fmt, "--inline", text)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_classify_from_file(tmp_path, capsys):

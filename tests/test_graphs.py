@@ -53,7 +53,12 @@ from splitkit.graphs import (
 )
 
 from graphgen import labelled_graphs
-from oracles import connected_codes_by_extension, is_connected_search, iso_by_permutations
+from oracles import (
+    connected_codes_by_extension,
+    decode_graph6_bits,
+    is_connected_search,
+    iso_by_permutations,
+)
 
 PAW = build(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
 
@@ -335,9 +340,49 @@ def test_graph6_unsupported_orders():
     with pytest.raises(UnsupportedOrder):
         parse_graph6("?")  # order 0
     with pytest.raises(UnsupportedOrder):
-        parse_graph6("~?A?" + "?" * 100)  # order 65
+        parse_graph6("~?A?" + "?" * 100)  # order 128
     with pytest.raises(UnsupportedOrder):
         parse_graph6("~~" + "?" * 8)
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("", MalformedGraph6, "empty line"),
+        ("B!", MalformedGraph6, "byte outside graph6 range in 'B!'"),
+        ("A" + chr(127), MalformedGraph6, "byte outside graph6 range in 'A\\x7f'"),
+        ("A", MalformedGraph6, "expected 1 body bytes for order 2, got 0"),
+        ("A_extra", MalformedGraph6, "expected 1 body bytes for order 2, got 6"),
+        ("A~", MalformedGraph6, "nonzero padding bits"),
+        ("~?@", MalformedGraph6, "truncated long-form order"),
+        ("?", UnsupportedOrder, "order 0 not in 1..64"),
+        ("~?@@" + "?" * 347, UnsupportedOrder, "order 65 not in 1..64"),
+        ("~~" + "?" * 8, UnsupportedOrder, "orders above 258047 are not supported"),
+    ],
+)
+def test_graph6_error_types_and_messages(text, error, message):
+    with pytest.raises(error) as exc:
+        parse_graph6(text)
+    assert str(exc.value) == message
+
+
+def test_parse_graph6_matches_bitwise_oracle():
+    for g in [*all_graphs_upto(7), *enumerate_connected(8)]:
+        line = write_graph6(g)
+        h = parse_graph6(line)
+        assert h == g
+        assert decode_graph6_bits(line) == (h.n, h.edges())
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_graph_from_code_round_trips_connected_codes(n):
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    for code in _connected_codes(n):
+        g = _graph_from_code(n, code)
+        back = 0
+        for u, v in pairs:
+            back = back << 1 | g.has_edge(u, v)
+        assert back == code
 
 
 def test_parse_graph6_lines_skips_blanks_and_reports_line_numbers():

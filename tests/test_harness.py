@@ -287,6 +287,30 @@ def test_census_starts_one_pool(monkeypatch):
     assert harness._block_pools.get() is None
 
 
+def test_verify_starts_one_pool(monkeypatch):
+    def without_ms(reports):
+        return [{k: v for k, v in r.to_dict().items() if not k.endswith("_ms")} for r in reports]
+
+    lemma1_seq = without_ms([verify("LEMMA1", 8, jobs=1)])
+    all_seq = without_ms(verify_all(7, jobs=1))
+    started = []
+    real_init = multiprocessing.pool.Pool.__init__
+
+    def counting(self, *args, **kwargs):
+        started.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", counting)
+    # forget order 8, so that the order-8 fill and the checks both go to the pool
+    monkeypatch.setattr(graphs, "_codes", {n: c for n, c in graphs._codes.items() if n < 8})
+    assert without_ms([verify("LEMMA1", 8, jobs=2)]) == lemma1_seq
+    assert len(started) == 1
+    # every theorem's checks at order 7 go to the pool, all on one
+    assert without_ms(verify_all(7, jobs=2)) == all_seq
+    assert len(started) == 2
+    assert harness._block_pools.get() is None
+
+
 def test_jobs_below_one_rejected():
     with pytest.raises(ValueError, match="jobs") as exc:
         census(3, jobs=0)

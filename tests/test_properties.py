@@ -5,13 +5,19 @@ graphs of orders 9-12 (see graphgen.py) and checks the recognizers, the
 decompositions, omega and alpha, the 2K2, C4 and claw scans, every witness
 that ``classify`` and the C4 and 2K2 witness searches report, and the
 degree-list witness tests on every edge against the brute-force oracles,
-and the canonical codes that isomorphism answers by. The run is
-derandomized, so it draws the same graphs every time.
+and the canonical codes that isomorphism answers by. Two properties reach
+outside 9-12: the classify JSON writer against ``json.dumps`` at orders
+6-12, and the graph6 decoder against a bit-by-bit oracle at orders 9-64.
+The run is derandomized, so it draws the same graphs every time.
 """
 
+import random
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from splitkit import (
+    MalformedGraph6,
     build,
     canonical_code,
     canonical_form,
@@ -26,9 +32,11 @@ from splitkit import (
     is_split_degrees,
     is_split_forbidden,
     ks_partition,
+    parse_graph6,
     pseudo_split_decompose,
     relabel,
     star_graph,
+    write_graph6,
 )
 from splitkit.invariants import _contains_claw
 from splitkit.recognition import _2k2_witness, _c4_witness
@@ -37,12 +45,13 @@ from graphgen import random_graph
 from oracles import (
     balanced_partition_exists,
     clique_number_subsets,
+    decode_graph6_bits,
     first_ks_partition,
     has_induced_copy,
     independence_number_subsets,
     ks_partition_exists,
 )
-from test_recognition import check_degree_tests
+from test_recognition import check_degree_tests, check_report_json
 
 C4 = cycle_graph(4)
 TWO_K2 = build(4, [(0, 1), (2, 3)])
@@ -132,3 +141,23 @@ def test_pattern_scans_past_the_exhaustive_range(g):
         assert e is not None
         h = contract(g, e)
         assert has_induced_copy(h, TWO_K2) or has_induced_copy(h, C4)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(st.randoms(use_true_random=False), st.integers(6, 12))
+def test_report_json_matches_json_dumps(rng, n):
+    g = random_graph(rng, n)
+    check_report_json(write_graph6(g), classify(g))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(st.integers(0, 2**32), st.sampled_from((63, 64)) | st.integers(9, 62))
+def test_parse_graph6_matches_bitwise_oracle_to_order_64(seed, n):
+    # a seed, not a drawn Random: an order-64 graph takes 2,016 draws
+    g = random_graph(random.Random(seed), n)
+    line = write_graph6(g)
+    h = parse_graph6(line)
+    assert h == g and decode_graph6_bits(line) == (n, h.edges())
+    if n * (n - 1) // 2 % 6:  # a set padding bit is rejected
+        with pytest.raises(MalformedGraph6, match="nonzero padding bits"):
+            parse_graph6(line[:-1] + chr(63 + (ord(line[-1]) - 63 | 1)))

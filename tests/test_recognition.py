@@ -52,10 +52,12 @@ from splitkit import (
     is_split_forbidden,
     is_star,
     ks_partition,
+    parse_graph6,
     path_graph,
     pseudo_split_decompose,
     relabel,
     star_graph,
+    write_graph6,
 )
 from splitkit.graphs import _contract
 from splitkit.invariants import _find_c5
@@ -480,6 +482,47 @@ def test_classify_to_dict_is_json_ready():
     d = classify(cycle_graph(4)).to_dict()
     assert d["exceptional"] == {"family": "H1", "l": 2}
     assert d["is_balanced_split"] is None
+
+
+def check_report_json(label, r):
+    """The writer's element, in a one-element list, is json.dumps's text."""
+    oracle = json.dumps([{"input": label, **r.to_dict()}], sort_keys=True, indent=2)
+    assert "[\n" + r.to_json(label) + "\n]" == oracle
+
+
+def test_report_json_on_every_graph_to_order_5():
+    for g in all_graphs_upto(5):
+        check_report_json(write_graph6(g), classify(g))
+
+
+def test_report_json_edge_cases():
+    # a graph6 label with a backslash, the edge-list label, and escapes
+    for label in ("C\\", "edge-list", 'q"\u00e9\u2028\x00\U0001f600'):
+        check_report_json(label, classify(parse_graph6("C\\")))
+    c4 = classify(cycle_graph(4))  # H1 with l, balanced None, no witnesses
+    assert c4.exceptional.l == 2 and c4.is_balanced_split is None and not c4.witnesses
+    k3 = classify(complete_graph(3))  # empty S and empty C5 part
+    assert k3.ks.s == () and k3.psd.c == ()
+    p5 = classify(path_graph(5))  # a fixed-order tag, without l
+    assert p5.exceptional == FamilyTag("H5")
+    base = classify(PAW)
+    reports = [c4, k3, p5]
+    reports += [
+        base._replace(ks=KSPartition((), (0, 1, 2, 3)), psd=PseudoSplitDecomposition((), (), ())),
+        base._replace(exceptional=FamilyTag("H1", 3)),
+        base._replace(exceptional=FamilyTag("H7")),
+        base._replace(witnesses=()),
+        base._replace(
+            witnesses=(
+                ("c4", Edge(0, 1)),
+                ("2k2", Edge(0, 2)),
+                ("nonsplit", Edge(1, 2)),
+                ("unbalanced", Edge(0, 3)),
+            )
+        ),
+    ]
+    for r in reports:
+        check_report_json("C\\", r)
 
 
 def test_classify_order_cap():

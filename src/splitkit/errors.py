@@ -26,7 +26,7 @@ class EmptySet(SplitkitError):
 
 
 class OrderTooLargeForIsomorphism(SplitkitError):
-    """Isomorphism testing and pattern search are capped at order 12."""
+    """Isomorphism testing is capped at order 12, induced-pattern search at 8."""
 
 
 class MalformedGraph6(SplitkitError):

@@ -215,19 +215,6 @@ def _induced(g: Graph, mask: int) -> Graph:
     return Graph(len(vs), rows)
 
 
-def relabel(g: Graph, perm: Sequence[int]) -> Graph:
-    """Apply the permutation old -> perm[old] to vertex labels."""
-    if sorted(perm) != list(range(g.n)):
-        raise VertexOutOfRange("perm is not a permutation of 0..n-1")
-    rows = [0] * g.n
-    for v in range(g.n):
-        r = 0
-        for w in _bits(g.rows[v]):
-            r |= 1 << perm[w]
-        rows[perm[v]] = r
-    return Graph(g.n, rows)
-
-
 # ---------------------------------------------------------------------------
 # canonical form and isomorphism
 

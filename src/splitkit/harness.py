@@ -8,13 +8,11 @@ re-sorted so reports are deterministic regardless of worker count.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import os
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
     InvalidJobs,
@@ -39,8 +37,6 @@ from .graphs import (
     cycle_graph,
     enumerate_all,
     enumerate_connected,
-    contract,
-    is_isomorphic,
     parse_graph6_lines,
     write_graph6,
 )
@@ -93,8 +89,7 @@ THEOREM_IDS = (
 CORPUS_MAX_ORDER = 10
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     theorem: str
     min_n: int
     max_n: int
@@ -140,18 +135,21 @@ class TheoremReport:
 # substrates
 
 
-def _sub_connected(max_n: int) -> Iterator[Graph]:
+def _sub_connected(max_n: int, jobs: int) -> Iterator[Graph]:
+    _fill_codes(max_n, jobs)
     for n in range(1, max_n + 1):
         yield from enumerate_connected(n)
 
 
-def _sub_all(max_n: int) -> Iterator[Graph]:
+def _sub_all(max_n: int, jobs: int) -> Iterator[Graph]:
+    _fill_codes(max_n, jobs)
     for n in range(1, max_n + 1):
         yield from enumerate_all(n)
 
 
-def _sub_all_then_connected(max_n: int) -> Iterator[Graph]:
+def _sub_all_then_connected(max_n: int, jobs: int) -> Iterator[Graph]:
     # every class through order 7, connected classes only at 8
+    _fill_codes(max_n, jobs)
     for n in range(1, max_n + 1):
         if n <= 7:
             yield from enumerate_all(n)
@@ -159,12 +157,12 @@ def _sub_all_then_connected(max_n: int) -> Iterator[Graph]:
             yield from enumerate_connected(n)
 
 
-def _sub_cycles(max_n: int) -> Iterator[Graph]:
+def _sub_cycles(max_n: int, jobs: int) -> Iterator[Graph]:
     for n in range(4, max_n + 1):
         yield cycle_graph(n)
 
 
-def _sub_cliques(max_n: int) -> Iterator[Graph]:
+def _sub_cliques(max_n: int, jobs: int) -> Iterator[Graph]:
     for n in range(4, max_n + 1):
         yield complete_graph(n)
 
@@ -283,12 +281,13 @@ def _check_lemma1(g: Graph):
         return (), False
     if e is None:
         return ("no C4-preserving contraction on a non-terminal graph",), False
-    if find_induced(contract(g, e), NamedPattern("C4")) is None:
+    if find_induced(_contract(g, e.u, e.v), NamedPattern("C4")) is None:
         return (f"contraction by ({e.u},{e.v}) lacks the promised C4",), False
     return (), False
 
 
 _LEMMA2_TERMINAL_FAMILIES = ("H4", "H5", "H6", "H7")
+_C6_CODE = canonical_code(cycle_graph(6))
 
 
 def _check_lemma2(g: Graph):
@@ -296,7 +295,7 @@ def _check_lemma2(g: Graph):
         return (), False
     tag = detect_exceptional(g)
     terminal = (tag is not None and tag.family in _LEMMA2_TERMINAL_FAMILIES) or (
-        g.n == 6 and is_isomorphic(g, cycle_graph(6))
+        g.n == 6 and canonical_code(g) == _C6_CODE
     )
     e = _2k2_witness(g)
     if terminal:
@@ -305,7 +304,7 @@ def _check_lemma2(g: Graph):
         return (), False
     if e is None:
         return ("no 2K2/C4-preserving contraction on a non-terminal graph",), False
-    h = contract(g, e)
+    h = _contract(g, e.u, e.v)
     if (
         find_induced(h, NamedPattern("TWO_K2")) is None
         and find_induced(h, NamedPattern("C4")) is None
@@ -419,7 +418,7 @@ def _check_unbalanced(g: Graph):
         w = None if e is None else (e.u, e.v)
         return (f"unbalanced={unbalanced} but witness={w}",), False
     if e is not None:
-        h = contract(g, e)
+        h = _contract(g, e.u, e.v)
         if not is_split(h):
             return (f"contraction by ({e.u},{e.v}) is not split",), False
         if clique_number(h) != clique_number(g) - 1 or is_balanced_split(h):
@@ -453,21 +452,19 @@ def _check_ng(g: Graph):
     return (), False
 
 
-@dataclass(frozen=True)
-class _Checker:
+class _Checker(NamedTuple):
     cap: int
-    substrate: Callable[[int], Iterator[Graph]]
+    substrate: Callable[[int, int], Iterator[Graph]]  # (max_n, jobs)
     check: Callable[[Graph], tuple[tuple[str, ...], bool]]
     expected_set: Callable[[int], set[str]] | None = None
-    enumerated: bool = True  # the substrate walks the enumeration
 
 
 CHECKERS: dict[str, _Checker] = {
     "PROP1": _Checker(6, _sub_all, _check_prop1),
     "PROP2": _Checker(6, _sub_all, _check_prop2),
     "PROP3": _Checker(6, _sub_connected, _check_prop3),
-    "PROP4": _Checker(10, _sub_cycles, _check_prop4, enumerated=False),
-    "PROP5": _Checker(10, _sub_cliques, _check_prop5, enumerated=False),
+    "PROP4": _Checker(10, _sub_cycles, _check_prop4),
+    "PROP5": _Checker(10, _sub_cliques, _check_prop5),
     "LEMMA1": _Checker(8, _sub_connected, _check_lemma1),
     "LEMMA2": _Checker(8, _sub_connected, _check_lemma2),
     "THM_SPLIT_FORBIDDEN": _Checker(8, _sub_all_then_connected, _check_split_triple),
@@ -500,25 +497,25 @@ def _require_jobs(jobs: int) -> None:
         raise InvalidJobs(f"jobs must be at least 1, got {jobs}")
 
 
-# the pools of the innermost ``_one_pool`` block, by worker count
-_block_pools: ContextVar[dict | None] = ContextVar("_block_pools", default=None)
+# the pool of the outermost ``_one_pool`` block, once started
+_block_pools: ContextVar[list | None] = ContextVar("_block_pools", default=None)
 
 
 @contextmanager
 def _one_pool() -> Iterator[None]:
-    """Inside the block every parallel ``_map`` of the same jobs shares one
-    pool, started on first use and terminated when the block ends. A block
-    opened inside another one uses the outer block's pools."""
+    """Inside the block every parallel ``_map`` shares one pool, started on
+    first use and terminated when the block ends. A block opened inside
+    another one uses the outer block's pool."""
     if _block_pools.get() is not None:
         yield
         return
-    pools: dict = {}
+    pools: list = []
     token = _block_pools.set(pools)
     try:
         yield
     finally:
         _block_pools.reset(token)
-        for pool in pools.values():
+        for pool in pools:
             pool.terminate()
 
 
@@ -527,20 +524,17 @@ def _map(fn, items: list, jobs: int) -> Iterable:
 
     The serial path is lazy, so a caller that streams the results never
     holds them all. Callers check jobs with ``_require_jobs`` before they
-    build the items. Outside a ``_one_pool`` block each parallel call starts
-    and ends its own pool.
+    build the items, and map in parallel only inside a ``_one_pool`` block,
+    at one jobs per block.
     """
     if jobs == 1 or len(items) < 256:
         return map(fn, items)
-    chunksize = -(-len(items) // (jobs * 4))
+    import multiprocessing
+
     pools = _block_pools.get()
-    if pools is None:
-        with multiprocessing.Pool(jobs) as pool:
-            return pool.map(fn, items, chunksize)
-    pool = pools.get(jobs)
-    if pool is None:
-        pool = pools[jobs] = multiprocessing.Pool(jobs)
-    return pool.map(fn, items, chunksize)
+    if not pools:
+        pools.append(multiprocessing.Pool(jobs))
+    return pools[0].map(fn, items, -(-len(items) // (jobs * 4)))
 
 
 def _fill_codes(n: int, jobs: int) -> None:
@@ -567,9 +561,7 @@ def verify(theorem: str, max_n: int = 7, source=None, jobs: int = 1) -> TheoremR
             raise OrderOutOfRange(
                 f"{theorem} supports max_n 1..{ck.cap}, got {max_n}"
             )
-        if ck.enumerated:
-            _fill_codes(max_n, jobs)
-        graphs = list(ck.substrate(max_n))
+        graphs = list(ck.substrate(max_n, jobs))
     else:
         if isinstance(source, (str, os.PathLike)):
             graphs = parse_graph6_lines(_read_lines(source))
@@ -623,8 +615,7 @@ def verify_all(max_n: int = 7, jobs: int = 1) -> list[TheoremReport]:
 # census
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     n: int
     connected: int
     split: int
@@ -636,17 +627,7 @@ class CensusRow:
     ng: int
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "connected": self.connected,
-            "split": self.split,
-            "balanced_split": self.balanced_split,
-            "unbalanced_split": self.unbalanced_split,
-            "non_split": self.non_split,
-            "exceptional": dict(self.exceptional),
-            "pseudo_split": self.pseudo_split,
-            "ng": self.ng,
-        }
+        return {**self._asdict(), "exceptional": dict(self.exceptional)}
 
 
 def _census_one(g: Graph):

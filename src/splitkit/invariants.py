@@ -7,16 +7,10 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import OrderTooLargeForColoring, OrderTooLargeForIsomorphism
-from .graphs import (
-    ISO_MAX_ORDER,
-    Graph,
-    NamedPattern,
-    canonical_code,
-    complement,
-    induced,
-)
+from .graphs import Graph, NamedPattern, complement
 
 COLORING_MAX_ORDER = 12
+PATTERN_MAX_ORDER = 8
 
 
 def clique_number(g: Graph) -> int:
@@ -171,25 +165,18 @@ def _first_copy(rows, n: int, prefixes) -> tuple[int, ...] | None:
 def find_induced(g: Graph, pattern: NamedPattern) -> PatternWitness | None:
     """First induced copy of the pattern in lexicographic vertex order, or None.
 
-    Patterns of order <= 8 are searched depth first over increasing vertex
-    tuples, growing the column-major code of the tuple one vertex at a time
-    and pruning a prefix that no ordering of the template starts with.
-    A pattern of order above ISO_MAX_ORDER raises OrderTooLargeForIsomorphism.
+    The search runs depth first over increasing vertex tuples, growing the
+    column-major code of the tuple one vertex at a time and pruning a prefix
+    that no ordering of the template starts with. A pattern of order above
+    PATTERN_MAX_ORDER = 8 raises OrderTooLargeForIsomorphism.
     """
-    t = pattern.template
-    k = t.n
-    if k > ISO_MAX_ORDER:
-        raise OrderTooLargeForIsomorphism(f"pattern {pattern} has order {k} > {ISO_MAX_ORDER}")
+    k = pattern.template.n
+    if k > PATTERN_MAX_ORDER:
+        raise OrderTooLargeForIsomorphism(f"pattern {pattern} has order {k} > {PATTERN_MAX_ORDER}")
     if k > g.n:
         return None
-    if k <= 8:
-        s = _first_copy(g.rows, g.n, _template_prefixes(pattern.tag, pattern.param))
-        return None if s is None else PatternWitness(pattern, s)
-    code = canonical_code(t)
-    for s in itertools.combinations(range(g.n), k):
-        if canonical_code(induced(g, s)) == code:
-            return PatternWitness(pattern, s)
-    return None
+    s = _first_copy(g.rows, g.n, _template_prefixes(pattern.tag, pattern.param))
+    return None if s is None else PatternWitness(pattern, s)
 
 
 def contains_2k2(g: Graph) -> bool:

@@ -4,6 +4,9 @@
 whose answer depends on the labels and not only on the isomorphism class;
 the enumeration gives one labelling per class.
 
+``relabel(g, perm)`` renames the vertices of g by a permutation, for
+checks that an answer does not depend on the labels.
+
 ``random_graph`` draws seeded graphs past the exhaustive range, for the
 property tests. Three kinds, so that every branch of ``classify`` is
 taken: G(n, p) with p in {0.2, 0.5, 0.8}, split graphs (a clique joined to
@@ -14,7 +17,7 @@ edges to the clique). Labels are shuffled, so no structure shows in them.
 
 import itertools
 
-from splitkit import build
+from splitkit import VertexOutOfRange, build
 
 
 def labelled_graphs(n):
@@ -22,6 +25,13 @@ def labelled_graphs(n):
     pairs = list(itertools.combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         yield build(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+def relabel(g, perm):
+    """g with each vertex v renamed perm[v]."""
+    if sorted(perm) != list(range(g.n)):
+        raise VertexOutOfRange("perm is not a permutation of 0..n-1")
+    return build(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def random_graph(rng, n):

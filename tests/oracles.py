@@ -9,6 +9,7 @@ one bit at a time and imports nothing from splitkit.
 """
 
 import itertools
+import math
 
 
 def iso_by_permutations(g, h) -> bool:
@@ -141,6 +142,62 @@ def is_connected_search(g) -> bool:
                 seen.add(v)
                 stack.append(v)
     return len(seen) == g.n
+
+
+def automorphism_count(g) -> int:
+    """|Aut(g)|, by extending a vertex map one vertex at a time.
+
+    Vertex i may go to any unused vertex of its own degree whose adjacencies
+    to the images of 0..i-1 match those of i; every complete map is an
+    automorphism and is counted once.
+    """
+    n = g.n
+    adj = [[u != v and g.has_edge(u, v) for v in range(n)] for u in range(n)]
+    deg = [sum(row) for row in adj]
+    image = []
+    used = [False] * n
+
+    def extend(i):
+        if i == n:
+            return 1
+        count = 0
+        for w in range(n):
+            if used[w] or deg[w] != deg[i]:
+                continue
+            if all(adj[i][j] == adj[w][image[j]] for j in range(i)):
+                used[w] = True
+                image.append(w)
+                count += extend(i + 1)
+                image.pop()
+                used[w] = False
+        return count
+
+    return extend(0)
+
+
+def labelled_connected_count(n) -> int:
+    """Connected labelled graphs on n vertices (OEIS A001187): every labelled
+    graph minus those whose vertex 1 lies in a component of k < n vertices,
+    c(n) = 2^C(n,2) - sum_k C(n-1, k-1) c(k) 2^C(n-k,2)."""
+    c = [0]
+    for m in range(1, n + 1):
+        c.append(
+            2 ** math.comb(m, 2)
+            - sum(math.comb(m - 1, k - 1) * c[k] * 2 ** math.comb(m - k, 2) for k in range(1, m))
+        )
+    return c[n]
+
+
+def labelled_count(classes) -> int:
+    """Sum of n!/|Aut(G)| over a list of order-n graphs: by orbit-stabilizer,
+    the number of labelled graphs isomorphic to one of them, counted once
+    per listed copy."""
+    total = 0
+    for g in classes:
+        labellings, rest = divmod(math.factorial(g.n), automorphism_count(g))
+        assert rest == 0, g
+        total += labellings
+    return total
 
 
 def connected_codes_by_extension(n, build, canonical_code):

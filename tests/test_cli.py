@@ -290,3 +290,23 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("A_:")
+
+
+def test_cli_import_loads_neither_dataclasses_nor_multiprocessing():
+    # a classify or --jobs 1 call starts no pool; harness itself stays
+    # imported, since tools that wrap it read it from sys.modules
+    home = os.path.dirname(os.path.dirname(splitkit.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [home, env.get("PYTHONPATH")]))
+
+    def modules_after(statement):
+        code = f"import sys\n{statement}\nprint(' '.join(sys.modules))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        return set(proc.stdout.split())
+
+    bare = modules_after("pass")
+    loaded = modules_after("import splitkit.cli")
+    assert "splitkit.harness" in loaded
+    assert not {"dataclasses", "multiprocessing"} & (loaded - bare)

@@ -35,7 +35,6 @@ from splitkit import (
     parse_graph6,
     parse_graph6_lines,
     path_graph,
-    relabel,
     star_graph,
     verify,
     write_graph6,
@@ -52,12 +51,15 @@ from splitkit.graphs import (
     _small_codes,
 )
 
-from graphgen import labelled_graphs
+from graphgen import labelled_graphs, relabel
 from oracles import (
+    automorphism_count,
     connected_codes_by_extension,
     decode_graph6_bits,
     is_connected_search,
     iso_by_permutations,
+    labelled_connected_count,
+    labelled_count,
 )
 
 PAW = build(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
@@ -510,6 +512,30 @@ def test_connected_counts_to_order_8():
     assert [len(_connected_codes(n)) for n in range(1, 9)] == [
         1, 1, 2, 6, 21, 112, 853, 11117,
     ]
+    # and the 11,117 classes stand for every labelled connected graph, once
+    assert labelled_count(list(enumerate_connected(8))) == labelled_connected_count(8)
+
+
+def test_labelled_connected_recurrence_matches_brute_force():
+    for n in range(1, 6):
+        assert labelled_connected_count(n) == sum(map(is_connected_search, labelled_graphs(n)))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_orbit_sums_count_labelled_graphs(n):
+    # orbit-stabilizer: each class stands for n!/|Aut| labelled graphs, so a
+    # missing, doubled or foreign class moves the sum; the count of all
+    # graphs also checks how enumerate_all assembles the components
+    assert labelled_count(list(enumerate_connected(n))) == labelled_connected_count(n)
+    assert labelled_count(list(enumerate_all(n))) == 2 ** (n * (n - 1) // 2)
+
+
+def test_orbit_sum_catches_a_swapped_class():
+    classes = list(enumerate_connected(5))
+    assert automorphism_count(classes[0]) != automorphism_count(classes[-1])
+    classes[0] = classes[-1]
+    assert len(classes) == 21
+    assert labelled_count(classes) != labelled_connected_count(5)
 
 
 def test_enumeration_canonical_code_calls(monkeypatch):

@@ -243,7 +243,7 @@ def test_parallel_run_matches_sequential():
 def test_parallel_run_under_start_method(monkeypatch, method):
     seq = verify("LEMMA1", max_n=7, jobs=1)
     census_seq = [r.to_dict() for r in census(7, jobs=1)]
-    monkeypatch.setattr(harness, "multiprocessing", multiprocessing.get_context(method))
+    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context(method).Pool)
     par = verify("LEMMA1", max_n=7, jobs=2)
     assert (par.graphs_checked, par.counterexamples) == (seq.graphs_checked, seq.counterexamples)
     assert [r.to_dict() for r in census(7, jobs=2)] == census_seq
@@ -260,7 +260,7 @@ def test_pool_enumeration_matches_serial(monkeypatch, method):
         maps.append((len(items), jobs))
         return real_map(fn, items, jobs)
 
-    monkeypatch.setattr(harness, "multiprocessing", multiprocessing.get_context(method))
+    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context(method).Pool)
     monkeypatch.setattr(harness, "_map", recording)
     # forget order 8, so that census refills it through the pool
     monkeypatch.setattr(graphs, "_codes", {n: c for n, c in graphs._codes.items() if n < 8})

@@ -183,14 +183,15 @@ def test_find_induced_none_when_absent():
 
 
 def test_find_induced_large_patterns():
-    # orders 9-12 take the canonical-code scan, above 12 the pattern is refused
-    k2l = NamedPattern("K_2_L", 8)
+    # patterns are searched up to order 8 and refused above it, whatever the host
+    k2l = NamedPattern("K_2_L", 6)
     host = complete_bipartite_graph(2, 9)
-    assert find_induced(host, k2l).vertices == tuple(range(10))
+    assert find_induced(host, k2l).vertices == tuple(range(8))
     assert find_induced(complement(host), k2l) is None
-    for host in (complete_graph(14), build(3)):
-        with pytest.raises(OrderTooLargeForIsomorphism):
-            find_induced(host, NamedPattern("K_2_L", 11))
+    for host in (complete_bipartite_graph(2, 9), complete_graph(14), build(3)):
+        for l in (7, 8, 11):
+            with pytest.raises(OrderTooLargeForIsomorphism):
+                find_induced(host, NamedPattern("K_2_L", l))
 
 
 def test_containment_spot_checks():

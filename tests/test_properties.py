@@ -34,14 +34,13 @@ from splitkit import (
     ks_partition,
     parse_graph6,
     pseudo_split_decompose,
-    relabel,
     star_graph,
     write_graph6,
 )
 from splitkit.invariants import _contains_claw
 from splitkit.recognition import _2k2_witness, _c4_witness
 
-from graphgen import random_graph
+from graphgen import random_graph, relabel
 from oracles import (
     balanced_partition_exists,
     clique_number_subsets,

@@ -55,7 +55,6 @@ from splitkit import (
     parse_graph6,
     path_graph,
     pseudo_split_decompose,
-    relabel,
     star_graph,
     write_graph6,
 )
@@ -69,7 +68,7 @@ from splitkit.recognition import (
     _unbalanced_test,
 )
 
-from graphgen import labelled_graphs, random_graph
+from graphgen import labelled_graphs, random_graph, relabel
 from oracles import (
     balanced_partition_exists,
     clique_number_subsets,

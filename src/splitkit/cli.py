@@ -7,7 +7,7 @@ import json
 import sys
 
 from .errors import MalformedCorpus, OrderOutOfRange, SplitkitError
-from .graphs import Graph, _read_lines, _read_text, parse_edge_list, parse_graph6_lines
+from .graphs import Graph, _lines, _read_text, parse_edge_list, parse_graph6_lines
 from .harness import (
     THEOREM_IDS,
     census,
@@ -74,7 +74,7 @@ def _parse_classify_input(text: str) -> list[tuple[str, Graph]]:
     if stripped and stripped[0].isdigit():
         g = parse_edge_list(text)
         return [("edge-list", g)]
-    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln.strip() for ln in _lines(text)]
     graphs = parse_graph6_lines(lines)
     return list(zip([ln for ln in lines if ln], graphs))
 
@@ -125,16 +125,15 @@ def _cmd_verify(args) -> int:
     source = None
     if args.file is not None:
         try:
-            source = parse_graph6_lines(_read_lines(args.file))
+            source = parse_graph6_lines(_lines(_read_text(args.file)))
         except (OSError, MalformedCorpus) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    theorems = THEOREM_IDS if args.theorem == "all" else (args.theorem,)
     try:
-        if args.theorem == "all" and source is None:
-            reports = verify_all(args.max_n, jobs=args.jobs)
+        if args.theorem == "all":
+            reports = verify_all(args.max_n, jobs=args.jobs, source=source)
         else:
-            reports = [verify(t, args.max_n, source=source, jobs=args.jobs) for t in theorems]
+            reports = [verify(args.theorem, args.max_n, source=source, jobs=args.jobs)]
     except OrderOutOfRange as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if source is not None else 2

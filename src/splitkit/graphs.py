@@ -7,7 +7,6 @@ for any order up to 64.
 
 from __future__ import annotations
 
-import io
 import itertools
 from functools import lru_cache, partial
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -453,13 +452,17 @@ def _read_text(path) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        line = len(_lines(data[: exc.start].decode("utf-8")))
         raise MalformedCorpus(line, f"not UTF-8 ({exc.reason})") from exc
 
 
-def _read_lines(path) -> Iterator[str]:
-    """The lines of a UTF-8 file, split as a text-mode file splits them."""
-    return io.StringIO(_read_text(path), newline=None)
+def _lines(text: str) -> list[str]:
+    r"""text split at \n, \r\n and \r only, as a text-mode file splits it.
+
+    ``str.splitlines`` also splits at \v, \f, \x1c-\x1e, \x85, \u2028 and
+    \u2029, which would number the lines of a corpus differently.
+    """
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def parse_graph6_lines(lines: Iterable[str]) -> list[Graph]:
@@ -489,7 +492,7 @@ def parse_edge_list(text: str) -> Graph:
     Numbers are ASCII decimal; blank lines are skipped. Raises
     MalformedEdgeList naming the 1-based offending line.
     """
-    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    lines = [(i, ln) for i, ln in enumerate(_lines(text), 1) if ln.strip()]
     if not lines:
         raise MalformedEdgeList("empty edge-list input")
     i, ln = lines[0]

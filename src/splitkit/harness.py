@@ -7,11 +7,8 @@ re-sorted so reports are deterministic regardless of worker count.
 
 from __future__ import annotations
 
-import itertools
 import os
 import time
-from contextlib import contextmanager
-from contextvars import ContextVar
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -30,14 +27,12 @@ from .graphs import (
     _connected_codes,
     _contract,
     _induced,
-    _read_lines,
     canonical_code,
     canonical_form,
     complete_graph,
     cycle_graph,
     enumerate_all,
     enumerate_connected,
-    parse_graph6_lines,
     write_graph6,
 )
 from .invariants import (
@@ -135,21 +130,21 @@ class TheoremReport(NamedTuple):
 # substrates
 
 
-def _sub_connected(max_n: int, jobs: int) -> Iterator[Graph]:
-    _fill_codes(max_n, jobs)
+def _sub_connected(max_n: int, pool: _Pool) -> Iterator[Graph]:
+    _connected_codes(max_n, pool)
     for n in range(1, max_n + 1):
         yield from enumerate_connected(n)
 
 
-def _sub_all(max_n: int, jobs: int) -> Iterator[Graph]:
-    _fill_codes(max_n, jobs)
+def _sub_all(max_n: int, pool: _Pool) -> Iterator[Graph]:
+    _connected_codes(max_n, pool)
     for n in range(1, max_n + 1):
         yield from enumerate_all(n)
 
 
-def _sub_all_then_connected(max_n: int, jobs: int) -> Iterator[Graph]:
+def _sub_all_then_connected(max_n: int, pool: _Pool) -> Iterator[Graph]:
     # every class through order 7, connected classes only at 8
-    _fill_codes(max_n, jobs)
+    _connected_codes(max_n, pool)
     for n in range(1, max_n + 1):
         if n <= 7:
             yield from enumerate_all(n)
@@ -157,12 +152,12 @@ def _sub_all_then_connected(max_n: int, jobs: int) -> Iterator[Graph]:
             yield from enumerate_connected(n)
 
 
-def _sub_cycles(max_n: int, jobs: int) -> Iterator[Graph]:
+def _sub_cycles(max_n: int, pool: _Pool) -> Iterator[Graph]:
     for n in range(4, max_n + 1):
         yield cycle_graph(n)
 
 
-def _sub_cliques(max_n: int, jobs: int) -> Iterator[Graph]:
+def _sub_cliques(max_n: int, pool: _Pool) -> Iterator[Graph]:
     for n in range(4, max_n + 1):
         yield complete_graph(n)
 
@@ -454,7 +449,7 @@ def _check_ng(g: Graph):
 
 class _Checker(NamedTuple):
     cap: int
-    substrate: Callable[[int, int], Iterator[Graph]]  # (max_n, jobs)
+    substrate: Callable[[int, _Pool], Iterator[Graph]]  # (max_n, pool)
     check: Callable[[Graph], tuple[tuple[str, ...], bool]]
     expected_set: Callable[[int], set[str]] | None = None
 
@@ -492,66 +487,51 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def _require_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise InvalidJobs(f"jobs must be at least 1, got {jobs}")
+class _Pool:
+    """Maps fn over items in order, on one pool of jobs workers when that pays.
 
-
-# the pool of the outermost ``_one_pool`` block, once started
-_block_pools: ContextVar[list | None] = ContextVar("_block_pools", default=None)
-
-
-@contextmanager
-def _one_pool() -> Iterator[None]:
-    """Inside the block every parallel ``_map`` shares one pool, started on
-    first use and terminated when the block ends. A block opened inside
-    another one uses the outer block's pool."""
-    if _block_pools.get() is not None:
-        yield
-        return
-    pools: list = []
-    token = _block_pools.set(pools)
-    try:
-        yield
-    finally:
-        _block_pools.reset(token)
-        for pool in pools:
-            pool.terminate()
-
-
-def _map(fn, items: list, jobs: int) -> Iterable:
-    """fn over items in order, on a pool of jobs workers when that pays.
-
-    The serial path is lazy, so a caller that streams the results never
-    holds them all. Callers check jobs with ``_require_jobs`` before they
-    build the items, and map in parallel only inside a ``_one_pool`` block,
-    at one jobs per block.
+    ``with _Pool(jobs) as pool:`` opens it; ``pool(fn, items)`` maps. The
+    map is serial, and lazy, at jobs 1 or below 256 items, so a caller that
+    streams the results never holds them all. Otherwise it runs on one
+    ``multiprocessing`` pool, started on first use and terminated when the
+    block ends.
     """
-    if jobs == 1 or len(items) < 256:
-        return map(fn, items)
-    import multiprocessing
 
-    pools = _block_pools.get()
-    if not pools:
-        pools.append(multiprocessing.Pool(jobs))
-    return pools[0].map(fn, items, -(-len(items) // (jobs * 4)))
+    def __init__(self, jobs: int):
+        if jobs < 1:
+            raise InvalidJobs(f"jobs must be at least 1, got {jobs}")
+        self.jobs = jobs
+        self._workers = None
+
+    def __enter__(self) -> _Pool:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._workers is not None:
+            self._workers.terminate()
+
+    def __call__(self, fn, items) -> Iterable:
+        if self.jobs == 1 or len(items) < 256:
+            return map(fn, items)
+        if self._workers is None:
+            import multiprocessing
+
+            self._workers = multiprocessing.Pool(self.jobs)
+        return self._workers.map(fn, items, -(-len(items) // (self.jobs * 4)))
 
 
-def _fill_codes(n: int, jobs: int) -> None:
-    """Enumerate the connected graphs of orders up to n, each order's
-    parents mapped through ``_map``: order 8, with 853 parents, goes to the
-    pool at jobs > 1; smaller orders stay serial."""
-    _connected_codes(n, lambda fn, parents: _map(fn, parents, jobs))
-
-
-@_one_pool()
 def verify(theorem: str, max_n: int = 7, source=None, jobs: int = 1) -> TheoremReport:
-    """Sweep one theorem over the built-in enumeration or a graph6 corpus.
+    """Sweep one theorem over the built-in enumeration or a corpus.
 
-    source: None for the built-in substrate, a path to a graph6 file, or an
-    iterable of Graph. Corpus graphs may have order up to 10.
+    source: None for the built-in substrate, or an iterable of Graph of
+    order up to 10. With jobs above 1, one pool of jobs workers serves both
+    the top enumeration order and the checks.
     """
-    _require_jobs(jobs)
+    with _Pool(jobs) as pool:
+        return _verify(theorem, max_n, source, pool)
+
+
+def _verify(theorem: str, max_n: int, source, pool: _Pool) -> TheoremReport:
     if theorem not in CHECKERS:
         raise UnknownTheorem(f"unknown theorem id {theorem!r}")
     ck = CHECKERS[theorem]
@@ -561,12 +541,9 @@ def verify(theorem: str, max_n: int = 7, source=None, jobs: int = 1) -> TheoremR
             raise OrderOutOfRange(
                 f"{theorem} supports max_n 1..{ck.cap}, got {max_n}"
             )
-        graphs = list(ck.substrate(max_n, jobs))
+        graphs = list(ck.substrate(max_n, pool))
     else:
-        if isinstance(source, (str, os.PathLike)):
-            graphs = parse_graph6_lines(_read_lines(source))
-        else:
-            graphs = list(source)
+        graphs = list(source)
         for g in graphs:
             if g.n > CORPUS_MAX_ORDER:
                 raise OrderOutOfRange(
@@ -575,7 +552,7 @@ def verify(theorem: str, max_n: int = 7, source=None, jobs: int = 1) -> TheoremR
     built = time.perf_counter()
     violations = []
     members = []
-    for g, (details, flag) in zip(graphs, _map(ck.check, graphs, jobs)):
+    for g, (details, flag) in zip(graphs, pool(ck.check, graphs)):
         if details or flag:
             g6 = write_graph6(g)
             violations.extend((g6, d) for d in details)
@@ -601,14 +578,20 @@ def verify(theorem: str, max_n: int = 7, source=None, jobs: int = 1) -> TheoremR
     )
 
 
-@_one_pool()
-def verify_all(max_n: int = 7, jobs: int = 1) -> list[TheoremReport]:
-    """One report per theorem id; per-checker caps clamp max_n (shown in the report)."""
-    if max_n < 1:
-        raise OrderOutOfRange(f"max_n must be at least 1, got {max_n}")
-    return [
-        verify(tid, min(max_n, CHECKERS[tid].cap), jobs=jobs) for tid in THEOREM_IDS
-    ]
+def verify_all(max_n: int = 7, jobs: int = 1, source=None) -> list[TheoremReport]:
+    """One report per theorem id, all sharing one pool.
+
+    source is as for ``verify``. When enumerating, per-checker caps clamp
+    max_n (shown in the report).
+    """
+    with _Pool(jobs) as pool:
+        if source is not None:
+            source = list(source)
+        elif max_n < 1:
+            raise OrderOutOfRange(f"max_n must be at least 1, got {max_n}")
+        return [
+            _verify(tid, min(max_n, CHECKERS[tid].cap), source, pool) for tid in THEOREM_IDS
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -645,21 +628,23 @@ def _census_one(g: Graph):
 
 
 def census(max_n: int = 7, jobs: int = 1) -> list[CensusRow]:
-    """Classification counts over connected graphs of each order up to max_n."""
-    _require_jobs(jobs)
-    if not 1 <= max_n <= ENUM_MAX_ORDER:
-        raise OrderOutOfRange(
-            f"census supports max_n 1..{ENUM_MAX_ORDER}, got {max_n}"
-        )
-    with _one_pool():
-        _fill_codes(max_n, jobs)
-        levels = [list(enumerate_connected(n)) for n in range(1, max_n + 1)]
-        results = iter(_map(_census_one, list(itertools.chain(*levels)), jobs))
+    """Classification counts over connected graphs of each order up to max_n.
+
+    With jobs above 1, a pool of jobs workers serves only the enumeration
+    of the top order; the light per-graph classification stays serial.
+    """
+    with _Pool(jobs) as pool:
+        if not 1 <= max_n <= ENUM_MAX_ORDER:
+            raise OrderOutOfRange(
+                f"census supports max_n 1..{ENUM_MAX_ORDER}, got {max_n}"
+            )
+        _connected_codes(max_n, pool)
     rows = []
-    for n, level in enumerate(levels, 1):
+    for n in range(1, max_n + 1):
+        level = list(enumerate_connected(n))
         split = balanced = pseudo = ng = 0
         families: dict[str, int] = {}
-        for sp, bal, tag, ps, isng in itertools.islice(results, len(level)):
+        for sp, bal, tag, ps, isng in map(_census_one, level):
             split += sp
             balanced += bal
             pseudo += ps

@@ -106,6 +106,37 @@ def test_file_not_utf8(tmp_path, capsys, argv):
     assert err.startswith("error: line ") and "not UTF-8" in err
 
 
+@pytest.mark.parametrize(
+    "data, line",
+    [(b"Bw\nA_\nB\xffw\n", 3), (b"Bw\rA_\rB\xffw\r", 3), (b"Bw\r\nA_\r\nB\xffw\r\n", 3)],
+    ids=["lf", "cr", "crlf"],
+)
+def test_file_not_utf8_names_its_line(tmp_path, capsys, data, line):
+    path = tmp_path / "bad.g6"
+    path.write_bytes(data)
+    for argv in (("classify",), ("verify", "--theorem", "THM_NG")):
+        code, out, err = run_cli(capsys, *argv, "--file", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: line {line}: not UTF-8")
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("A_\x0cA_\n", 1), ("A_\x0cA~\nBw\n", 1), ("Bw\r\nA_\u2028A_\rBw\n", 2)],
+)
+def test_classify_and_verify_split_lines_alike(tmp_path, capsys, text, line):
+    # only \n, \r\n and \r end a line; \f, \u2028 and the like are bytes of it
+    path = tmp_path / "corpus.g6"
+    path.write_bytes(text.encode())
+    errors = []
+    for argv in (("classify",), ("verify", "--theorem", "LEMMA1")):
+        code, out, err = run_cli(capsys, *argv, "--file", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: line {line}: byte outside graph6 range")
+        errors.append(err)
+    assert errors[0] == errors[1]
+
+
 @pytest.mark.parametrize("text", ["!!", "A", "3 9\n0 1"])
 def test_classify_bad_input(capsys, text):
     code, _, err = run_cli(capsys, "classify", "--inline", text)
@@ -197,8 +228,7 @@ def test_verify_all_parses_the_corpus_once(tmp_path, capsys, monkeypatch):
 
         return wrapper
 
-    for module in (cli, harness):
-        monkeypatch.setattr(module, "parse_graph6_lines", counting(module.parse_graph6_lines))
+    monkeypatch.setattr(cli, "parse_graph6_lines", counting(cli.parse_graph6_lines))
     code, out, _ = run_cli(capsys, "verify", "--theorem", "all", "--file", str(path))
     assert code == 0 and out.count("PASS") == len(harness.THEOREM_IDS)
     assert len(calls) == 1

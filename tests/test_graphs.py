@@ -420,6 +420,10 @@ def test_parse_edge_list():
         parse_edge_list("3 1\n0 1 2")
     with pytest.raises(MalformedEdgeList, match="line 2:"):
         parse_edge_list("3 1\n0 --1")
+    # a line ends only at \n, \r\n or \r, as in a graph6 corpus
+    assert parse_edge_list("2 1\r0 1\r\n") == path_graph(2)
+    with pytest.raises(MalformedEdgeList, match="line 1:"):
+        parse_edge_list("2 1\x0c0 1")
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import pytest
 
 from splitkit import (
     InvalidJobs,
-    MalformedCorpus,
     OrderOutOfRange,
     SplitkitError,
     THEOREM_IDS,
@@ -17,6 +16,7 @@ from splitkit import (
     check_one,
     complete_graph,
     cycle_graph,
+    parse_graph6_lines,
     path_graph,
     verify,
     verify_all,
@@ -118,7 +118,8 @@ def test_check_one():
 def test_corpus_from_file(tmp_path):
     path = tmp_path / "graphs.g6"
     path.write_text("Bw\n\nA_\n")
-    r = verify("THM_NG", source=str(path))
+    with open(path) as fh:
+        r = verify("THM_NG", source=parse_graph6_lines(fh))
     assert r.verdict == "PASS"
     assert r.graphs_checked == 2
     assert (r.min_n, r.max_n) == (2, 3)
@@ -135,23 +136,6 @@ def test_corpus_from_iterable_bypasses_enumeration_cap():
 def test_corpus_order_limit():
     with pytest.raises(OrderOutOfRange):
         verify("THM_NG", source=[path_graph(11)])
-
-
-def test_corpus_malformed_line(tmp_path):
-    path = tmp_path / "bad.g6"
-    path.write_text("Bw\nA\n")
-    with pytest.raises(MalformedCorpus) as err:
-        verify("THM_NG", source=str(path))
-    assert err.value.lineno == 2
-
-
-def test_corpus_not_utf8(tmp_path):
-    path = tmp_path / "bad.g6"
-    path.write_bytes(b"Bw\nA_\nB\xffw\n")
-    with pytest.raises(MalformedCorpus) as err:
-        verify("THM_NG", source=str(path))
-    assert err.value.lineno == 3
-    assert "not UTF-8" in str(err.value)
 
 
 def test_corpus_counterexample_is_reported():
@@ -254,61 +238,95 @@ def test_pool_enumeration_matches_serial(monkeypatch, method):
     serial = graphs._connected_codes(8)
     census_seq = [r.to_dict() for r in census(8, jobs=1)]
     maps = []
-    real_map = harness._map
+    real_call = harness._Pool.__call__
 
-    def recording(fn, items, jobs):
-        maps.append((len(items), jobs))
-        return real_map(fn, items, jobs)
+    def recording(self, fn, items):
+        maps.append((len(items), self.jobs))
+        return real_call(self, fn, items)
 
     monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context(method).Pool)
-    monkeypatch.setattr(harness, "_map", recording)
+    monkeypatch.setattr(harness._Pool, "__call__", recording)
     # forget order 8, so that census refills it through the pool
     monkeypatch.setattr(graphs, "_codes", {n: c for n, c in graphs._codes.items() if n < 8})
     assert [r.to_dict() for r in census(8, jobs=2)] == census_seq
-    assert (853, 2) in maps  # the order-7 parents, more than _map's serial threshold
+    assert (853, 2) in maps  # the order-7 parents, more than the serial threshold
     assert graphs._codes[8] == serial
 
 
-def test_census_starts_one_pool(monkeypatch):
-    census_seq = [r.to_dict() for r in census(8, jobs=1)]
-    started = []
-    real_init = multiprocessing.pool.Pool.__init__
+@pytest.fixture
+def pools(monkeypatch):
+    """Every worker pool started, and every one terminated, while a test runs."""
+    log = {"started": [], "terminated": [], "mapped": []}
+    Pool = multiprocessing.pool.Pool
+    real_init, real_terminate, real_map = Pool.__init__, Pool.terminate, Pool.map
 
-    def counting(self, *args, **kwargs):
-        started.append(args)
+    def init(self, *args, **kwargs):
+        log["started"].append(self)
         real_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", counting)
-    # forget order 8, so that the order-8 fill and the per-graph census both
-    # go to the pool
+    def terminate(self):
+        log["terminated"].append(self)
+        real_terminate(self)
+
+    def map_(self, fn, *args, **kwargs):
+        log["mapped"].append(fn)
+        return real_map(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(Pool, "__init__", init)
+    monkeypatch.setattr(Pool, "terminate", terminate)
+    monkeypatch.setattr(Pool, "map", map_)
+    return log
+
+
+def without_ms(reports):
+    return [{k: v for k, v in r.to_dict().items() if not k.endswith("_ms")} for r in reports]
+
+
+def test_census_starts_one_pool(monkeypatch, pools):
+    census_seq = [r.to_dict() for r in census(8, jobs=1)]
+    # forget order 8, so that its fill goes to the pool
     monkeypatch.setattr(graphs, "_codes", {n: c for n, c in graphs._codes.items() if n < 8})
     assert [r.to_dict() for r in census(8, jobs=2)] == census_seq
-    assert len(started) == 1
-    assert harness._block_pools.get() is None
+    assert len(pools["started"]) == 1
+    assert pools["terminated"] == pools["started"]
+    # the pool serves only the enumeration, never the per-graph census
+    assert pools["mapped"] and all(fn.func is graphs._child_codes for fn in pools["mapped"])
+    # with order 8 cached there is nothing left for a pool to do
+    assert [r.to_dict() for r in census(8, jobs=2)] == census_seq
+    assert len(pools["started"]) == 1
 
 
-def test_verify_starts_one_pool(monkeypatch):
-    def without_ms(reports):
-        return [{k: v for k, v in r.to_dict().items() if not k.endswith("_ms")} for r in reports]
-
+def test_verify_starts_one_pool(monkeypatch, pools):
     lemma1_seq = without_ms([verify("LEMMA1", 8, jobs=1)])
     all_seq = without_ms(verify_all(7, jobs=1))
-    started = []
-    real_init = multiprocessing.pool.Pool.__init__
-
-    def counting(self, *args, **kwargs):
-        started.append(args)
-        real_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", counting)
     # forget order 8, so that the order-8 fill and the checks both go to the pool
     monkeypatch.setattr(graphs, "_codes", {n: c for n, c in graphs._codes.items() if n < 8})
     assert without_ms([verify("LEMMA1", 8, jobs=2)]) == lemma1_seq
-    assert len(started) == 1
+    assert len(pools["started"]) == 1
     # every theorem's checks at order 7 go to the pool, all on one
     assert without_ms(verify_all(7, jobs=2)) == all_seq
-    assert len(started) == 2
-    assert harness._block_pools.get() is None
+    assert len(pools["started"]) == 2
+    assert pools["terminated"] == pools["started"]
+
+
+def test_corpus_runs_start_one_pool(pools):
+    # 260 graphs, past the serial threshold; a generator is read once
+    corpus = [g for _ in range(5) for n in range(1, 6) for g in enumerate_all(n)]
+    all_seq = without_ms(verify_all(7, jobs=1, source=corpus))
+    assert [r["graphs_checked"] for r in all_seq] == [260] * len(THEOREM_IDS)
+    assert without_ms(verify_all(7, jobs=2, source=iter(corpus))) == all_seq
+    assert len(pools["started"]) == 1
+    assert without_ms([verify("THM_NG", source=corpus, jobs=2)]) == all_seq[-1:]
+    assert len(pools["started"]) == 2
+    assert pools["terminated"] == pools["started"]
+
+
+def test_verify_all_takes_a_corpus_at_any_max_n():
+    # max_n bounds only the enumeration, as for verify
+    reports = verify_all(0, source=[path_graph(9)])
+    assert [(r.min_n, r.max_n, r.graphs_checked) for r in reports] == [(9, 9, 1)] * len(THEOREM_IDS)
+    with pytest.raises(OrderOutOfRange):
+        verify_all(7, source=[path_graph(11)])
 
 
 def test_jobs_below_one_rejected():
@@ -326,7 +344,7 @@ def test_jobs_checked_before_enumeration(monkeypatch):
 
     monkeypatch.setattr(harness, "enumerate_connected", refuse)
     monkeypatch.setattr(harness, "enumerate_all", refuse)
-    monkeypatch.setattr(harness, "_fill_codes", lambda n, jobs: refuse(n))
+    monkeypatch.setattr(harness, "_connected_codes", lambda n, pool: refuse(n))
     with pytest.raises(InvalidJobs):
         verify("THM_CONTRACTION", 8, jobs=0)
     with pytest.raises(InvalidJobs):

@@ -200,8 +200,15 @@ def induced(g: Graph, vertices: Iterable[int]) -> Graph:
 
 def _induced(g: Graph, mask: int) -> Graph:
     """``induced`` on a nonempty vertex mask, without its checks."""
-    vs = list(_bits(mask))
-    place = {1 << v: 1 << j for j, v in enumerate(vs)}
+    # place[1 << v] is the bit of v's new label
+    vs = []
+    place = {}
+    m = mask
+    while m:
+        b = m & -m
+        m ^= b
+        place[b] = 1 << len(vs)
+        vs.append(b.bit_length() - 1)
     rows = []
     for v in vs:
         r = 0
@@ -743,7 +750,8 @@ def enumerate_all(n: int) -> Iterator[Graph]:
 
     Assembled as disjoint unions of connected representatives; multisets of
     connected classes are in bijection with graph classes, so no
-    deduplication pass is needed.
+    deduplication pass is needed. The connected classes come first, as the
+    same objects and in the same order as ``enumerate_connected(n)``.
     """
     if not 1 <= n <= ENUM_MAX_ORDER:
         raise OrderOutOfRange(f"order {n} not in 1..{ENUM_MAX_ORDER}")

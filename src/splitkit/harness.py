@@ -1,19 +1,29 @@
 """Exhaustive verification of every characterization over enumerated graphs.
 
-Each theorem id maps to a per-graph check plus a substrate (which graphs to
-sweep). Sweeps are embarrassingly parallel; counterexamples are merged and
-re-sorted so reports are deterministic regardless of worker count.
+A call walks its graphs once for all the theorems it checks. ``_verify``
+takes theorem ids with the largest order each sweeps, walks the union of
+their substrates (orders 1..max, the connected classes of each order and
+then the disconnected ones), and runs on each graph the checks whose
+substrate holds it. The checks of one graph share a ``_Facts`` record: the
+2K2 and C4 scans, the degree split test, the exceptional family, omega,
+alpha, and one witness-edge walk for every label they read. The oracles the
+checks compare against (the ``find_induced`` re-checks, the partition
+search, the forbidden-pattern split test, the decomposer's refusal and the
+colouring definition of NG) stay outside the record. The per-graph work is
+embarrassingly parallel; counterexamples are merged and sorted, so reports
+are the same for every worker count.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Callable, Iterable, Iterator, NamedTuple
+from functools import partial
+from itertools import islice
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import (
     InvalidJobs,
-    IsStar,
     NotPseudoSplit,
     NotSplit,
     OrderOutOfRange,
@@ -22,6 +32,7 @@ from .errors import (
 )
 from .graphs import (
     ENUM_MAX_ORDER,
+    Edge,
     Graph,
     NamedPattern,
     _connected_codes,
@@ -44,22 +55,21 @@ from .invariants import (
     independence_number,
 )
 from .recognition import (
-    _2k2_witness,
-    _c4_witness,
+    _has_2k2_or_c4,
     _is_clique,
     _is_independent,
     _ks,
     _ks_case,
+    _not_split,
     _psd,
+    _unbalanced_test,
+    _witnesses,
     detect_exceptional,
-    find_nonsplit_witness,
-    find_unbalanced_witness,
     is_balanced_split,
     is_pseudo_split,
     is_split,
-    is_split_degrees,
     is_split_forbidden,
-    is_ng_by_characterisation,
+    is_star,
     is_ng_by_definition,
     pseudo_split_decompose,
 )
@@ -127,43 +137,66 @@ class TheoremReport(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# substrates
+# the per-graph fact record
 
 
-def _sub_connected(max_n: int, pool: _Pool) -> Iterator[Graph]:
-    _connected_codes(max_n, pool)
-    for n in range(1, max_n + 1):
-        yield from enumerate_connected(n)
+class _Facts:
+    """What several checks of one graph read, each computed at most once.
+
+    One record serves the theorems checked on one graph (``active``) and is
+    dropped after their checks. ``facts(fn)`` is fn(g), computed on its
+    first read, so a fact that no active check reads is never computed.
+    ``witness`` runs one edge walk for every label an active check reads:
+    c4 (LEMMA1, when g has an induced C4), 2k2 (LEMMA2, when g has an
+    induced 2K2), nonsplit (THM_CONTRACTION) and unbalanced (THM_UNBALANCED,
+    on the split graphs ``find_unbalanced_witness`` accepts). The walk keeps
+    the contraction it built at each witness edge.
+    """
+
+    __slots__ = ("g", "active", "_memo", "_walk")
+
+    def __init__(self, g: Graph, active: tuple[str, ...]):
+        self.g = g
+        self.active = active
+        self._memo = {}
+        self._walk = None
+
+    def __call__(self, fn):
+        memo = self._memo
+        if fn not in memo:
+            memo[fn] = fn(self.g)
+        return memo[fn]
+
+    def balanced(self) -> bool:
+        """Split with omega + alpha = n (see ``is_balanced_split``)."""
+        return self(is_split) and self(clique_number) + self(independence_number) == self.g.n
+
+    def witness(self, label: str) -> tuple[Edge, Graph | None] | None:
+        """The walk's (edge, contraction or None) for label, or None."""
+        if self._walk is None:
+            active = self.active
+            on_graph = {}
+            on_degrees = {}
+            if "LEMMA1" in active and self(contains_c4):
+                on_graph["c4"] = contains_c4
+            if "LEMMA2" in active and self(contains_2k2):
+                on_graph["2k2"] = _has_2k2_or_c4
+            if "THM_CONTRACTION" in active:
+                on_degrees["nonsplit"] = _not_split
+            if "THM_UNBALANCED" in active and self(is_split) and not _star_excluded(self.g):
+                on_degrees["unbalanced"] = _unbalanced_test(self(clique_number))
+            self._walk = _witnesses(self.g, on_graph, on_degrees)
+        return self._walk.get(label)
 
 
-def _sub_all(max_n: int, pool: _Pool) -> Iterator[Graph]:
-    _connected_codes(max_n, pool)
-    for n in range(1, max_n + 1):
-        yield from enumerate_all(n)
-
-
-def _sub_all_then_connected(max_n: int, pool: _Pool) -> Iterator[Graph]:
-    # every class through order 7, connected classes only at 8
-    _connected_codes(max_n, pool)
-    for n in range(1, max_n + 1):
-        if n <= 7:
-            yield from enumerate_all(n)
-        else:
-            yield from enumerate_connected(n)
-
-
-def _sub_cycles(max_n: int, pool: _Pool) -> Iterator[Graph]:
-    for n in range(4, max_n + 1):
-        yield cycle_graph(n)
-
-
-def _sub_cliques(max_n: int, pool: _Pool) -> Iterator[Graph]:
-    for n in range(4, max_n + 1):
-        yield complete_graph(n)
+def _star_excluded(g: Graph) -> bool:
+    # find_unbalanced_witness refuses K1 and the stars K_(1,m), m >= 2
+    return g.n < 2 or (g.n >= 3 and is_star(g))
 
 
 # ---------------------------------------------------------------------------
-# per-graph checks; each returns (violation details, in-exceptional-region)
+# per-graph checks; each takes the graph and its fact record and returns
+# (violation details, in-exceptional-region)
 
 
 def _contraction_image(cmask: int, u: int, v: int) -> int:
@@ -174,9 +207,16 @@ def _contraction_image(cmask: int, u: int, v: int) -> int:
     return (cmask & ((1 << v) - 1)) | (cmask >> (v + 1)) << v
 
 
-def _check_prop1(g: Graph):
+def _contractions(g: Graph) -> list[tuple[int, int, Graph]]:
+    """(u, v, g/uv) for every edge u < v in lexicographic order: each edge
+    is contracted once for all the vertex sets a PROP check tries it with."""
+    return [(e.u, e.v, _contract(g, e.u, e.v)) for e in g.edges()]
+
+
+def _check_prop1(g: Graph, facts: _Facts):
     bad = []
     rows = g.rows
+    contracted = {(u, v): h for u, v, h in _contractions(g)}
     for cmask in range(1, 1 << g.n):
         cset = [x for x in range(g.n) if cmask >> x & 1]
         code = canonical_code(_induced(g, cmask))
@@ -190,7 +230,7 @@ def _check_prop1(g: Graph):
                 if rows[v] & cmask & ~(1 << u) & ~ncu:
                     continue  # N_C(v) minus u not inside N_C(u)
                 lo, hi = (u, v) if u < v else (v, u)
-                h = _contract(g, lo, hi)
+                h = contracted[lo, hi]
                 if canonical_code(_induced(h, _contraction_image(cmask, lo, hi))) != code:
                     bad.append(
                         f"C={cset} u={u} v={v}: induced subgraph not preserved"
@@ -198,25 +238,24 @@ def _check_prop1(g: Graph):
     return tuple(bad), False
 
 
-def _check_prop2(g: Graph):
+def _check_prop2(g: Graph, facts: _Facts):
     bad = []
-    edges = g.edges()
+    contracted = _contractions(g)
     for cmask in range(1, 1 << g.n):
         code = canonical_code(_induced(g, cmask))
-        for u, v in edges:
+        for u, v, h in contracted:
             if cmask >> u & 1 or cmask >> v & 1:
                 continue
-            h = _contract(g, u, v)
             if canonical_code(_induced(h, _contraction_image(cmask, u, v))) != code:
                 cset = [x for x in range(g.n) if cmask >> x & 1]
                 bad.append(f"C={cset} e=({u},{v}): induced subgraph not preserved")
     return tuple(bad), False
 
 
-def _check_prop3(g: Graph):
+def _check_prop3(g: Graph, facts: _Facts):
     bad = []
     rows = g.rows
-    edges = g.edges()
+    contracted = _contractions(g)
     for cmask in range(1, g.full_mask):
         cover = 0
         cset = []
@@ -232,15 +271,15 @@ def _check_prop3(g: Graph):
         code = canonical_code(_induced(g, cmask))
         # an edge inside C shrinks the image, which then cannot match
         if not any(
-            canonical_code(_induced(_contract(g, *e), _contraction_image(cmask, e.u, e.v))) == code
-            for e in edges
-            if not (cmask >> e.u & 1 and cmask >> e.v & 1)
+            canonical_code(_induced(h, _contraction_image(cmask, u, v))) == code
+            for u, v, h in contracted
+            if not (cmask >> u & 1 and cmask >> v & 1)
         ):
             bad.append(f"C={cset}: no contraction preserves the induced subgraph")
     return tuple(bad), False
 
 
-def _check_prop4(g: Graph):
+def _check_prop4(g: Graph, facts: _Facts):
     if g.n < 4 or not (g.is_connected() and all(d == 2 for d in g.degrees())):
         return (), False
     target = canonical_code(cycle_graph(g.n - 1))
@@ -252,7 +291,7 @@ def _check_prop4(g: Graph):
     return bad, False
 
 
-def _check_prop5(g: Graph):
+def _check_prop5(g: Graph, facts: _Facts):
     if g.n < 4 or g.edge_count() != g.n * (g.n - 1) // 2:
         return (), False
     target = canonical_code(complete_graph(g.n - 1))
@@ -264,19 +303,25 @@ def _check_prop5(g: Graph):
     return bad, False
 
 
-def _check_lemma1(g: Graph):
-    if not contains_c4(g):
+_C4 = NamedPattern("C4")
+_TWO_K2 = NamedPattern("TWO_K2")
+
+
+def _check_lemma1(g: Graph, facts: _Facts):
+    if not facts(contains_c4):
         return (), False
-    tag = detect_exceptional(g)
+    tag = facts(detect_exceptional)
     terminal = tag is not None and tag.family in ("H1", "H2", "H3")
-    e = _c4_witness(g)
+    w = facts.witness("c4")
     if terminal:
-        if e is not None:
-            return (f"terminal graph {tag} has witness ({e.u},{e.v})",), False
+        if w is not None:
+            return (f"terminal graph {tag} has witness ({w[0].u},{w[0].v})",), False
         return (), False
-    if e is None:
+    if w is None:
         return ("no C4-preserving contraction on a non-terminal graph",), False
-    if find_induced(_contract(g, e.u, e.v), NamedPattern("C4")) is None:
+    # the re-check reads the contraction the walk tested, with its own search
+    e, h = w
+    if find_induced(h, _C4) is None:
         return (f"contraction by ({e.u},{e.v}) lacks the promised C4",), False
     return (), False
 
@@ -285,25 +330,22 @@ _LEMMA2_TERMINAL_FAMILIES = ("H4", "H5", "H6", "H7")
 _C6_CODE = canonical_code(cycle_graph(6))
 
 
-def _check_lemma2(g: Graph):
-    if not contains_2k2(g):
+def _check_lemma2(g: Graph, facts: _Facts):
+    if not facts(contains_2k2):
         return (), False
-    tag = detect_exceptional(g)
+    tag = facts(detect_exceptional)
     terminal = (tag is not None and tag.family in _LEMMA2_TERMINAL_FAMILIES) or (
         g.n == 6 and canonical_code(g) == _C6_CODE
     )
-    e = _2k2_witness(g)
+    w = facts.witness("2k2")
     if terminal:
-        if e is not None:
-            return (f"terminal graph has witness ({e.u},{e.v})",), False
+        if w is not None:
+            return (f"terminal graph has witness ({w[0].u},{w[0].v})",), False
         return (), False
-    if e is None:
+    if w is None:
         return ("no 2K2/C4-preserving contraction on a non-terminal graph",), False
-    h = _contract(g, e.u, e.v)
-    if (
-        find_induced(h, NamedPattern("TWO_K2")) is None
-        and find_induced(h, NamedPattern("C4")) is None
-    ):
+    e, h = w
+    if find_induced(h, _TWO_K2) is None and find_induced(h, _C4) is None:
         return (f"contraction by ({e.u},{e.v}) lacks the promised 2K2/C4",), False
     return (), False
 
@@ -331,36 +373,33 @@ def _ks_partition_exists(g: Graph) -> bool:
     return False
 
 
-def _check_split_triple(g: Graph):
+def _check_split_triple(g: Graph, facts: _Facts):
+    # the forbidden-pattern test runs its own scans, not the record's
     a = is_split_forbidden(g)
-    b = is_split_degrees(g)
+    b = facts(is_split)
     c = _ks_partition_exists(g)
     if a == b == c:
         return (), False
     return (f"forbidden={a} degrees={b} partition={c}",), False
 
 
-def _check_2k2_claw(g: Graph):
-    if contains_2k2(g):
+def _check_2k2_claw(g: Graph, facts: _Facts):
+    if facts(contains_2k2) or _contains_claw(g):
         return (), False
-    if _contains_claw(g):
-        return (), False
-    if independence_number(g) < 3:
-        return (), False
-    if is_split(g):
+    if facts(independence_number) < 3 or facts(is_split):
         return (), False
     return ("(2K2, claw)-free with alpha >= 3 but not split",), False
 
 
-def _check_contraction(g: Graph):
-    split = is_split(g)
-    tag = detect_exceptional(g)
-    e = find_nonsplit_witness(g)
-    hits = int(split) + int(tag is not None) + int(e is not None)
-    exceptional_member = not split and e is None
+def _check_contraction(g: Graph, facts: _Facts):
+    split = facts(is_split)
+    tag = facts(detect_exceptional)
+    w = facts.witness("nonsplit")
+    hits = int(split) + int(tag is not None) + int(w is not None)
+    exceptional_member = not split and w is None
     if hits != 1:
-        w = None if e is None else (e.u, e.v)
-        return (f"regions overlap or miss: split={split} family={tag} witness={w}",), exceptional_member
+        e = None if w is None else (w[0].u, w[0].v)
+        return (f"regions overlap or miss: split={split} family={tag} witness={e}",), exceptional_member
     return (), exceptional_member
 
 
@@ -374,13 +413,13 @@ def _expected_exceptional(max_n: int) -> set[str]:
     return {write_graph6(canonical_form(p.template)) for p in names}
 
 
-def _check_ks_cases(g: Graph):
-    if not is_split(g):
+def _check_ks_cases(g: Graph, facts: _Facts):
+    if not facts(is_split):
         return (), False
     bad = []
     case_i = 0
-    omega = clique_number(g)
-    alpha = independence_number(g)
+    omega = facts(clique_number)
+    alpha = facts(independence_number)
     full = g.full_mask
     for kmask in range(1 << g.n):
         if not (_is_clique(g, kmask) and _is_independent(g, full ^ kmask)):
@@ -401,37 +440,36 @@ def _check_ks_cases(g: Graph):
     return tuple(bad), False
 
 
-def _check_unbalanced(g: Graph):
-    if not is_split(g):
+def _check_unbalanced(g: Graph, facts: _Facts):
+    if not facts(is_split) or _star_excluded(g):
         return (), False
-    try:
-        e = find_unbalanced_witness(g)
-    except IsStar:
-        return (), False
-    unbalanced = not is_balanced_split(g)
-    if (e is not None) != unbalanced:
-        w = None if e is None else (e.u, e.v)
-        return (f"unbalanced={unbalanced} but witness={w}",), False
-    if e is not None:
-        h = _contract(g, e.u, e.v)
+    w = facts.witness("unbalanced")
+    unbalanced = not facts.balanced()
+    if (w is not None) != unbalanced:
+        e = None if w is None else (w[0].u, w[0].v)
+        return (f"unbalanced={unbalanced} but witness={e}",), False
+    if w is not None:
+        e, h = w
+        if h is None:
+            h = _contract(g, e.u, e.v)
         if not is_split(h):
             return (f"contraction by ({e.u},{e.v}) is not split",), False
-        if clique_number(h) != clique_number(g) - 1 or is_balanced_split(h):
+        if clique_number(h) != facts(clique_number) - 1 or is_balanced_split(h):
             return (f"witness ({e.u},{e.v}) fails its own postcondition",), False
     return (), False
 
 
-def _check_pseudo(g: Graph):
+def _check_pseudo(g: Graph, facts: _Facts):
     # the public decomposer runs only on graphs it must refuse; a (2K2,
-    # C4)-free graph is decomposed from the scans already made here
-    if contains_2k2(g) or contains_c4(g):
+    # C4)-free graph is decomposed from the record's facts
+    if facts(contains_2k2) or facts(contains_c4):
         try:
             pseudo_split_decompose(g)
         except NotPseudoSplit:
             return (), False
         return ("decomposition accepted a graph with induced 2K2 or C4",), False
     try:
-        d = _psd(g, _ks(g, clique_number(g)) if is_split(g) else None)
+        d = _psd(g, _ks(g, facts(clique_number)) if facts(is_split) else None)
     except NotSplit:
         return ("C5-free pseudo-split graph is not split",), False
     if not d.is_valid_for(g):
@@ -439,9 +477,10 @@ def _check_pseudo(g: Graph):
     return (), False
 
 
-def _check_ng(g: Graph):
+def _check_ng(g: Graph, facts: _Facts):
     by_def = is_ng_by_definition(g)
-    by_char = is_ng_by_characterisation(g)
+    # the characterisation: pseudo-split but not balanced split
+    by_char = not (facts(contains_2k2) or facts(contains_c4)) and not facts.balanced()
     if by_def != by_char:
         return (f"definition={by_def} characterisation={by_char}",), False
     return (), False
@@ -449,35 +488,61 @@ def _check_ng(g: Graph):
 
 class _Checker(NamedTuple):
     cap: int
-    substrate: Callable[[int, _Pool], Iterator[Graph]]  # (max_n, pool)
-    check: Callable[[Graph], tuple[tuple[str, ...], bool]]
+    check: Callable[[Graph, _Facts], tuple[tuple[str, ...], bool]]
+    # the substrate: the connected graphs of orders 1..max_n and the
+    # disconnected ones of orders up to `disconnected`; or, when `family`
+    # is set, family(n) for n = 4..max_n alone
+    disconnected: int = 0
+    family: Callable[[int], Graph] | None = None
     expected_set: Callable[[int], set[str]] | None = None
 
 
 CHECKERS: dict[str, _Checker] = {
-    "PROP1": _Checker(6, _sub_all, _check_prop1),
-    "PROP2": _Checker(6, _sub_all, _check_prop2),
-    "PROP3": _Checker(6, _sub_connected, _check_prop3),
-    "PROP4": _Checker(10, _sub_cycles, _check_prop4),
-    "PROP5": _Checker(10, _sub_cliques, _check_prop5),
-    "LEMMA1": _Checker(8, _sub_connected, _check_lemma1),
-    "LEMMA2": _Checker(8, _sub_connected, _check_lemma2),
-    "THM_SPLIT_FORBIDDEN": _Checker(8, _sub_all_then_connected, _check_split_triple),
-    "THM_2K2_CLAW": _Checker(8, _sub_connected, _check_2k2_claw),
-    "THM_CONTRACTION": _Checker(8, _sub_connected, _check_contraction, _expected_exceptional),
-    "THM_KS_CASES": _Checker(7, _sub_all, _check_ks_cases),
-    "THM_UNBALANCED": _Checker(8, _sub_connected, _check_unbalanced),
-    "THM_PSEUDO": _Checker(8, _sub_all, _check_pseudo),
-    "THM_NG": _Checker(7, _sub_all, _check_ng),
+    "PROP1": _Checker(6, _check_prop1, disconnected=6),
+    "PROP2": _Checker(6, _check_prop2, disconnected=6),
+    "PROP3": _Checker(6, _check_prop3),
+    "PROP4": _Checker(10, _check_prop4, family=cycle_graph),
+    "PROP5": _Checker(10, _check_prop5, family=complete_graph),
+    "LEMMA1": _Checker(8, _check_lemma1),
+    "LEMMA2": _Checker(8, _check_lemma2),
+    # every class through order 7, connected classes only at 8
+    "THM_SPLIT_FORBIDDEN": _Checker(8, _check_split_triple, disconnected=7),
+    "THM_2K2_CLAW": _Checker(8, _check_2k2_claw),
+    "THM_CONTRACTION": _Checker(8, _check_contraction, expected_set=_expected_exceptional),
+    "THM_KS_CASES": _Checker(7, _check_ks_cases, disconnected=7),
+    "THM_UNBALANCED": _Checker(8, _check_unbalanced),
+    "THM_PSEUDO": _Checker(8, _check_pseudo, disconnected=8),
+    "THM_NG": _Checker(7, _check_ng, disconnected=7),
 }
+
+
+def _check_graph(active: tuple[str, ...], g: Graph):
+    """Check g against the active theorems, over one fact record.
+
+    Returns each check's seconds, in the order of the active ids, and
+    (index, details, member) for each check with something to report.
+    """
+    facts = _Facts(g, active)
+    clock = time.perf_counter
+    times = []
+    bad = []
+    last = clock()
+    for i, theorem in enumerate(active):
+        details, member = CHECKERS[theorem].check(g, facts)
+        now = clock()
+        times.append(now - last)
+        last = now
+        if details or member:
+            bad.append((i, details, member))
+    return times, bad
 
 
 def check_one(theorem: str, g: Graph) -> tuple[str, ...]:
     """Re-run one theorem's per-graph check in isolation (counterexample replay)."""
     if theorem not in CHECKERS:
         raise UnknownTheorem(f"unknown theorem id {theorem!r}")
-    details, _ = CHECKERS[theorem].check(g)
-    return details
+    _, bad = _check_graph((theorem,), g)
+    return bad[0][1] if bad else ()
 
 
 def default_jobs() -> int:
@@ -528,20 +593,64 @@ def verify(theorem: str, max_n: int = 7, source=None, jobs: int = 1) -> TheoremR
     the top enumeration order and the checks.
     """
     with _Pool(jobs) as pool:
-        return _verify(theorem, max_n, source, pool)
+        if theorem not in CHECKERS:
+            raise UnknownTheorem(f"unknown theorem id {theorem!r}")
+        cap = CHECKERS[theorem].cap
+        if source is None and not 1 <= max_n <= cap:
+            raise OrderOutOfRange(f"{theorem} supports max_n 1..{cap}, got {max_n}")
+        return _verify({theorem: max_n}, source, pool)[0]
 
 
-def _verify(theorem: str, max_n: int, source, pool: _Pool) -> TheoremReport:
-    if theorem not in CHECKERS:
-        raise UnknownTheorem(f"unknown theorem id {theorem!r}")
-    ck = CHECKERS[theorem]
+def verify_all(max_n: int = 7, jobs: int = 1, source=None) -> list[TheoremReport]:
+    """One report per theorem id, from one walk over the graphs.
+
+    source is as for ``verify``. When enumerating, per-checker caps clamp
+    max_n (shown in the report).
+    """
+    with _Pool(jobs) as pool:
+        if source is None and max_n < 1:
+            raise OrderOutOfRange(f"max_n must be at least 1, got {max_n}")
+        return _verify({t: min(max_n, CHECKERS[t].cap) for t in THEOREM_IDS}, source, pool)
+
+
+def _segments(orders: dict[str, int], pool: _Pool):
+    """(active ids, graphs) runs covering the union of the substrates.
+
+    orders maps each theorem id to the largest order it sweeps. Each graph
+    of orders 1..max is decoded once and carries the ids whose substrate
+    holds it. Within an order, ``enumerate_all`` yields the connected
+    classes first, in ``enumerate_connected``'s order, so the first run of
+    an order is its connected graphs and the second, read from the same
+    iterator, the disconnected ones. A run's graphs must be read before the
+    next run is asked for.
+    """
+    walked = [t for t in orders if CHECKERS[t].family is None]
+    top = max((orders[t] for t in walked), default=0)
+    if top:
+        _connected_codes(top, pool)
+    for n in range(1, top + 1):
+        connected = tuple(t for t in walked if n <= orders[t])
+        disconnected = tuple(t for t in connected if n <= CHECKERS[t].disconnected)
+        graphs = enumerate_all(n) if disconnected else enumerate_connected(n)
+        yield connected, islice(graphs, len(_connected_codes(n, pool)))
+        if disconnected:
+            yield disconnected, graphs
+    for t in orders:
+        family = CHECKERS[t].family
+        if family is not None:
+            yield (t,), [family(n) for n in range(4, orders[t] + 1)]
+
+
+def _verify(orders: dict[str, int], source, pool: _Pool) -> list[TheoremReport]:
+    """One report per id of orders, in its order, from one walk.
+
+    orders maps each theorem id to the largest order its substrate is swept
+    to (ignored for a corpus, whose every graph goes to every theorem).
+    """
+    tids = tuple(orders)
     start = time.perf_counter()
     if source is None:
-        if not 1 <= max_n <= ck.cap:
-            raise OrderOutOfRange(
-                f"{theorem} supports max_n 1..{ck.cap}, got {max_n}"
-            )
-        graphs = list(ck.substrate(max_n, pool))
+        runs = _segments(orders, pool)
     else:
         graphs = list(source)
         for g in graphs:
@@ -549,49 +658,53 @@ def _verify(theorem: str, max_n: int, source, pool: _Pool) -> TheoremReport:
                 raise OrderOutOfRange(
                     f"corpus graph of order {g.n} exceeds {CORPUS_MAX_ORDER}"
                 )
+        runs = [(tids, graphs)]
+    runs = [(active, list(graphs)) for active, graphs in runs]
     built = time.perf_counter()
-    violations = []
-    members = []
-    for g, (details, flag) in zip(graphs, pool(ck.check, graphs)):
-        if details or flag:
-            g6 = write_graph6(g)
-            violations.extend((g6, d) for d in details)
-            if flag:
-                members.append(g6)
-    if source is None and ck.expected_set is not None:
-        expected = ck.expected_set(max_n)
-        found = set(members)
-        for g6 in sorted(found - expected):
-            violations.append((g6, "unexpected member of the exceptional region"))
-        for g6 in sorted(expected - found):
-            violations.append((g6, "expected exceptional graph not found"))
-    violations.sort()
-    if graphs:
+    checked = dict.fromkeys(tids, 0)
+    span: dict[str, tuple[int, int]] = {}
+    seconds = dict.fromkeys(tids, 0.0)
+    violations: dict[str, list] = {t: [] for t in tids}
+    members: dict[str, list] = {t: [] for t in tids}
+    for active, graphs in runs:
+        if not graphs:
+            continue
         lo = min(g.n for g in graphs)
         hi = max(g.n for g in graphs)
-    else:
-        lo = hi = max_n if source is None else 0
-    enumerate_ms = (built - start) * 1000.0
-    check_ms = (time.perf_counter() - built) * 1000.0
-    return TheoremReport(
-        theorem, lo, hi, len(graphs), tuple(violations), enumerate_ms, check_ms
-    )
-
-
-def verify_all(max_n: int = 7, jobs: int = 1, source=None) -> list[TheoremReport]:
-    """One report per theorem id, all sharing one pool.
-
-    source is as for ``verify``. When enumerating, per-checker caps clamp
-    max_n (shown in the report).
-    """
-    with _Pool(jobs) as pool:
-        if source is not None:
-            source = list(source)
-        elif max_n < 1:
-            raise OrderOutOfRange(f"max_n must be at least 1, got {max_n}")
-        return [
-            _verify(tid, min(max_n, CHECKERS[tid].cap), source, pool) for tid in THEOREM_IDS
-        ]
+        for t in active:
+            checked[t] += len(graphs)
+            seen = span.get(t)
+            span[t] = (lo, hi) if seen is None else (min(seen[0], lo), max(seen[1], hi))
+        # serial at jobs 1: the results stream, and only violations are kept
+        for g, (times, bad) in zip(graphs, pool(partial(_check_graph, active), graphs)):
+            for t, s in zip(active, times):
+                seconds[t] += s
+            if bad:
+                g6 = write_graph6(g)
+                for i, details, member in bad:
+                    violations[active[i]].extend((g6, d) for d in details)
+                    if member:
+                        members[active[i]].append(g6)
+    reports = []
+    for t in tids:
+        found = violations[t]
+        expected_set = CHECKERS[t].expected_set
+        if source is None and expected_set is not None:
+            expected = expected_set(orders[t])
+            seen = set(members[t])
+            for g6 in sorted(seen - expected):
+                found.append((g6, "unexpected member of the exceptional region"))
+            for g6 in sorted(expected - seen):
+                found.append((g6, "expected exceptional graph not found"))
+        found.sort()
+        empty = orders[t] if source is None else 0
+        lo, hi = span.get(t, (empty, empty))
+        # the shared graph list is charged to the first report
+        enumerate_ms = (built - start) * 1000.0 if t == tids[0] else 0.0
+        reports.append(
+            TheoremReport(t, lo, hi, checked[t], tuple(found), enumerate_ms, seconds[t] * 1000.0)
+        )
+    return reports
 
 
 # ---------------------------------------------------------------------------

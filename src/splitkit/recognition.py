@@ -21,6 +21,7 @@ from .invariants import (
     COLORING_MAX_ORDER,
     _chromatic,
     _find_c5,
+    _greedy_bound,
     chromatic_number,
     clique_number,
     contains_2k2,
@@ -395,7 +396,7 @@ def _witnesses(
     g: Graph,
     on_graph: dict[str, Callable[[Graph], bool]],
     on_degrees: dict[str, Callable[[list[int]], bool]] | None = None,
-) -> dict[str, Edge]:
+) -> dict[str, tuple[Edge, Graph | None]]:
     """The first edge, in lexicographic order, whose contraction passes each test.
 
     ``on_graph`` maps a label to a predicate on the contraction g/e, and
@@ -403,7 +404,8 @@ def _witnesses(
     alone. Each edge is checked against every test still without a witness;
     the contraction and its degree list are each built at most once per
     edge, and only while a pending test reads it. The walk stops when every
-    test has a witness. Labels with no witness are absent.
+    test has a witness. Each label found maps to (edge, g/edge), where g/edge
+    is None when no pending test read it; labels with no witness are absent.
     """
     found = {}
     graph_tests = list(on_graph.items())
@@ -416,6 +418,7 @@ def _witnesses(
             b = m & -m
             m ^= b
             v = b.bit_length() - 1
+            h = None
             hits = []
             if graph_tests:
                 h = _contract(g, u, v)
@@ -424,10 +427,16 @@ def _witnesses(
                 d = _contracted_degrees(degrees, rows, u, v)
                 hits += [label for label, test in degree_tests if test(d)]
             if hits:
-                found.update(dict.fromkeys(hits, Edge(u, v)))
+                found.update(dict.fromkeys(hits, (Edge(u, v), h)))
                 graph_tests = [t for t in graph_tests if t[0] not in found]
                 degree_tests = [t for t in degree_tests if t[0] not in found]
     return found
+
+
+def _edge(found: dict[str, tuple[Edge, Graph | None]], label: str) -> Edge | None:
+    # the witness edge of label in a walk's result, or None
+    w = found.get(label)
+    return None if w is None else w[0]
 
 
 def _contracted_degrees(degrees: list[int], rows, u: int, v: int) -> list[int]:
@@ -480,7 +489,7 @@ def find_c4_witness(g: Graph) -> Edge | None:
 
 def _c4_witness(g: Graph) -> Edge | None:
     # g has an induced C4
-    return _witnesses(g, {"c4": contains_c4}).get("c4")
+    return _edge(_witnesses(g, {"c4": contains_c4}), "c4")
 
 
 def find_2k2_witness(g: Graph) -> Edge | None:
@@ -495,12 +504,12 @@ def find_2k2_witness(g: Graph) -> Edge | None:
 
 def _2k2_witness(g: Graph) -> Edge | None:
     # g has an induced 2K2
-    return _witnesses(g, {"2k2": _has_2k2_or_c4}).get("2k2")
+    return _edge(_witnesses(g, {"2k2": _has_2k2_or_c4}), "2k2")
 
 
 def find_nonsplit_witness(g: Graph) -> Edge | None:
     """First edge whose contraction is not split, or None."""
-    return _witnesses(g, {}, {"nonsplit": _not_split}).get("nonsplit")
+    return _edge(_witnesses(g, {}, {"nonsplit": _not_split}), "nonsplit")
 
 
 def find_unbalanced_witness(g: Graph) -> Edge | None:
@@ -521,7 +530,7 @@ def find_unbalanced_witness(g: Graph) -> Edge | None:
 
 def _unbalanced_witness(g: Graph, omega: int) -> Edge | None:
     # g split, not a star, with clique number omega
-    return _witnesses(g, {}, {"unbalanced": _unbalanced_test(omega)}).get("unbalanced")
+    return _edge(_witnesses(g, {}, {"unbalanced": _unbalanced_test(omega)}), "unbalanced")
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +578,17 @@ def _psd(g: Graph, ks: KSPartition | None) -> PseudoSplitDecomposition:
 
 
 def is_ng_by_definition(g: Graph) -> bool:
-    """chi(g) + chi(complement) reaches the maximum possible value n + 1."""
-    return chromatic_number(g) + chromatic_number(complement(g)) == g.n + 1
+    """chi(g) + chi(complement) reaches the maximum possible value n + 1.
+
+    chi is at most the greedy colouring bound, so when the two greedy
+    bounds sum to n or less the sum cannot reach n + 1, and no exact
+    colouring runs.
+    """
+    gc = complement(g)
+    # past COLORING_MAX_ORDER chromatic_number refuses the graph either way
+    if g.n <= COLORING_MAX_ORDER and _greedy_bound(g) + _greedy_bound(gc) <= g.n:
+        return False
+    return chromatic_number(g) + chromatic_number(gc) == g.n + 1
 
 
 def is_ng_by_characterisation(g: Graph) -> bool:
@@ -630,6 +648,6 @@ def classify(g: Graph) -> ClassificationReport:
         chi=chi,
         chi_complement=chi_c,
         witnesses=tuple(
-            (label, found[label]) for label in [*on_graph, *on_degrees] if label in found
+            (label, found[label][0]) for label in [*on_graph, *on_degrees] if label in found
         ),
     )

@@ -42,6 +42,7 @@ from splitkit import (
 
 from splitkit import graphs
 from splitkit.graphs import (
+    ENUM_MAX_ORDER,
     Graph,
     _connected_codes,
     _contract,
@@ -504,6 +505,16 @@ def test_enumerate_all_covers_disconnected_classes():
     assert len(codes) == len(graphs)
     assert canonical_code(NamedPattern("TWO_K2").template) in codes
     assert canonical_code(build(4)) in codes
+
+
+@pytest.mark.parametrize("n", range(1, ENUM_MAX_ORDER + 1))
+def test_enumerate_all_yields_the_connected_classes_first(n):
+    # the verify walk reads the connected graphs of an order off the front
+    # of enumerate_all and the disconnected ones after them
+    connected = list(enumerate_connected(n))
+    graphs = list(enumerate_all(n))
+    assert all(a is b for a, b in zip(graphs, connected))
+    assert not any(g.is_connected() for g in graphs[len(connected):])
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -15,6 +15,8 @@ from splitkit import (
     census,
     check_one,
     complete_graph,
+    contains_c4,
+    contract,
     cycle_graph,
     parse_graph6_lines,
     path_graph,
@@ -109,6 +111,67 @@ def test_check_one():
     with pytest.raises(ValueError) as exc:
         check_one("NO_SUCH_THEOREM", complete_graph(3))
     assert isinstance(exc.value, UnknownTheorem) and isinstance(exc.value, SplitkitError)
+
+
+# ---------------------------------------------------------------------------
+# the fused walk: one record per graph, shared by every theorem
+
+
+def test_fused_walk_details_match_check_one():
+    # every graph to order 7 with the theorems whose substrate holds it,
+    # checked over one shared record, against each theorem on its own record
+    orders = {t: min(7, harness.CHECKERS[t].cap) for t in THEOREM_IDS}
+    with harness._Pool(1) as pool:
+        walked = 0
+        for active, run in harness._segments(orders, pool):
+            for g in run:
+                _, bad = harness._check_graph(active, g)
+                fused = {active[i]: details for i, details, _ in bad}
+                for t in active:
+                    assert fused.get(t, ()) == check_one(t, g), (t, g)
+                walked += 1
+    assert walked == 1252 + 4 + 4  # every class to order 7, then C4..C7 and K4..K7
+
+
+def test_single_theorem_reports_match_verify_all():
+    together = without_ms(verify_all(7))
+    alone = without_ms([verify(t, min(7, harness.CHECKERS[t].cap)) for t in THEOREM_IDS])
+    assert alone == together
+
+
+def test_detect_exceptional_runs_once_per_graph(monkeypatch):
+    calls = []
+    real = harness.detect_exceptional
+
+    def counted(g):
+        calls.append((g.n, g.rows))
+        return real(g)
+
+    monkeypatch.setattr(harness, "detect_exceptional", counted)
+    assert all(r.verdict == "PASS" for r in verify_all(7))
+    # THM_CONTRACTION reads the tag of every connected graph
+    assert len(calls) == len(set(calls)) == 1 + 1 + 2 + 6 + 21 + 112 + 853
+
+
+def test_lemma1_recheck_catches_a_wrong_witness(monkeypatch):
+    # a walk that hands LEMMA1 an edge whose contraction has no C4 must be
+    # caught by the independent find_induced re-check
+    real = harness._witnesses
+
+    def wrong_c4(g, on_graph, on_degrees=None):
+        found = real(g, on_graph, on_degrees)
+        if "c4" in found:
+            for e in g.edges():
+                h = contract(g, e)
+                if not contains_c4(h):
+                    found["c4"] = (e, h)
+                    break
+        return found
+
+    monkeypatch.setattr(harness, "_witnesses", wrong_c4)
+    r = verify("LEMMA1", 6)
+    assert r.verdict == "FAIL"
+    assert all("lacks the promised C4" in detail for _, detail in r.counterexamples)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +370,16 @@ def test_verify_starts_one_pool(monkeypatch, pools):
     assert without_ms(verify_all(7, jobs=2)) == all_seq
     assert len(pools["started"]) == 2
     assert pools["terminated"] == pools["started"]
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+def test_fused_walk_parallel_matches_serial(monkeypatch, pools, method):
+    serial = without_ms(verify_all(7, jobs=1))
+    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context(method).Pool)
+    assert without_ms(verify_all(7, jobs=2)) == serial
+    # the fused per-graph check, mapped over the long runs on one pool
+    assert len(pools["started"]) == 1
+    assert pools["mapped"] and all(fn.func is harness._check_graph for fn in pools["mapped"])
 
 
 def test_corpus_runs_start_one_pool(pools):

@@ -5,7 +5,8 @@ graphs of orders 9-12 (see graphgen.py) and checks the recognizers, the
 decompositions, omega and alpha, the 2K2, C4 and claw scans, every witness
 that ``classify`` and the C4 and 2K2 witness searches report, and the
 degree-list witness tests on every edge against the brute-force oracles,
-and the canonical codes that isomorphism answers by. Two properties reach
+the canonical codes that isomorphism answers by, and the greedy shortcut of
+the NG definition against the exact chromatic sum. Two properties reach
 outside 9-12: the classify JSON writer against ``json.dumps`` at orders
 6-12, and the graph6 decoder against a bit-by-bit oracle at orders 9-64.
 The run is derandomized, so it draws the same graphs every time.
@@ -21,7 +22,9 @@ from splitkit import (
     build,
     canonical_code,
     canonical_form,
+    chromatic_number,
     classify,
+    complement,
     contains_2k2,
     contains_c4,
     contract,
@@ -29,6 +32,7 @@ from splitkit import (
     detect_exceptional,
     is_isomorphic,
     is_ng_by_characterisation,
+    is_ng_by_definition,
     is_split_degrees,
     is_split_forbidden,
     ks_partition,
@@ -37,7 +41,7 @@ from splitkit import (
     star_graph,
     write_graph6,
 )
-from splitkit.invariants import _contains_claw
+from splitkit.invariants import _contains_claw, _greedy_bound
 from splitkit.recognition import _2k2_witness, _c4_witness
 
 from graphgen import random_graph, relabel
@@ -98,6 +102,16 @@ def test_classify_past_the_exhaustive_range(g):
     assert r.is_ng == is_ng_by_characterisation(g)
     for label, e in r.witnesses:
         _check_witness(g, r.omega, label, e)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(big_graphs())
+def test_ng_definition_bound_past_the_exhaustive_range(g):
+    gc = complement(g)
+    exact = chromatic_number(g) + chromatic_number(gc) == g.n + 1
+    assert is_ng_by_definition(g) == exact
+    if _greedy_bound(g) + _greedy_bound(gc) <= g.n:
+        assert not exact
 
 
 @settings(derandomize=True, deadline=None, max_examples=60, database=None)

@@ -59,13 +59,15 @@ from splitkit import (
     write_graph6,
 )
 from splitkit.graphs import _contract
-from splitkit.invariants import _find_c5
+from splitkit.invariants import _find_c5, _greedy_bound
 from splitkit.recognition import (
     _contracted_degrees,
     _hammer_simeone,
+    _has_2k2_or_c4,
     _ks,
     _not_split,
     _unbalanced_test,
+    _witnesses,
 )
 
 from graphgen import labelled_graphs, random_graph, relabel
@@ -388,6 +390,35 @@ def test_decomposition_validity_checks():
 def test_ng_both_ways(g, expected):
     assert is_ng_by_definition(g) == expected
     assert is_ng_by_characterisation(g) == expected
+
+
+def test_ng_definition_bound_matches_exact_sum():
+    # the greedy shortcut answers False only where the exact chromatic sum
+    # stays below n + 1; it decides most graphs to order 7
+    decided = 0
+    for n in range(1, 8):
+        for g in enumerate_all(n):
+            gc = complement(g)
+            exact = chromatic_number(g) + chromatic_number(gc) == n + 1
+            assert is_ng_by_definition(g) == exact, g
+            if _greedy_bound(g) + _greedy_bound(gc) <= n:
+                assert not exact, g
+                decided += 1
+    assert decided == 1071
+
+
+def test_witness_walk_keeps_each_tested_contraction():
+    # the LEMMA re-checks read the contraction the walk kept, so it must be
+    # g/e itself; a degree-only hit keeps one only where a graph test built it
+    tests = {"c4": contains_c4, "2k2": _has_2k2_or_c4}
+    for n in range(2, 7):
+        for g in enumerate_all(n):
+            found = _witnesses(g, tests, {"nonsplit": _not_split})
+            for label, (e, h) in found.items():
+                if label in tests:
+                    assert h == contract(g, e), (g, label)
+                else:
+                    assert h is None or h == contract(g, e), (g, label)
 
 
 # ---------------------------------------------------------------------------

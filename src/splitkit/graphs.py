@@ -241,7 +241,8 @@ def canonical_code(g: Graph) -> int:
     the vertices into cells, and each position draws from one cell. The
     depth-first search prunes a prefix that is already above the best code,
     and places twin vertices (same neighbourhood off the pair) in label
-    order, so each twin class is expanded once per node.
+    order, so each twin class is expanded once per node. The search is
+    ``_search``, which the enumeration kernel ``_child_codes`` calls too.
 
     Graphs of order <= 6 are memoised by ``rows``: the PROP sweeps code a
     few hundred distinct small graphs tens of thousands of times. Larger
@@ -256,44 +257,49 @@ def canonical_code(g: Graph) -> int:
 
 
 def _search_code(g: Graph) -> int:
-    """``canonical_code`` without the memo."""
+    """``canonical_code`` without the memo: g's keys and twins, then ``_search``."""
     n = g.n
-    if n == 1:
-        return 0
     rows = g.rows
     degs = [r.bit_count() for r in rows]
-    # cell_of[key]: the vertices with that key; the neighbour-degree sum is
-    # below 1 << 12 for every order up to 64
-    cell_of: dict[int, int] = {}
-    for v, r in enumerate(rows):
-        key = degs[v] << 12
+    # the neighbour-degree sum is below 1 << 12 for every order up to 64
+    keys = []
+    for d, r in zip(degs, rows):
+        key = d << 12
         while r:
             b = r & -r
             key += degs[b.bit_length() - 1]
             r ^= b
+        keys.append(key)
+    # prev[w]: the next lower member of w's twin class (vertices with equal
+    # rows off each pair), 0 for the lowest; twins have equal keys
+    prev = [0] * n
+    for w in range(1, n):
+        for v in range(w - 1, -1, -1):
+            off = ~((1 << v) | (1 << w))
+            if keys[v] == keys[w] and rows[v] & off == rows[w] & off:
+                prev[w] = 1 << v
+                break
+    return _search(rows, keys, prev)
+
+
+def _search(rows: Sequence[int], keys: Sequence[int], prev: Sequence[int]) -> int:
+    """The canonical code of the graph with these rows, given its vertex keys
+    (degree << 12 | neighbour-degree sum) and twin classes (``prev[w]`` is
+    the bit of the next lower member of w's class, 0 for the lowest).
+
+    The cells are the vertices of equal key, in key order, and each position
+    draws from one cell. A vertex is placed only after its ``prev``, so a
+    twin class is expanded once per node.
+    """
+    n = len(rows)
+    cell_of: dict[int, int] = {}
+    for v, key in enumerate(keys):
         cell_of[key] = cell_of.get(key, 0) | 1 << v
     # cells[pos]: the cell that position pos draws from
     cells = []
     for key in sorted(cell_of):
         cells += [cell_of[key]] * cell_of[key].bit_count()
     total_bits = n * (n - 1) // 2
-
-    # prev[w]: the next lower member of w's twin class (0 for the lowest);
-    # w is placed only after prev[w], so a class is expanded once per node.
-    # Twins of equal degree have equal keys, so a class lies in one cell.
-    prev = [0] * n
-    for cell in cell_of.values():
-        if cell & (cell - 1):
-            members = list(_bits(cell))
-            for i, v in enumerate(members):
-                if prev[v]:
-                    continue
-                top = v
-                for w in members[i + 1:]:
-                    off = ~((1 << v) | (1 << w))
-                    if not prev[w] and rows[v] & off == rows[w] & off:
-                        prev[w] = 1 << top
-                        top = w
 
     # best starts above every code; once position pos is placed the code
     # has (pos + 1) pos / 2 bits, and rem[pos] more follow
@@ -649,7 +655,10 @@ def _connected_codes(n: int, mapper=map) -> tuple[int, ...]:
 
     ``mapper(fn, parents)`` applies the per-parent kernel ``_child_codes``
     to the codes of order n-1 (the builtin map, or a pool map); orders not
-    yet cached are filled with the same mapper.
+    yet cached are filled with the same mapper. The kernel canonicalizes
+    its children itself, so ``canonical_code`` is not called here. The
+    codes are ints, cheap to send to a worker, which decodes them with
+    ``_graph_from_code`` (``census`` tallies them that way).
     """
     codes = _codes.get(n)
     if codes is None:
@@ -665,6 +674,13 @@ def _child_codes(n: int, parent_code: int) -> tuple[int, ...]:
 
     The parent is the connected graph of order n-1 with the given code; see
     ``_connected_codes`` for the acceptance test and the twin-prefix masks.
+
+    An accepted child is not rebuilt as a ``Graph`` for ``canonical_code``:
+    its vertex keys (degree << 12 | neighbour-degree sum) are the parent's
+    tables read off the mask, its twin classes are the parent's split by
+    the mask, with the new vertex joining the vertices whose rows equal the
+    mask off the pair, and both go straight to ``_search``, the search that
+    ``canonical_code`` ends in. The codes are therefore ``canonical_code``'s.
     """
     m = n - 1
     top = 1 << m
@@ -674,48 +690,95 @@ def _child_codes(n: int, parent_code: int) -> tuple[int, ...]:
     bdeg = [r.bit_count() for r in base]
     bsum = [sum(bdeg[v] for v in _bits(r)) for r in base]
     comps = [_components_without(base, w) for w in range(m)]
-    # twin-prefix masks, each with its sum of parent degrees; twins are an
-    # equivalence relation, so each class is the twins of its lowest member
+    # twin-prefix masks, each with its sum of parent degrees, and pprev[w],
+    # the bit of the next lower member of w's twin class (0 for the lowest);
+    # twins are an equivalence relation, so each class is the twins of its
+    # lowest member
     masks = [(0, 0)]
+    pprev = [0] * m
     left = top - 1
     while left:
         low = left & -left
         v = low.bit_length() - 1
         prefixes = [(0, 0)]
-        pmask = psum = 0
+        pmask = psum = last = 0
         for w in _bits(left):
             off = ~(low | 1 << w)
             if w == v or base[v] & off == base[w] & off:
-                pmask |= 1 << w
+                pprev[w] = last
+                last = 1 << w
+                pmask |= last
                 psum += bdeg[w]
                 prefixes.append((pmask, psum))
         left &= ~pmask
         masks = [(a | b, s + t) for a, s in masks for b, t in prefixes]
+    # per parent vertex: its bit, row, key in the parent and twin link
+    table = [(1 << w, r, bdeg[w] << 12 | bsum[w], pprev[w]) for w, r in enumerate(base)]
+    # the rank test's candidates, highest parent degree first: once one
+    # cannot reach the new vertex's degree even as its neighbour, no later
+    # one can
+    rivals = sorted(
+        ((bdeg[w], bsum[w], 1 << w, base[w], comps[w]) for w in range(m)),
+        key=lambda t: -t[0],
+    )
     seen = set()
     for mask, msum in masks[1:]:
         d = mask.bit_count()
         s = msum + d  # neighbour-degree sum of the new vertex
-        for w in range(m):
-            inw = mask >> w & 1
-            dw = bdeg[w] + inw
-            if dw < d or (
-                dw == d and bsum[w] + (base[w] & mask).bit_count() + inw * d <= s
-            ):
-                continue
-            # w outranks the new vertex; the child minus w is connected
-            # when the new vertex reaches every component of base minus w
-            if all(mask & c for c in comps[w]):
+        outranked = False
+        for dw, sw, b, r, cs in rivals:
+            if dw + 1 < d:
                 break
-        else:
-            rows = [r | top if mask >> v & 1 else r for v, r in enumerate(base)]
-            rows.append(mask)
-            seen.add(canonical_code(Graph(n, rows)))
+            if mask & b:
+                dw += 1
+                sw += d
+            if dw < d or (dw == d and sw + (r & mask).bit_count() <= s):
+                continue
+            # this vertex outranks the new one; the child minus it is
+            # connected when the new vertex reaches every component of
+            # base minus it
+            for c in cs:
+                if not mask & c:
+                    break
+            else:
+                outranked = True
+                break
+        if outranked:
+            continue
+        # the child's rows, keys and twin links; a neighbour of the new
+        # vertex gains one degree and d in its neighbour-degree sum, and
+        # a class meets the mask in a prefix, so only the link from its
+        # last member in the mask to its first outside is cut
+        rows = []
+        keys = []
+        prev = []
+        twin = 0
+        inc = 1 << 12 | d
+        for b, r, k, p in table:
+            k += (r & mask).bit_count()
+            if mask & b:
+                rows.append(r | top)
+                keys.append(k + inc)
+                prev.append(p)
+                if r == mask ^ b:
+                    twin = b
+            else:
+                rows.append(r)
+                keys.append(k)
+                prev.append(p & ~mask)
+                if r == mask:
+                    twin = b
+        rows.append(mask)
+        keys.append(d << 12 | s)
+        # the new vertex follows its highest twin, if it has one
+        prev.append(twin)
+        seen.add(_search(rows, keys, prev))
     return tuple(seen)
 
 
 @lru_cache(maxsize=None)
 def _connected_graphs(n: int) -> tuple[Graph, ...]:
-    """The decoded ``_connected_codes(n)``, shared by every sweep of order n.
+    """The decoded ``_connected_codes(n)``, shared by the sweeps of order n.
 
     Graphs are immutable, so one decoded tuple serves every caller. The
     cache is sized for ENUM_MAX_ORDER = 8 (11,117 graphs at order 8);

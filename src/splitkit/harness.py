@@ -9,9 +9,11 @@ substrate holds it. The checks of one graph share a ``_Facts`` record: the
 alpha, and one witness-edge walk for every label they read. The oracles the
 checks compare against (the ``find_induced`` re-checks, the partition
 search, the forbidden-pattern split test, the decomposer's refusal and the
-colouring definition of NG) stay outside the record. The per-graph work is
-embarrassingly parallel; counterexamples are merged and sorted, so reports
-are the same for every worker count.
+colouring definition of NG) share no code with the record's scans; the
+record only keeps a re-check's answer, so that LEMMA1 and LEMMA2 search one
+kept contraction for C4 once. The per-graph work is embarrassingly
+parallel; counterexamples are merged and sorted, so reports are the same
+for every worker count.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .graphs import (
     NamedPattern,
     _connected_codes,
     _contract,
+    _graph_from_code,
     _induced,
     canonical_code,
     canonical_form,
@@ -55,14 +58,11 @@ from .invariants import (
     independence_number,
 )
 from .recognition import (
-    _has_2k2_or_c4,
     _is_clique,
     _is_independent,
     _ks,
     _ks_case,
-    _not_split,
     _psd,
-    _unbalanced_test,
     _witnesses,
     detect_exceptional,
     is_balanced_split,
@@ -150,7 +150,9 @@ class _Facts:
     c4 (LEMMA1, when g has an induced C4), 2k2 (LEMMA2, when g has an
     induced 2K2), nonsplit (THM_CONTRACTION) and unbalanced (THM_UNBALANCED,
     on the split graphs ``find_unbalanced_witness`` accepts). The walk keeps
-    the contraction it built at each witness edge.
+    the contraction it built at each witness edge, and ``has_induced`` keeps
+    the re-check of each kept contraction against each pattern, so LEMMA2
+    reads LEMMA1's C4 re-check when both labels share their witness edge.
     """
 
     __slots__ = ("g", "active", "_memo", "_walk")
@@ -167,6 +169,15 @@ class _Facts:
             memo[fn] = fn(self.g)
         return memo[fn]
 
+    def has_induced(self, h: Graph, pattern: NamedPattern) -> bool:
+        """Whether ``find_induced`` finds pattern in h, a contraction the walk
+        kept, searched once per contraction and pattern."""
+        memo = self._memo
+        key = (h, pattern)
+        if key not in memo:
+            memo[key] = find_induced(h, pattern) is not None
+        return memo[key]
+
     def balanced(self) -> bool:
         """Split with omega + alpha = n (see ``is_balanced_split``)."""
         return self(is_split) and self(clique_number) + self(independence_number) == self.g.n
@@ -175,17 +186,18 @@ class _Facts:
         """The walk's (edge, contraction or None) for label, or None."""
         if self._walk is None:
             active = self.active
-            on_graph = {}
-            on_degrees = {}
+            labels = []
+            omega = 0
             if "LEMMA1" in active and self(contains_c4):
-                on_graph["c4"] = contains_c4
+                labels.append("c4")
             if "LEMMA2" in active and self(contains_2k2):
-                on_graph["2k2"] = _has_2k2_or_c4
+                labels.append("2k2")
             if "THM_CONTRACTION" in active:
-                on_degrees["nonsplit"] = _not_split
+                labels.append("nonsplit")
             if "THM_UNBALANCED" in active and self(is_split) and not _star_excluded(self.g):
-                on_degrees["unbalanced"] = _unbalanced_test(self(clique_number))
-            self._walk = _witnesses(self.g, on_graph, on_degrees)
+                labels.append("unbalanced")
+                omega = self(clique_number)
+            self._walk = _witnesses(self.g, labels, omega)
         return self._walk.get(label)
 
 
@@ -321,7 +333,7 @@ def _check_lemma1(g: Graph, facts: _Facts):
         return ("no C4-preserving contraction on a non-terminal graph",), False
     # the re-check reads the contraction the walk tested, with its own search
     e, h = w
-    if find_induced(h, _C4) is None:
+    if not facts.has_induced(h, _C4):
         return (f"contraction by ({e.u},{e.v}) lacks the promised C4",), False
     return (), False
 
@@ -345,7 +357,7 @@ def _check_lemma2(g: Graph, facts: _Facts):
     if w is None:
         return ("no 2K2/C4-preserving contraction on a non-terminal graph",), False
     e, h = w
-    if find_induced(h, _TWO_K2) is None and find_induced(h, _C4) is None:
+    if not (facts.has_induced(h, _TWO_K2) or facts.has_induced(h, _C4)):
         return (f"contraction by ({e.u},{e.v}) lacks the promised 2K2/C4",), False
     return (), False
 
@@ -726,9 +738,15 @@ class CensusRow(NamedTuple):
         return {**self._asdict(), "exceptional": dict(self.exceptional)}
 
 
-def _census_one(g: Graph):
+def _census_one(n: int, code: int):
+    """The census flags of the connected graph of order n with this code.
+
+    Mapped over ``_connected_codes(n)``, so a pool worker decodes its own
+    graphs and only ints and flags cross the process boundary.
+    """
+    g = _graph_from_code(n, code)
     split = is_split(g)
-    balanced = split and clique_number(g) + independence_number(g) == g.n
+    balanced = split and clique_number(g) + independence_number(g) == n
     tag = detect_exceptional(g)
     pseudo = is_pseudo_split(g)
     return (
@@ -743,40 +761,41 @@ def _census_one(g: Graph):
 def census(max_n: int = 7, jobs: int = 1) -> list[CensusRow]:
     """Classification counts over connected graphs of each order up to max_n.
 
-    With jobs above 1, a pool of jobs workers serves only the enumeration
-    of the top order; the light per-graph classification stays serial.
+    Each order's codes are tallied through one ``_Pool`` of jobs workers,
+    which also fills the orders not yet enumerated: ``_census_one`` is
+    mapped over the codes, so the graphs are decoded where they are
+    classified and no ``Graph`` is pickled.
     """
     with _Pool(jobs) as pool:
         if not 1 <= max_n <= ENUM_MAX_ORDER:
             raise OrderOutOfRange(
                 f"census supports max_n 1..{ENUM_MAX_ORDER}, got {max_n}"
             )
-        _connected_codes(max_n, pool)
-    rows = []
-    for n in range(1, max_n + 1):
-        level = list(enumerate_connected(n))
-        split = balanced = pseudo = ng = 0
-        families: dict[str, int] = {}
-        for sp, bal, tag, ps, isng in map(_census_one, level):
-            split += sp
-            balanced += bal
-            pseudo += ps
-            ng += isng
-            if tag is not None:
-                families[tag] = families.get(tag, 0) + 1
-        rows.append(
-            CensusRow(
-                n=n,
-                connected=len(level),
-                split=split,
-                balanced_split=balanced,
-                unbalanced_split=split - balanced,
-                non_split=len(level) - split,
-                exceptional=dict(sorted(families.items())),
-                pseudo_split=pseudo,
-                ng=ng,
+        rows = []
+        for n in range(1, max_n + 1):
+            codes = _connected_codes(n, pool)
+            split = balanced = pseudo = ng = 0
+            families: dict[str, int] = {}
+            for sp, bal, tag, ps, isng in pool(partial(_census_one, n), codes):
+                split += sp
+                balanced += bal
+                pseudo += ps
+                ng += isng
+                if tag is not None:
+                    families[tag] = families.get(tag, 0) + 1
+            rows.append(
+                CensusRow(
+                    n=n,
+                    connected=len(codes),
+                    split=split,
+                    balanced_split=balanced,
+                    unbalanced_split=split - balanced,
+                    non_split=len(codes) - split,
+                    exceptional=dict(sorted(families.items())),
+                    pseudo_split=pseudo,
+                    ng=ng,
+                )
             )
-        )
     return rows
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import (
     InvalidPartition,
@@ -393,43 +393,62 @@ def detect_exceptional(g: Graph) -> FamilyTag | None:
 
 
 def _witnesses(
-    g: Graph,
-    on_graph: dict[str, Callable[[Graph], bool]],
-    on_degrees: dict[str, Callable[[list[int]], bool]] | None = None,
+    g: Graph, labels: Iterable[str], omega: int = 0
 ) -> dict[str, tuple[Edge, Graph | None]]:
-    """The first edge, in lexicographic order, whose contraction passes each test.
+    """The first edge e, in lexicographic order, whose contraction g/e passes
+    each label's test.
 
-    ``on_graph`` maps a label to a predicate on the contraction g/e, and
-    ``on_degrees`` one to a predicate on its non-increasing degree list
-    alone. Each edge is checked against every test still without a witness;
-    the contraction and its degree list are each built at most once per
-    edge, and only while a pending test reads it. The walk stops when every
-    test has a witness. Each label found maps to (edge, g/edge), where g/edge
-    is None when no pending test read it; labels with no witness are absent.
+    The labels: "c4", g/e has an induced C4; "2k2", g/e has an induced 2K2
+    or C4; "nonsplit", g/e is not split; "unbalanced", g/e is unbalanced
+    split with clique number omega - 1, for a split g of clique number omega
+    (then every g/e is split, and no other label can pass). The last two
+    read the degree list of g/e alone.
+
+    Each edge is checked against every label still without a witness. The
+    labels imply one another: a C4 in g/e passes 2k2 as well, and a graph
+    with an induced 2K2 or C4 is not split, so a c4 or 2k2 hit settles a
+    pending nonsplit without the degree list, and after a c4 miss the 2k2
+    test scans for a 2K2 alone. The contraction and the degree list are
+    each built at most once per edge, and only while a pending label reads
+    it. The walk stops when every label has a witness. Each label found
+    maps to (edge, g/edge), where g/edge is None when no pending c4 or 2k2
+    label read it; labels with no witness are absent.
     """
     found = {}
-    graph_tests = list(on_graph.items())
-    degree_tests = list(on_degrees.items()) if on_degrees else []
+    pending = set(labels)
+    unbalanced = _unbalanced_test(omega) if "unbalanced" in pending else None
     rows = g.rows
-    degrees = g.degrees() if degree_tests else None
+    degrees = g.degrees() if pending & {"nonsplit", "unbalanced"} else None
     for u in range(g.n):
         m = rows[u] >> (u + 1) << (u + 1)
-        while m and (graph_tests or degree_tests):
+        while m and pending:
             b = m & -m
             m ^= b
             v = b.bit_length() - 1
             h = None
             hits = []
-            if graph_tests:
+            if "c4" in pending:
                 h = _contract(g, u, v)
-                hits = [label for label, test in graph_tests if test(h)]
-            if degree_tests:
-                d = _contracted_degrees(degrees, rows, u, v)
-                hits += [label for label, test in degree_tests if test(d)]
+                if contains_c4(h):
+                    hits = ["c4", "2k2"]
+                elif "2k2" in pending and contains_2k2(h):
+                    hits = ["2k2"]
+            elif "2k2" in pending:
+                h = _contract(g, u, v)
+                if contains_2k2(h) or contains_c4(h):
+                    hits = ["2k2"]
             if hits:
-                found.update(dict.fromkeys(hits, (Edge(u, v), h)))
-                graph_tests = [t for t in graph_tests if t[0] not in found]
-                degree_tests = [t for t in degree_tests if t[0] not in found]
+                hits.append("nonsplit")
+            elif "nonsplit" in pending or "unbalanced" in pending:
+                d = _contracted_degrees(degrees, rows, u, v)
+                if "nonsplit" in pending and _not_split(d):
+                    hits.append("nonsplit")
+                if "unbalanced" in pending and unbalanced(d):
+                    hits.append("unbalanced")
+            for label in hits:
+                if label in pending:
+                    pending.remove(label)
+                    found[label] = (Edge(u, v), h)
     return found
 
 
@@ -455,10 +474,6 @@ def _contracted_degrees(degrees: list[int], rows, u: int, v: int) -> list[int]:
     del d[v]
     d.sort(reverse=True)
     return d
-
-
-def _has_2k2_or_c4(h: Graph) -> bool:
-    return contains_2k2(h) or contains_c4(h)
 
 
 def _not_split(d: list[int]) -> bool:
@@ -489,7 +504,7 @@ def find_c4_witness(g: Graph) -> Edge | None:
 
 def _c4_witness(g: Graph) -> Edge | None:
     # g has an induced C4
-    return _edge(_witnesses(g, {"c4": contains_c4}), "c4")
+    return _edge(_witnesses(g, ("c4",)), "c4")
 
 
 def find_2k2_witness(g: Graph) -> Edge | None:
@@ -504,12 +519,12 @@ def find_2k2_witness(g: Graph) -> Edge | None:
 
 def _2k2_witness(g: Graph) -> Edge | None:
     # g has an induced 2K2
-    return _edge(_witnesses(g, {"2k2": _has_2k2_or_c4}), "2k2")
+    return _edge(_witnesses(g, ("2k2",)), "2k2")
 
 
 def find_nonsplit_witness(g: Graph) -> Edge | None:
     """First edge whose contraction is not split, or None."""
-    return _edge(_witnesses(g, {}, {"nonsplit": _not_split}), "nonsplit")
+    return _edge(_witnesses(g, ("nonsplit",)), "nonsplit")
 
 
 def find_unbalanced_witness(g: Graph) -> Edge | None:
@@ -530,7 +545,7 @@ def find_unbalanced_witness(g: Graph) -> Edge | None:
 
 def _unbalanced_witness(g: Graph, omega: int) -> Edge | None:
     # g split, not a star, with clique number omega
-    return _edge(_witnesses(g, {}, {"unbalanced": _unbalanced_test(omega)}), "unbalanced")
+    return _edge(_witnesses(g, ("unbalanced",), omega), "unbalanced")
 
 
 # ---------------------------------------------------------------------------
@@ -624,17 +639,16 @@ def classify(g: Graph) -> ClassificationReport:
     psd = _psd(g, ks) if pseudo else None
     tag = detect_exceptional(g)
     # witness labels in report order; one walk over the edges serves all
-    on_graph = {}
-    on_degrees = {}
+    labels = []
     if has_c4:
-        on_graph["c4"] = contains_c4
+        labels.append("c4")
     if has_2k2:
-        on_graph["2k2"] = _has_2k2_or_c4
+        labels.append("2k2")
     if g.is_connected():
-        on_degrees["nonsplit"] = _not_split
+        labels.append("nonsplit")
     if split and g.n >= 2 and not (g.n >= 3 and is_star(g)):
-        on_degrees["unbalanced"] = _unbalanced_test(omega)
-    found = _witnesses(g, on_graph, on_degrees)
+        labels.append("unbalanced")
+    found = _witnesses(g, labels, omega)
     return ClassificationReport(
         is_split=split,
         is_balanced_split=balanced,
@@ -648,6 +662,6 @@ def classify(g: Graph) -> ClassificationReport:
         chi=chi,
         chi_complement=chi_c,
         witnesses=tuple(
-            (label, found[label][0]) for label in [*on_graph, *on_degrees] if label in found
+            (label, found[label][0]) for label in labels if label in found
         ),
     )

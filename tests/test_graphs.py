@@ -554,19 +554,30 @@ def test_orbit_sum_catches_a_swapped_class():
 
 
 def test_enumeration_canonical_code_calls(monkeypatch):
-    # twin-prefix masks cut the calls over orders 2-8 from 19,473 (every
-    # mask) to 15,808; the cache is bypassed so every order is recomputed
+    # twin-prefix masks cut the canonical searches over orders 2-8 from
+    # 19,473 (every mask) to 15,808; the kernel runs canonical_code's search
+    # itself, so the search is counted; the cache is bypassed so every
+    # order is recomputed
     cached = _connected_codes(8)
     calls = []
+    search = graphs._search
 
-    def counting(g):
+    def counting(rows, keys, prev):
         calls.append(1)
-        return canonical_code(g)
+        return search(rows, keys, prev)
 
     monkeypatch.setattr(graphs, "_codes", {1: (0,)})
-    monkeypatch.setattr(graphs, "canonical_code", counting)
+    monkeypatch.setattr(graphs, "_search", counting)
     assert graphs._connected_codes(8) == cached
     assert len(calls) == 15808
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_connected_codes_are_canonical_codes(n):
+    # the kernel's codes come from its own keys and twin classes; each must
+    # be the code canonical_code gives the decoded graph
+    for code in _connected_codes(n):
+        assert canonical_code(_graph_from_code(n, code)) == code
 
 
 def _all_by_decoding(n):

@@ -6,6 +6,7 @@ import multiprocessing.pool
 import pytest
 
 from splitkit import (
+    Graph,
     InvalidJobs,
     OrderOutOfRange,
     SplitkitError,
@@ -158,8 +159,8 @@ def test_lemma1_recheck_catches_a_wrong_witness(monkeypatch):
     # caught by the independent find_induced re-check
     real = harness._witnesses
 
-    def wrong_c4(g, on_graph, on_degrees=None):
-        found = real(g, on_graph, on_degrees)
+    def wrong_c4(g, labels, omega=0):
+        found = real(g, labels, omega)
         if "c4" in found:
             for e in g.edges():
                 h = contract(g, e)
@@ -172,6 +173,28 @@ def test_lemma1_recheck_catches_a_wrong_witness(monkeypatch):
     r = verify("LEMMA1", 6)
     assert r.verdict == "FAIL"
     assert all("lacks the promised C4" in detail for _, detail in r.counterexamples)
+
+
+def test_lemma_rechecks_search_each_contraction_once(monkeypatch):
+    # LEMMA2 reads LEMMA1's C4 re-check where the c4 and 2k2 labels keep
+    # the same contraction; without the memo order 7 makes 1,381 searches
+    current = []
+    searches = []
+    real_init = harness._Facts.__init__
+    real_find = harness.find_induced
+
+    def init(self, g, active):
+        current[:] = [g]
+        real_init(self, g, active)
+
+    def find(h, pattern):
+        searches.append((current[0], h, pattern))
+        return real_find(h, pattern)
+
+    monkeypatch.setattr(harness._Facts, "__init__", init)
+    monkeypatch.setattr(harness, "find_induced", find)
+    assert all(r.verdict == "PASS" for r in verify_all(7))
+    assert len(searches) == len(set(searches)) == 1158
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +327,7 @@ def test_pool_enumeration_matches_serial(monkeypatch, method):
     real_call = harness._Pool.__call__
 
     def recording(self, fn, items):
-        maps.append((len(items), self.jobs))
+        maps.append((fn.func, len(items), self.jobs))
         return real_call(self, fn, items)
 
     monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context(method).Pool)
@@ -312,14 +335,16 @@ def test_pool_enumeration_matches_serial(monkeypatch, method):
     # forget order 8, so that census refills it through the pool
     monkeypatch.setattr(graphs, "_codes", {n: c for n, c in graphs._codes.items() if n < 8})
     assert [r.to_dict() for r in census(8, jobs=2)] == census_seq
-    assert (853, 2) in maps  # the order-7 parents, more than the serial threshold
+    # the order-7 parents, more than the serial threshold, and the order-8 tally
+    assert (graphs._child_codes, 853, 2) in maps
+    assert (harness._census_one, 11117, 2) in maps
     assert graphs._codes[8] == serial
 
 
 @pytest.fixture
 def pools(monkeypatch):
     """Every worker pool started, and every one terminated, while a test runs."""
-    log = {"started": [], "terminated": [], "mapped": []}
+    log = {"started": [], "terminated": [], "mapped": [], "sent": [], "received": []}
     Pool = multiprocessing.pool.Pool
     real_init, real_terminate, real_map = Pool.__init__, Pool.terminate, Pool.map
 
@@ -331,9 +356,12 @@ def pools(monkeypatch):
         log["terminated"].append(self)
         real_terminate(self)
 
-    def map_(self, fn, *args, **kwargs):
+    def map_(self, fn, items, *args, **kwargs):
         log["mapped"].append(fn)
-        return real_map(self, fn, *args, **kwargs)
+        log["sent"].append((fn.args, items))
+        results = real_map(self, fn, items, *args, **kwargs)
+        log["received"].append(results)
+        return results
 
     monkeypatch.setattr(Pool, "__init__", init)
     monkeypatch.setattr(Pool, "terminate", terminate)
@@ -345,6 +373,15 @@ def without_ms(reports):
     return [{k: v for k, v in r.to_dict().items() if not k.endswith("_ms")} for r in reports]
 
 
+def contains_graph(value) -> bool:
+    """Whether a Graph is value itself or inside its nested tuples and lists."""
+    if isinstance(value, Graph):
+        return True
+    if isinstance(value, (tuple, list)):
+        return any(contains_graph(v) for v in value)
+    return False
+
+
 def test_census_starts_one_pool(monkeypatch, pools):
     census_seq = [r.to_dict() for r in census(8, jobs=1)]
     # forget order 8, so that its fill goes to the pool
@@ -352,11 +389,20 @@ def test_census_starts_one_pool(monkeypatch, pools):
     assert [r.to_dict() for r in census(8, jobs=2)] == census_seq
     assert len(pools["started"]) == 1
     assert pools["terminated"] == pools["started"]
-    # the pool serves only the enumeration, never the per-graph census
-    assert pools["mapped"] and all(fn.func is graphs._child_codes for fn in pools["mapped"])
-    # with order 8 cached there is nothing left for a pool to do
+    # one pool fills order 8 and tallies orders 7 and 8 from their codes
+    assert [(fn.func, fn.args) for fn in pools["mapped"]] == [
+        (harness._census_one, (7,)),
+        (graphs._child_codes, (8,)),
+        (harness._census_one, (8,)),
+    ]
+    # codes go out and flags come back: no Graph crosses to a worker
+    assert not contains_graph(pools["sent"]) and not contains_graph(pools["received"])
+    assert all(type(code) is int for _, codes in pools["sent"] for code in codes)
+    # with order 8 cached, the call still tallies on one pool of its own
     assert [r.to_dict() for r in census(8, jobs=2)] == census_seq
-    assert len(pools["started"]) == 1
+    assert len(pools["started"]) == 2
+    assert pools["terminated"] == pools["started"]
+    assert [fn.func for fn in pools["mapped"][3:]] == [harness._census_one] * 2
 
 
 def test_verify_starts_one_pool(monkeypatch, pools):

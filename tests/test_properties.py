@@ -5,8 +5,10 @@ graphs of orders 9-12 (see graphgen.py) and checks the recognizers, the
 decompositions, omega and alpha, the 2K2, C4 and claw scans, every witness
 that ``classify`` and the C4 and 2K2 witness searches report, and the
 degree-list witness tests on every edge against the brute-force oracles,
-the canonical codes that isomorphism answers by, and the greedy shortcut of
-the NG definition against the exact chromatic sum. Two properties reach
+the witness walk against a walk that tests each label on its own,
+the canonical codes that isomorphism answers by, the enumeration kernel's
+children against the plain extension step (parents of orders 9-11), and the
+greedy shortcut of the NG definition against the exact chromatic sum. Two properties reach
 outside 9-12: the classify JSON writer against ``json.dumps`` at orders
 6-12, and the graph6 decoder against a bit-by-bit oracle at orders 9-64.
 The run is derandomized, so it draws the same graphs every time.
@@ -30,6 +32,7 @@ from splitkit import (
     contract,
     cycle_graph,
     detect_exceptional,
+    induced,
     is_isomorphic,
     is_ng_by_characterisation,
     is_ng_by_definition,
@@ -41,6 +44,7 @@ from splitkit import (
     star_graph,
     write_graph6,
 )
+from splitkit.graphs import _child_codes
 from splitkit.invariants import _contains_claw, _greedy_bound
 from splitkit.recognition import _2k2_witness, _c4_witness
 
@@ -54,7 +58,7 @@ from oracles import (
     independence_number_subsets,
     ks_partition_exists,
 )
-from test_recognition import check_degree_tests, check_report_json
+from test_recognition import check_degree_tests, check_report_json, check_witness_walk
 
 C4 = cycle_graph(4)
 TWO_K2 = build(4, [(0, 1), (2, 3)])
@@ -121,6 +125,12 @@ def test_degree_tests_past_the_exhaustive_range(g):
 
 
 @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(big_graphs())
+def test_witness_walk_past_the_exhaustive_range(g):
+    check_witness_walk(g)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
 @given(big_graphs(), st.randoms(use_true_random=False))
 def test_canonical_code_past_the_exhaustive_range(g, rng):
     perm = list(range(g.n))
@@ -174,3 +184,35 @@ def test_parse_graph6_matches_bitwise_oracle_to_order_64(seed, n):
     if n * (n - 1) // 2 % 6:  # a set padding bit is rejected
         with pytest.raises(MalformedGraph6, match="nonzero padding bits"):
             parse_graph6(line[:-1] + chr(63 + (ord(line[-1]) - 63 | 1)))
+
+
+def accepted_children_codes(g):
+    """canonical_code of each child of g, over every nonempty neighbourhood
+    of a new vertex, that the canonical-deletion rank test accepts: no other
+    vertex has a larger (degree, neighbour-degree sum) and leaves the child
+    connected when deleted. Twin-prefix neighbourhoods reach every class
+    that all neighbourhoods reach, so the code sets are equal."""
+    n = g.n + 1
+    edges = g.edges()
+    codes = set()
+    for mask in range(1, 1 << g.n):
+        child = build(n, edges + [(w, g.n) for w in range(g.n) if mask >> w & 1])
+        degs = child.degrees()
+        rank = [(degs[v], sum(degs[u] for u in range(n) if child.rows[v] >> u & 1)) for v in range(n)]
+        if not any(
+            rank[w] > rank[g.n] and induced(child, set(range(n)) - {w}).is_connected()
+            for w in range(g.n)
+        ):
+            codes.add(canonical_code(child))
+    return codes
+
+
+@settings(derandomize=True, deadline=None, max_examples=20, database=None)
+@given(st.randoms(use_true_random=False), st.integers(9, 11))
+def test_child_codes_past_the_exhaustive_range(rng, n):
+    # the kernel's fused keys, twin classes and twin-prefix masks against
+    # the plain extension step, on connected parents of orders 9-11
+    g = random_graph(rng, n)
+    if not g.is_connected():
+        g = complement(g)  # the complement of a disconnected graph is connected
+    assert set(_child_codes(n + 1, canonical_code(g))) == accepted_children_codes(g)

@@ -58,12 +58,12 @@ from splitkit import (
     star_graph,
     write_graph6,
 )
+from splitkit import recognition
 from splitkit.graphs import _contract
 from splitkit.invariants import _find_c5, _greedy_bound
 from splitkit.recognition import (
     _contracted_degrees,
     _hammer_simeone,
-    _has_2k2_or_c4,
     _ks,
     _not_split,
     _unbalanced_test,
@@ -410,15 +410,110 @@ def test_ng_definition_bound_matches_exact_sum():
 def test_witness_walk_keeps_each_tested_contraction():
     # the LEMMA re-checks read the contraction the walk kept, so it must be
     # g/e itself; a degree-only hit keeps one only where a graph test built it
-    tests = {"c4": contains_c4, "2k2": _has_2k2_or_c4}
+    tests = ("c4", "2k2")
     for n in range(2, 7):
         for g in enumerate_all(n):
-            found = _witnesses(g, tests, {"nonsplit": _not_split})
+            found = _witnesses(g, (*tests, "nonsplit"))
             for label, (e, h) in found.items():
                 if label in tests:
                     assert h == contract(g, e), (g, label)
                 else:
                     assert h is None or h == contract(g, e), (g, label)
+
+
+def test_witness_walk_lets_one_hit_settle_implied_labels(monkeypatch):
+    # a C4 in g/e passes 2k2 and makes g/e non-split, and a 2K2 makes it
+    # non-split: such a hit builds no degree list and runs no further scan
+    calls = {}
+
+    def counted(name):
+        real = getattr(recognition, name)
+
+        def count(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+
+        return count
+
+    for name in ("contains_c4", "contains_2k2", "_contracted_degrees"):
+        monkeypatch.setattr(recognition, name, counted(name))
+    labels = ("c4", "2k2", "nonsplit")
+    # the C4 2-3-4-5 with the path 0-1-2: g/(0,1) keeps the C4
+    g = build(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 2)])
+    found = _witnesses(g, labels)
+    assert {label: w[0] for label, w in found.items()} == dict.fromkeys(labels, Edge(0, 1))
+    assert calls == {"contains_c4": 1}
+    # the C4 0-1-2-3 with the path 2-4-5: g/(0,1) loses the C4 and has a
+    # 2K2, found by the one 2K2 scan; the C4 scans go on alone up to the
+    # fifth edge, (2, 4)
+    calls.clear()
+    g = build(6, [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (4, 5)])
+    found = _witnesses(g, labels)
+    assert found["2k2"][0] == found["nonsplit"][0] == Edge(0, 1)
+    assert found["c4"][0] == g.edges()[4] == Edge(2, 4)
+    assert calls == {"contains_c4": 5, "contains_2k2": 1}
+    # g/(0,3) and g/(0,4) have neither pattern: one C4 scan, one 2K2 scan
+    # and one degree list each; g/(1,4) has a C4, which settles all three
+    calls.clear()
+    g = build(6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 3), (2, 5), (3, 5), (4, 5)])
+    found = _witnesses(g, labels)
+    assert {label: w[0] for label, w in found.items()} == dict.fromkeys(labels, Edge(1, 4))
+    assert calls == {"contains_c4": 3, "contains_2k2": 2, "_contracted_degrees": 2}
+
+
+def walk_label_by_label(g, labels, omega=0):
+    """The witness walk with no label settling another: at each edge, every
+    label still without a witness runs its own test on g/e, through the
+    public functions. g/e is kept wherever a c4 or 2k2 label was pending."""
+    tests = {
+        "c4": contains_c4,
+        "2k2": lambda h: contains_2k2(h) or contains_c4(h),
+        "nonsplit": lambda h: not is_split(h),
+        "unbalanced": lambda h: (
+            is_split(h) and clique_number(h) == omega - 1 and not is_balanced_split(h)
+        ),
+    }
+    found = {}
+    pending = list(labels)
+    for e in g.edges():
+        if not pending:
+            break
+        h = contract(g, e)
+        kept = h if {"c4", "2k2"} & set(pending) else None
+        for label in [label for label in pending if tests[label](h)]:
+            found[label] = (e, kept)
+            pending.remove(label)
+    return found
+
+
+def check_witness_walk(g, subsets=True):
+    """_witnesses equals the label-by-label walk on g, for the labels a
+    caller asks on g (c4 and 2k2 where g has the pattern, nonsplit, and
+    unbalanced on split non-stars) and, with subsets, for each subset."""
+    labels = [label for label, has in (("c4", contains_c4), ("2k2", contains_2k2)) if has(g)]
+    labels.append("nonsplit")
+    omega = 0
+    if is_split(g) and g.n >= 2 and not (g.n >= 3 and is_star(g)):
+        labels.append("unbalanced")
+        omega = clique_number(g)
+    chosen = [labels]
+    if subsets:
+        chosen = [
+            [label for i, label in enumerate(labels) if k >> i & 1]
+            for k in range(1, 1 << len(labels))
+        ]
+    for asked in chosen:
+        assert _witnesses(g, asked, omega) == walk_label_by_label(g, asked, omega), (g, asked)
+
+
+def test_witness_walk_matches_the_label_by_label_walk():
+    # a c4 hit settles 2k2 and nonsplit, a 2k2 hit settles nonsplit, and a
+    # c4 miss leaves 2k2 its 2K2 scan alone; none of it may move a witness
+    # edge or a kept contraction
+    for g in all_graphs_upto(7):
+        check_witness_walk(g)
+    for g in enumerate_all(8):
+        check_witness_walk(g, subsets=False)
 
 
 # ---------------------------------------------------------------------------

@@ -341,11 +341,10 @@ def _search(rows: Sequence[int], keys: Sequence[int], prev: Sequence[int]) -> in
             ncode = code << pos | w
             if ncode > best >> rem[pos]:
                 break
-            if pos + 1 == n:
-                best = ncode
-            else:
-                placed[pos] = v
-                extend(pos + 1, used | 1 << v, ncode)
+            # two or more candidates leave pos + 1 < n: the last position
+            # is always forced, and set above
+            placed[pos] = v
+            extend(pos + 1, used | 1 << v, ncode)
 
     extend(0, 0, 0)
     return best

@@ -4,16 +4,18 @@ A call walks its graphs once for all the theorems it checks. ``_verify``
 takes theorem ids with the largest order each sweeps, walks the union of
 their substrates (orders 1..max, the connected classes of each order and
 then the disconnected ones), and runs on each graph the checks whose
-substrate holds it. The checks of one graph share a ``_Facts`` record: the
-2K2 and C4 scans, the degree split test, the exceptional family, omega,
-alpha, and one witness-edge walk for every label they read. The oracles the
-checks compare against (the ``find_induced`` re-checks, the partition
-search, the forbidden-pattern split test, the decomposer's refusal and the
-colouring definition of NG) share no code with the record's scans; the
-record only keeps a re-check's answer, so that LEMMA1 and LEMMA2 search one
-kept contraction for C4 once. The per-graph work is embarrassingly
-parallel; counterexamples are merged and sorted, so reports are the same
-for every worker count.
+substrate holds it. The checks of one graph share one ``recognition._Facts``
+record, the fact record that ``classify`` and the census tally read too:
+the 2K2 and C4 scans, the degree split test, the exceptional family, omega,
+alpha, balanced, pseudo-split, the NG characterisation, and one
+witness-edge walk for the labels the active checks read (``_WITNESS_LABELS``).
+The oracles the checks compare against (the ``find_induced`` re-checks, the
+partition search, the forbidden-pattern split test, the decomposer's
+refusal and the colouring definition of NG) share no code with the
+record's scans; the record only keeps a re-check's answer, so that LEMMA1
+and LEMMA2 search one kept contraction for C4 once. The per-graph work is
+embarrassingly parallel; counterexamples are merged and sorted, so reports
+are the same for every worker count.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .errors import (
 )
 from .graphs import (
     ENUM_MAX_ORDER,
-    Edge,
     Graph,
     NamedPattern,
     _connected_codes,
@@ -49,46 +50,15 @@ from .graphs import (
     enumerate_connected,
     write_graph6,
 )
-from .invariants import (
-    _contains_claw,
-    clique_number,
-    contains_2k2,
-    contains_c4,
-    find_induced,
-    independence_number,
-)
+from .invariants import _contains_claw
 from .recognition import (
+    _Facts,
     _is_clique,
     _is_independent,
-    _ks,
     _ks_case,
-    _psd,
-    _witnesses,
-    detect_exceptional,
-    is_balanced_split,
-    is_pseudo_split,
-    is_split,
     is_split_forbidden,
-    is_star,
     is_ng_by_definition,
     pseudo_split_decompose,
-)
-
-THEOREM_IDS = (
-    "PROP1",
-    "PROP2",
-    "PROP3",
-    "PROP4",
-    "PROP5",
-    "LEMMA1",
-    "LEMMA2",
-    "THM_SPLIT_FORBIDDEN",
-    "THM_2K2_CLAW",
-    "THM_CONTRACTION",
-    "THM_KS_CASES",
-    "THM_UNBALANCED",
-    "THM_PSEUDO",
-    "THM_NG",
 )
 
 CORPUS_MAX_ORDER = 10
@@ -134,76 +104,6 @@ class TheoremReport(NamedTuple):
         for g6, detail in self.counterexamples:
             lines.append(f"  counterexample {g6}: {detail}")
         return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# the per-graph fact record
-
-
-class _Facts:
-    """What several checks of one graph read, each computed at most once.
-
-    One record serves the theorems checked on one graph (``active``) and is
-    dropped after their checks. ``facts(fn)`` is fn(g), computed on its
-    first read, so a fact that no active check reads is never computed.
-    ``witness`` runs one edge walk for every label an active check reads:
-    c4 (LEMMA1, when g has an induced C4), 2k2 (LEMMA2, when g has an
-    induced 2K2), nonsplit (THM_CONTRACTION) and unbalanced (THM_UNBALANCED,
-    on the split graphs ``find_unbalanced_witness`` accepts). The walk keeps
-    the contraction it built at each witness edge, and ``has_induced`` keeps
-    the re-check of each kept contraction against each pattern, so LEMMA2
-    reads LEMMA1's C4 re-check when both labels share their witness edge.
-    """
-
-    __slots__ = ("g", "active", "_memo", "_walk")
-
-    def __init__(self, g: Graph, active: tuple[str, ...]):
-        self.g = g
-        self.active = active
-        self._memo = {}
-        self._walk = None
-
-    def __call__(self, fn):
-        memo = self._memo
-        if fn not in memo:
-            memo[fn] = fn(self.g)
-        return memo[fn]
-
-    def has_induced(self, h: Graph, pattern: NamedPattern) -> bool:
-        """Whether ``find_induced`` finds pattern in h, a contraction the walk
-        kept, searched once per contraction and pattern."""
-        memo = self._memo
-        key = (h, pattern)
-        if key not in memo:
-            memo[key] = find_induced(h, pattern) is not None
-        return memo[key]
-
-    def balanced(self) -> bool:
-        """Split with omega + alpha = n (see ``is_balanced_split``)."""
-        return self(is_split) and self(clique_number) + self(independence_number) == self.g.n
-
-    def witness(self, label: str) -> tuple[Edge, Graph | None] | None:
-        """The walk's (edge, contraction or None) for label, or None."""
-        if self._walk is None:
-            active = self.active
-            labels = []
-            omega = 0
-            if "LEMMA1" in active and self(contains_c4):
-                labels.append("c4")
-            if "LEMMA2" in active and self(contains_2k2):
-                labels.append("2k2")
-            if "THM_CONTRACTION" in active:
-                labels.append("nonsplit")
-            if "THM_UNBALANCED" in active and self(is_split) and not _star_excluded(self.g):
-                labels.append("unbalanced")
-                omega = self(clique_number)
-            self._walk = _witnesses(self.g, labels, omega)
-        return self._walk.get(label)
-
-
-def _star_excluded(g: Graph) -> bool:
-    # find_unbalanced_witness refuses K1 and the stars K_(1,m), m >= 2
-    return g.n < 2 or (g.n >= 3 and is_star(g))
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +220,9 @@ _TWO_K2 = NamedPattern("TWO_K2")
 
 
 def _check_lemma1(g: Graph, facts: _Facts):
-    if not facts(contains_c4):
+    if not facts.has_c4:
         return (), False
-    tag = facts(detect_exceptional)
+    tag = facts.tag
     terminal = tag is not None and tag.family in ("H1", "H2", "H3")
     w = facts.witness("c4")
     if terminal:
@@ -343,9 +243,9 @@ _C6_CODE = canonical_code(cycle_graph(6))
 
 
 def _check_lemma2(g: Graph, facts: _Facts):
-    if not facts(contains_2k2):
+    if not facts.has_2k2:
         return (), False
-    tag = facts(detect_exceptional)
+    tag = facts.tag
     terminal = (tag is not None and tag.family in _LEMMA2_TERMINAL_FAMILIES) or (
         g.n == 6 and canonical_code(g) == _C6_CODE
     )
@@ -388,7 +288,7 @@ def _ks_partition_exists(g: Graph) -> bool:
 def _check_split_triple(g: Graph, facts: _Facts):
     # the forbidden-pattern test runs its own scans, not the record's
     a = is_split_forbidden(g)
-    b = facts(is_split)
+    b = facts.split
     c = _ks_partition_exists(g)
     if a == b == c:
         return (), False
@@ -396,16 +296,16 @@ def _check_split_triple(g: Graph, facts: _Facts):
 
 
 def _check_2k2_claw(g: Graph, facts: _Facts):
-    if facts(contains_2k2) or _contains_claw(g):
+    if facts.has_2k2 or _contains_claw(g):
         return (), False
-    if facts(independence_number) < 3 or facts(is_split):
+    if facts.alpha < 3 or facts.split:
         return (), False
     return ("(2K2, claw)-free with alpha >= 3 but not split",), False
 
 
 def _check_contraction(g: Graph, facts: _Facts):
-    split = facts(is_split)
-    tag = facts(detect_exceptional)
+    split = facts.split
+    tag = facts.tag
     w = facts.witness("nonsplit")
     hits = int(split) + int(tag is not None) + int(w is not None)
     exceptional_member = not split and w is None
@@ -426,12 +326,12 @@ def _expected_exceptional(max_n: int) -> set[str]:
 
 
 def _check_ks_cases(g: Graph, facts: _Facts):
-    if not facts(is_split):
+    if not facts.split:
         return (), False
     bad = []
     case_i = 0
-    omega = facts(clique_number)
-    alpha = facts(independence_number)
+    omega = facts.omega
+    alpha = facts.alpha
     full = g.full_mask
     for kmask in range(1 << g.n):
         if not (_is_clique(g, kmask) and _is_independent(g, full ^ kmask)):
@@ -447,16 +347,16 @@ def _check_ks_cases(g: Graph, facts: _Facts):
             case_i += 1
     if case_i > 1:
         bad.append(f"{case_i} distinct case-I partitions")
-    if (case_i == 1) != (omega + alpha == g.n):
+    if (case_i == 1) != facts.balanced:
         bad.append("omega+alpha=n criterion disagrees with case-I existence")
     return tuple(bad), False
 
 
 def _check_unbalanced(g: Graph, facts: _Facts):
-    if not facts(is_split) or _star_excluded(g):
+    if not facts.split or facts.star_excluded:
         return (), False
     w = facts.witness("unbalanced")
-    unbalanced = not facts.balanced()
+    unbalanced = not facts.balanced
     if (w is not None) != unbalanced:
         e = None if w is None else (w[0].u, w[0].v)
         return (f"unbalanced={unbalanced} but witness={e}",), False
@@ -464,9 +364,11 @@ def _check_unbalanced(g: Graph, facts: _Facts):
         e, h = w
         if h is None:
             h = _contract(g, e.u, e.v)
-        if not is_split(h):
+        # the postcondition reads h's own record: split and omega once each
+        hfacts = _Facts(h)
+        if not hfacts.split:
             return (f"contraction by ({e.u},{e.v}) is not split",), False
-        if clique_number(h) != facts(clique_number) - 1 or is_balanced_split(h):
+        if hfacts.omega != facts.omega - 1 or hfacts.balanced:
             return (f"witness ({e.u},{e.v}) fails its own postcondition",), False
     return (), False
 
@@ -474,14 +376,14 @@ def _check_unbalanced(g: Graph, facts: _Facts):
 def _check_pseudo(g: Graph, facts: _Facts):
     # the public decomposer runs only on graphs it must refuse; a (2K2,
     # C4)-free graph is decomposed from the record's facts
-    if facts(contains_2k2) or facts(contains_c4):
+    if not facts.pseudo:
         try:
             pseudo_split_decompose(g)
         except NotPseudoSplit:
             return (), False
         return ("decomposition accepted a graph with induced 2K2 or C4",), False
     try:
-        d = _psd(g, _ks(g, facts(clique_number)) if facts(is_split) else None)
+        d = facts.psd
     except NotSplit:
         return ("C5-free pseudo-split graph is not split",), False
     if not d.is_valid_for(g):
@@ -491,8 +393,7 @@ def _check_pseudo(g: Graph, facts: _Facts):
 
 def _check_ng(g: Graph, facts: _Facts):
     by_def = is_ng_by_definition(g)
-    # the characterisation: pseudo-split but not balanced split
-    by_char = not (facts(contains_2k2) or facts(contains_c4)) and not facts.balanced()
+    by_char = facts.ng
     if by_def != by_char:
         return (f"definition={by_def} characterisation={by_char}",), False
     return (), False
@@ -527,6 +428,16 @@ CHECKERS: dict[str, _Checker] = {
     "THM_NG": _Checker(7, _check_ng, disconnected=7),
 }
 
+THEOREM_IDS = tuple(CHECKERS)
+
+# the witness label each theorem's check reads from the record
+_WITNESS_LABELS = {
+    "LEMMA1": "c4",
+    "LEMMA2": "2k2",
+    "THM_CONTRACTION": "nonsplit",
+    "THM_UNBALANCED": "unbalanced",
+}
+
 
 def _check_graph(active: tuple[str, ...], g: Graph):
     """Check g against the active theorems, over one fact record.
@@ -534,7 +445,7 @@ def _check_graph(active: tuple[str, ...], g: Graph):
     Returns each check's seconds, in the order of the active ids, and
     (index, details, member) for each check with something to report.
     """
-    facts = _Facts(g, active)
+    facts = _Facts(g, [_WITNESS_LABELS[t] for t in active if t in _WITNESS_LABELS])
     clock = time.perf_counter
     times = []
     bad = []
@@ -553,8 +464,16 @@ def check_one(theorem: str, g: Graph) -> tuple[str, ...]:
     """Re-run one theorem's per-graph check in isolation (counterexample replay)."""
     if theorem not in CHECKERS:
         raise UnknownTheorem(f"unknown theorem id {theorem!r}")
+    _require_corpus_order(g)
     _, bad = _check_graph((theorem,), g)
     return bad[0][1] if bad else ()
+
+
+def _require_corpus_order(g: Graph) -> None:
+    # the checks' costs grow exponentially with the order (PROP1 walks every
+    # vertex subset), so a graph given from outside is capped
+    if g.n > CORPUS_MAX_ORDER:
+        raise OrderOutOfRange(f"corpus graph of order {g.n} exceeds {CORPUS_MAX_ORDER}")
 
 
 def default_jobs() -> int:
@@ -666,10 +585,7 @@ def _verify(orders: dict[str, int], source, pool: _Pool) -> list[TheoremReport]:
     else:
         graphs = list(source)
         for g in graphs:
-            if g.n > CORPUS_MAX_ORDER:
-                raise OrderOutOfRange(
-                    f"corpus graph of order {g.n} exceeds {CORPUS_MAX_ORDER}"
-                )
+            _require_corpus_order(g)
         runs = [(tids, graphs)]
     runs = [(active, list(graphs)) for active, graphs in runs]
     built = time.perf_counter()
@@ -744,18 +660,9 @@ def _census_one(n: int, code: int):
     Mapped over ``_connected_codes(n)``, so a pool worker decodes its own
     graphs and only ints and flags cross the process boundary.
     """
-    g = _graph_from_code(n, code)
-    split = is_split(g)
-    balanced = split and clique_number(g) + independence_number(g) == n
-    tag = detect_exceptional(g)
-    pseudo = is_pseudo_split(g)
-    return (
-        split,
-        balanced,
-        None if tag is None else str(tag),
-        pseudo,
-        pseudo and not balanced,  # the NG characterisation
-    )
+    facts = _Facts(_graph_from_code(n, code))
+    tag = facts.tag
+    return facts.split, facts.balanced, None if tag is None else str(tag), facts.pseudo, facts.ng
 
 
 def census(max_n: int = 7, jobs: int = 1) -> list[CensusRow]:

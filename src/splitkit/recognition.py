@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Collection, Iterable, NamedTuple
 
 from .errors import (
     InvalidPartition,
@@ -27,6 +27,7 @@ from .invariants import (
     contains_2k2,
     contains_c4,
     contains_c5,
+    find_induced,
     independence_number,
     max_clique,
 )
@@ -327,9 +328,10 @@ def is_balanced_split(g: Graph) -> bool:
     Such a partition exists iff omega + alpha = n: sizes sum to n, and the
     three admissible patterns sum to omega+alpha, omega+alpha-1 only.
     """
-    if not is_split(g):
+    facts = _Facts(g)
+    if not facts.split:
         raise NotSplit("balancedness is defined for split graphs only")
-    return clique_number(g) + independence_number(g) == g.n
+    return facts.balanced
 
 
 def is_star(g: Graph) -> bool:
@@ -452,12 +454,6 @@ def _witnesses(
     return found
 
 
-def _edge(found: dict[str, tuple[Edge, Graph | None]], label: str) -> Edge | None:
-    # the witness edge of label in a walk's result, or None
-    w = found.get(label)
-    return None if w is None else w[0]
-
-
 def _contracted_degrees(degrees: list[int], rows, u: int, v: int) -> list[int]:
     """The non-increasing degree list of g/uv, u < v adjacent, from g's.
 
@@ -497,14 +493,10 @@ def find_c4_witness(g: Graph) -> Edge | None:
 
     None only happens on K_{2,l}, W4, and the octahedron.
     """
-    if not contains_c4(g):
+    facts = _Facts(g, ("c4",))
+    if not facts.has_c4:
         raise NoInducedC4("graph has no induced C4")
-    return _c4_witness(g)
-
-
-def _c4_witness(g: Graph) -> Edge | None:
-    # g has an induced C4
-    return _edge(_witnesses(g, ("c4",)), "c4")
+    return facts.edge("c4")
 
 
 def find_2k2_witness(g: Graph) -> Edge | None:
@@ -512,19 +504,15 @@ def find_2k2_witness(g: Graph) -> Edge | None:
 
     None only happens on 2K2, P5, the hammer, the butterfly, and C6.
     """
-    if not contains_2k2(g):
+    facts = _Facts(g, ("2k2",))
+    if not facts.has_2k2:
         raise NoInduced2K2("graph has no induced 2K2")
-    return _2k2_witness(g)
-
-
-def _2k2_witness(g: Graph) -> Edge | None:
-    # g has an induced 2K2
-    return _edge(_witnesses(g, ("2k2",)), "2k2")
+    return facts.edge("2k2")
 
 
 def find_nonsplit_witness(g: Graph) -> Edge | None:
     """First edge whose contraction is not split, or None."""
-    return _edge(_witnesses(g, ("nonsplit",)), "nonsplit")
+    return _Facts(g, ("nonsplit",)).edge("nonsplit")
 
 
 def find_unbalanced_witness(g: Graph) -> Edge | None:
@@ -534,18 +522,14 @@ def find_unbalanced_witness(g: Graph) -> Edge | None:
     with m >= 2 are rejected (the equivalence genuinely fails there), as is
     K1, which has no edge to contract; K2 passes through.
     """
-    if not is_split(g):
+    facts = _Facts(g, ("unbalanced",))
+    if not facts.split:
         raise NotSplit("witness search is defined for split graphs")
     if g.n < 2:
         raise IsStar("the one-vertex graph has no edges")
-    if g.n >= 3 and is_star(g):
+    if facts.star_excluded:
         raise IsStar(f"stars K_(1,{g.n - 1}) are excluded")
-    return _unbalanced_witness(g, clique_number(g))
-
-
-def _unbalanced_witness(g: Graph, omega: int) -> Edge | None:
-    # g split, not a star, with clique number omega
-    return _edge(_witnesses(g, ("unbalanced",), omega), "unbalanced")
+    return facts.edge("unbalanced")
 
 
 # ---------------------------------------------------------------------------
@@ -608,9 +592,109 @@ def is_ng_by_definition(g: Graph) -> bool:
 
 def is_ng_by_characterisation(g: Graph) -> bool:
     """Equivalent structural test: pseudo-split but not balanced split."""
-    if not is_pseudo_split(g):
-        return False
-    return not (is_split(g) and clique_number(g) + independence_number(g) == g.n)
+    return _Facts(g).ng
+
+
+# ---------------------------------------------------------------------------
+# the per-graph fact record
+
+
+class _fact:
+    """A fact of the record: fn(record), computed on its first read and then
+    stored on the record under the fact's own name. As a non-data
+    descriptor it is shadowed by the stored value, so later reads are plain
+    attribute lookups."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            return self
+        value = record.__dict__[self.name] = self.fn(record)
+        return value
+
+
+class _Facts:
+    """The facts of one graph g that the paper's characterisations are
+    stated in, each computed on its first read and at most once.
+
+    This is the one definition of balanced, pseudo-split, NG by the
+    characterisation, the star exclusion and the witness labels that apply
+    to g. ``classify``, the census tally, every verify check, and
+    ``is_balanced_split``, ``is_ng_by_characterisation`` and the
+    ``find_*_witness`` functions read a record. The oracles the checks
+    compare against never read it.
+
+    labels are the witness labels the caller asks for. ``walk`` runs one
+    ``_witnesses`` walk for those of them that apply to g: c4 when g has
+    an induced C4, 2k2 when it has an induced 2K2, nonsplit always, and
+    unbalanced when g is split and not star-excluded. The walk keeps the
+    contraction it built at each witness edge, and ``has_induced`` keeps
+    the ``find_induced`` re-check of each kept contraction against each
+    pattern, so LEMMA2 reads LEMMA1's C4 re-check when both labels share
+    their witness edge.
+    """
+
+    def __init__(self, g: Graph, labels: Collection[str] = ()):
+        self.g = g
+        self.labels = labels
+
+    split = _fact(lambda f: is_split(f.g))
+    clique = _fact(lambda f: max_clique(f.g))
+    omega = _fact(lambda f: len(f.clique))
+    gc = _fact(lambda f: complement(f.g))
+    co_clique = _fact(lambda f: max_clique(f.gc))
+    alpha = _fact(lambda f: len(f.co_clique))
+    # split with omega + alpha = n (see is_balanced_split)
+    balanced = _fact(lambda f: f.split and f.omega + f.alpha == f.g.n)
+    ks = _fact(lambda f: _ks(f.g, f.omega) if f.split else None)
+    has_2k2 = _fact(lambda f: contains_2k2(f.g))
+    has_c4 = _fact(lambda f: contains_c4(f.g))
+    pseudo = _fact(lambda f: not f.has_2k2 and not f.has_c4)
+    psd = _fact(lambda f: _psd(f.g, f.ks) if f.pseudo else None)
+    # the NG characterisation: pseudo-split but not balanced split
+    ng = _fact(lambda f: f.pseudo and not f.balanced)
+    tag = _fact(lambda f: detect_exceptional(f.g))
+    # find_unbalanced_witness refuses K1 and the stars K_(1,m), m >= 2
+    star_excluded = _fact(lambda f: f.g.n < 2 or (f.g.n >= 3 and is_star(f.g)))
+    _rechecks = _fact(lambda f: {})
+
+    @_fact
+    def walk(self) -> dict[str, tuple[Edge, Graph | None]]:
+        asked = self.labels
+        labels = []
+        if "c4" in asked and self.has_c4:
+            labels.append("c4")
+        if "2k2" in asked and self.has_2k2:
+            labels.append("2k2")
+        if "nonsplit" in asked:
+            labels.append("nonsplit")
+        unbalanced = "unbalanced" in asked and self.split and not self.star_excluded
+        if unbalanced:
+            labels.append("unbalanced")
+        return _witnesses(self.g, labels, self.omega if unbalanced else 0)
+
+    def witness(self, label: str) -> tuple[Edge, Graph | None] | None:
+        """The walk's (edge, contraction or None) for label, or None."""
+        return self.walk.get(label)
+
+    def edge(self, label: str) -> Edge | None:
+        """The walk's witness edge for label, or None."""
+        w = self.walk.get(label)
+        return None if w is None else w[0]
+
+    def has_induced(self, h: Graph, pattern: NamedPattern) -> bool:
+        """Whether ``find_induced`` finds pattern in h, a contraction the walk
+        kept, searched once per contraction and pattern."""
+        rechecks = self._rechecks
+        key = (h, pattern)
+        if key not in rechecks:
+            rechecks[key] = find_induced(h, pattern) is not None
+        return rechecks[key]
 
 
 # ---------------------------------------------------------------------------
@@ -623,42 +707,24 @@ def classify(g: Graph) -> ClassificationReport:
         raise OrderTooLargeForColoring(
             f"classification needs exact coloring, order {g.n} > {COLORING_MAX_ORDER}"
         )
-    clique = max_clique(g)
-    omega = len(clique)
-    gc = complement(g)
-    co_clique = max_clique(gc)
-    alpha = len(co_clique)
-    chi = _chromatic(g, clique)
-    chi_c = _chromatic(gc, co_clique)
-    split = is_split(g)
-    ks = _ks(g, omega) if split else None
-    balanced = (omega + alpha == g.n) if split else None
-    has_2k2 = contains_2k2(g)
-    has_c4 = contains_c4(g)
-    pseudo = not has_2k2 and not has_c4
-    psd = _psd(g, ks) if pseudo else None
-    tag = detect_exceptional(g)
     # witness labels in report order; one walk over the edges serves all
-    labels = []
-    if has_c4:
-        labels.append("c4")
-    if has_2k2:
-        labels.append("2k2")
-    if g.is_connected():
-        labels.append("nonsplit")
-    if split and g.n >= 2 and not (g.n >= 3 and is_star(g)):
-        labels.append("unbalanced")
-    found = _witnesses(g, labels, omega)
+    labels = ("c4", "2k2", "nonsplit", "unbalanced")
+    if not g.is_connected():
+        labels = ("c4", "2k2", "unbalanced")
+    facts = _Facts(g, labels)
+    chi = _chromatic(g, facts.clique)
+    chi_c = _chromatic(facts.gc, facts.co_clique)
+    found = facts.walk
     return ClassificationReport(
-        is_split=split,
-        is_balanced_split=balanced,
-        ks=ks,
-        exceptional=tag,
-        is_pseudo_split=pseudo,
-        psd=psd,
+        is_split=facts.split,
+        is_balanced_split=facts.balanced if facts.split else None,
+        ks=facts.ks,
+        exceptional=facts.tag,
+        is_pseudo_split=facts.pseudo,
+        psd=facts.psd,
         is_ng=chi + chi_c == g.n + 1,
-        omega=omega,
-        alpha=alpha,
+        omega=facts.omega,
+        alpha=facts.alpha,
         chi=chi,
         chi_complement=chi_c,
         witnesses=tuple(

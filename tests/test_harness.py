@@ -6,13 +6,17 @@ import multiprocessing.pool
 import pytest
 
 from splitkit import (
+    Edge,
+    FamilyTag,
     Graph,
     InvalidJobs,
+    KSPartition,
     OrderOutOfRange,
     SplitkitError,
     THEOREM_IDS,
     UnknownTheorem,
     build,
+    canonical_form,
     census,
     check_one,
     complete_graph,
@@ -23,8 +27,9 @@ from splitkit import (
     path_graph,
     verify,
     verify_all,
+    write_graph6,
 )
-from splitkit import graphs, harness
+from splitkit import graphs, harness, recognition
 from splitkit.graphs import ENUM_MAX_ORDER, enumerate_all
 from splitkit.harness import render_census_text
 
@@ -114,6 +119,124 @@ def test_check_one():
     assert isinstance(exc.value, UnknownTheorem) and isinstance(exc.value, SplitkitError)
 
 
+def test_check_one_refuses_orders_past_the_corpus_cap():
+    # as a corpus does: PROP1 alone would walk all 2^14 vertex subsets
+    with pytest.raises(OrderOutOfRange):
+        check_one("PROP1", path_graph(14))
+    with pytest.raises(OrderOutOfRange):
+        check_one("THM_NG", path_graph(harness.CORPUS_MAX_ORDER + 1))
+    assert check_one("PROP4", cycle_graph(harness.CORPUS_MAX_ORDER)) == ()
+
+
+# ---------------------------------------------------------------------------
+# a corrupted record fact must be reported by the checks that read it
+
+P4 = path_graph(4)  # balanced split, pseudo-split, no unbalanced witness
+PAW = build(4, [(0, 1), (0, 2), (1, 2), (0, 3)])  # unbalanced split
+
+
+@pytest.fixture
+def corrupt(monkeypatch):
+    """corrupt(g, **facts): every record built for g from then on holds
+    these facts before any check reads it, in place of computing them."""
+    planted = {}
+    real_init = recognition._Facts.__init__
+
+    def init(self, g, labels=()):
+        real_init(self, g, labels)
+        self.__dict__.update(planted.get(g, {}))
+
+    monkeypatch.setattr(recognition._Facts, "__init__", init)
+    return lambda g, **facts: planted.setdefault(g, {}).update(facts)
+
+
+def test_flipped_balanced_is_reported(corrupt):
+    corrupt(P4, balanced=False)
+    assert check_one("THM_NG", P4) == ("definition=False characterisation=True",)
+    assert check_one("THM_UNBALANCED", P4) == ("unbalanced=True but witness=None",)
+    assert check_one("THM_KS_CASES", P4) == (
+        "omega+alpha=n criterion disagrees with case-I existence",
+    )
+
+
+def test_flipped_split_is_reported(corrupt):
+    corrupt(P4, split=False)
+    assert check_one("THM_SPLIT_FORBIDDEN", P4) == ("forbidden=True degrees=False partition=True",)
+    assert check_one("THM_PSEUDO", P4) == ("C5-free pseudo-split graph is not split",)
+    net = build(6, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)])
+    corrupt(net, split=False)
+    assert check_one("THM_2K2_CLAW", net) == ("(2K2, claw)-free with alpha >= 3 but not split",)
+
+
+def test_wrong_exceptional_tag_is_reported(corrupt):
+    k22 = cycle_graph(4)
+    corrupt(k22, tag=None)
+    assert check_one("LEMMA1", k22) == ("no C4-preserving contraction on a non-terminal graph",)
+    assert check_one("THM_CONTRACTION", k22) == (
+        "regions overlap or miss: split=False family=None witness=None",
+    )
+    # the C4 2-3-4-5 with the path 0-1-2: g/(0,1) keeps the C4 and a 2K2
+    g = build(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 2)])
+    corrupt(g, tag=FamilyTag("H1", 2))
+    assert check_one("LEMMA1", g) == ("terminal graph H1(l=2) has witness (0,1)",)
+    corrupt(g, tag=FamilyTag("H4"))
+    assert check_one("LEMMA2", g) == ("terminal graph has witness (0,1)",)
+
+
+def test_planted_witness_is_rechecked(corrupt):
+    # a tree with an induced 2K2, whose contraction by (0,4) has none
+    g = build(6, [(0, 4), (1, 3), (2, 5), (3, 5), (4, 5)])
+    e = Edge(0, 4)
+    corrupt(g, walk={"2k2": (e, contract(g, e))})
+    assert check_one("LEMMA2", g) == ("contraction by (0,4) lacks the promised 2K2/C4",)
+    # PAW/(0,3) is K3, whose clique number did not drop
+    corrupt(PAW, walk={"unbalanced": (Edge(0, 3), None)})
+    assert check_one("THM_UNBALANCED", PAW) == ("witness (0,3) fails its own postcondition",)
+    c5 = cycle_graph(5)
+    corrupt(c5, split=True, walk={"unbalanced": (Edge(0, 1), None)})
+    assert check_one("THM_UNBALANCED", c5) == ("contraction by (0,1) is not split",)
+
+
+def test_wrong_omega_is_reported(corrupt):
+    k2 = complete_graph(2)
+    corrupt(k2, omega=1)
+    assert check_one("THM_KS_CASES", k2) == (
+        "K=(0, 1): sizes (2, 0) match none of (1, 1), (0, 1), (1, 0)",
+        "2 distinct case-I partitions",
+        "omega+alpha=n criterion disagrees with case-I existence",
+    )
+
+
+def test_wrong_decomposition_facts_are_reported(corrupt):
+    k3 = complete_graph(3)
+    corrupt(k3, pseudo=False)
+    assert check_one("THM_PSEUDO", k3) == ("decomposition accepted a graph with induced 2K2 or C4",)
+    corrupt(P4, ks=KSPartition((0, 3), (1, 2)))
+    assert check_one("THM_PSEUDO", P4) == ("invalid decomposition a=(0, 3) b=(1, 2) c=()",)
+
+
+def test_exceptional_region_is_compared_with_the_expected_set(corrupt):
+    # enumerated graphs are canonically labelled; K_(2,2) given a nonsplit
+    # witness leaves the region, C5 stripped of its witness joins it
+    k22 = canonical_form(cycle_graph(4))
+    c5 = canonical_form(cycle_graph(5))
+    corrupt(k22, walk={"nonsplit": (k22.edges()[0], None)})
+    corrupt(c5, walk={})
+    r = verify("THM_CONTRACTION", 5)
+    assert (write_graph6(k22), "expected exceptional graph not found") in r.counterexamples
+    assert (write_graph6(c5), "unexpected member of the exceptional region") in r.counterexamples
+    assert len(r.counterexamples) == 4  # and the overlap or miss of each
+
+
+def test_prop_checks_catch_a_wrong_contraction(monkeypatch):
+    # contracting nothing: on C5 the image of a vertex set then changes
+    monkeypatch.setattr(harness, "_contractions", lambda g: [(e.u, e.v, g) for e in g.edges()])
+    c5 = cycle_graph(5)
+    assert len(check_one("PROP1", c5)) == 8
+    assert check_one("PROP2", c5)[0] == "C=[0, 4] e=(1,2): induced subgraph not preserved"
+    assert check_one("PROP3", c5) == ("C=[0, 4]: no contraction preserves the induced subgraph",)
+
+
 # ---------------------------------------------------------------------------
 # the fused walk: one record per graph, shared by every theorem
 
@@ -142,13 +265,13 @@ def test_single_theorem_reports_match_verify_all():
 
 def test_detect_exceptional_runs_once_per_graph(monkeypatch):
     calls = []
-    real = harness.detect_exceptional
+    real = recognition.detect_exceptional
 
     def counted(g):
         calls.append((g.n, g.rows))
         return real(g)
 
-    monkeypatch.setattr(harness, "detect_exceptional", counted)
+    monkeypatch.setattr(recognition, "detect_exceptional", counted)
     assert all(r.verdict == "PASS" for r in verify_all(7))
     # THM_CONTRACTION reads the tag of every connected graph
     assert len(calls) == len(set(calls)) == 1 + 1 + 2 + 6 + 21 + 112 + 853
@@ -157,7 +280,7 @@ def test_detect_exceptional_runs_once_per_graph(monkeypatch):
 def test_lemma1_recheck_catches_a_wrong_witness(monkeypatch):
     # a walk that hands LEMMA1 an edge whose contraction has no C4 must be
     # caught by the independent find_induced re-check
-    real = harness._witnesses
+    real = recognition._witnesses
 
     def wrong_c4(g, labels, omega=0):
         found = real(g, labels, omega)
@@ -169,7 +292,7 @@ def test_lemma1_recheck_catches_a_wrong_witness(monkeypatch):
                     break
         return found
 
-    monkeypatch.setattr(harness, "_witnesses", wrong_c4)
+    monkeypatch.setattr(recognition, "_witnesses", wrong_c4)
     r = verify("LEMMA1", 6)
     assert r.verdict == "FAIL"
     assert all("lacks the promised C4" in detail for _, detail in r.counterexamples)
@@ -180,19 +303,19 @@ def test_lemma_rechecks_search_each_contraction_once(monkeypatch):
     # the same contraction; without the memo order 7 makes 1,381 searches
     current = []
     searches = []
-    real_init = harness._Facts.__init__
-    real_find = harness.find_induced
+    real_init = recognition._Facts.__init__
+    real_find = recognition.find_induced
 
-    def init(self, g, active):
+    def init(self, g, labels=()):
         current[:] = [g]
-        real_init(self, g, active)
+        real_init(self, g, labels)
 
     def find(h, pattern):
         searches.append((current[0], h, pattern))
         return real_find(h, pattern)
 
-    monkeypatch.setattr(harness._Facts, "__init__", init)
-    monkeypatch.setattr(harness, "find_induced", find)
+    monkeypatch.setattr(recognition._Facts, "__init__", init)
+    monkeypatch.setattr(recognition, "find_induced", find)
     assert all(r.verdict == "PASS" for r in verify_all(7))
     assert len(searches) == len(set(searches)) == 1158
 

@@ -32,6 +32,8 @@ from splitkit import (
     contract,
     cycle_graph,
     detect_exceptional,
+    find_2k2_witness,
+    find_c4_witness,
     induced,
     is_isomorphic,
     is_ng_by_characterisation,
@@ -46,7 +48,6 @@ from splitkit import (
 )
 from splitkit.graphs import _child_codes
 from splitkit.invariants import _contains_claw, _greedy_bound
-from splitkit.recognition import _2k2_witness, _c4_witness
 
 from graphgen import random_graph, relabel
 from oracles import (
@@ -154,13 +155,13 @@ def test_pattern_scans_past_the_exhaustive_range(g):
     assert _contains_claw(g) == has_induced_copy(g, CLAW)
     # LEMMA1 and LEMMA2: past order 6 only K_{2,l} lacks a witness
     if has_c4:
-        e = _c4_witness(g)
+        e = find_c4_witness(g)
         if e is None:
             assert detect_exceptional(g).family == "H1"
         else:
             assert has_induced_copy(contract(g, e), C4)
     if has_2k2:
-        e = _2k2_witness(g)
+        e = find_2k2_witness(g)
         assert e is not None
         h = contract(g, e)
         assert has_induced_copy(h, TWO_K2) or has_induced_copy(h, C4)

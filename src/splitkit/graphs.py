@@ -8,7 +8,7 @@ for any order up to 64.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, partial
+from functools import partial
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -373,6 +373,25 @@ def _graph_from_code(n: int, code: int) -> Graph:
     return Graph(n, rows)
 
 
+def _code(g: Graph) -> int:
+    """The inverse of ``_graph_from_code``: g's own labelled bitstring, not
+    its canonical code, so decoding it gives g back with its labels."""
+    return _subset_code(g.rows, range(g.n))
+
+
+def _subset_code(rows: Sequence[int], verts: Sequence[int]) -> int:
+    """The column-major adjacency bits of an ordered vertex tuple, as in
+    ``_graph_from_code``: x01, x02, x12, x03, ..., first most significant."""
+    code = 0
+    for j in range(1, len(verts)):
+        rv = rows[verts[j]]
+        w = 0
+        for i in range(j):
+            w = w << 1 | (rv >> verts[i] & 1)
+        code = code << j | w
+    return code
+
+
 def is_isomorphic(g: Graph, h: Graph) -> bool:
     """Equal canonical codes, after order and degree-multiset prechecks; orders <= 12."""
     if g.n > ISO_MAX_ORDER or h.n > ISO_MAX_ORDER:
@@ -395,20 +414,11 @@ def write_graph6(g: Graph) -> str:
         head = chr(63 + n)
     else:
         head = "~" + chr(63 + (n >> 12 & 63)) + chr(63 + (n >> 6 & 63)) + chr(63 + (n & 63))
-    buf = 0
-    nbits = 0
-    body = []
-    for v in range(1, n):
-        for u in range(v):
-            buf = buf << 1 | (g.rows[u] >> v & 1)
-            nbits += 1
-            if nbits == 6:
-                body.append(chr(63 + buf))
-                buf = 0
-                nbits = 0
-    if nbits:
-        body.append(chr(63 + (buf << (6 - nbits))))
-    return head + "".join(body)
+    # the body is _code(g) padded with zeros to whole 6-bit bytes
+    total = n * (n - 1) // 2
+    need = (total + 5) // 6
+    code = _code(g) << (6 * need - total)
+    return head + "".join(chr(63 + (code >> 6 * i & 63)) for i in range(need - 1, -1, -1))
 
 
 _G6_OCTAL = {63 + i: f"{i:02o}" for i in range(64)}
@@ -570,7 +580,6 @@ def complete_bipartite_graph(a: int, b: int) -> Graph:
     return build(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
-@lru_cache(maxsize=None)
 def _pattern_template(tag: str, param: int | None) -> Graph:
     if tag == "TWO_K2":
         return build(4, [(0, 1), (2, 3)])
@@ -657,7 +666,7 @@ def _connected_codes(n: int, mapper=map) -> tuple[int, ...]:
     yet cached are filled with the same mapper. The kernel canonicalizes
     its children itself, so ``canonical_code`` is not called here. The
     codes are ints, cheap to send to a worker, which decodes them with
-    ``_graph_from_code`` (``census`` tallies them that way).
+    ``_graph_from_code`` (``census`` and ``verify`` check them that way).
     """
     codes = _codes.get(n)
     if codes is None:
@@ -775,22 +784,13 @@ def _child_codes(n: int, parent_code: int) -> tuple[int, ...]:
     return tuple(seen)
 
 
-@lru_cache(maxsize=None)
-def _connected_graphs(n: int) -> tuple[Graph, ...]:
-    """The decoded ``_connected_codes(n)``, shared by the sweeps of order n.
-
-    Graphs are immutable, so one decoded tuple serves every caller. The
-    cache is sized for ENUM_MAX_ORDER = 8 (11,117 graphs at order 8);
-    order 9, with 261,080 connected graphs, would have to stream instead.
-    """
-    return tuple(_graph_from_code(n, code) for code in _connected_codes(n))
-
-
 def enumerate_connected(n: int) -> Iterator[Graph]:
-    """One canonically labelled representative per connected graph of order n."""
+    """One canonically labelled representative per connected graph of order n,
+    decoded from ``_connected_codes(n)`` as it is read."""
     if not 1 <= n <= ENUM_MAX_ORDER:
         raise OrderOutOfRange(f"order {n} not in 1..{ENUM_MAX_ORDER}")
-    yield from _connected_graphs(n)
+    for code in _connected_codes(n):
+        yield _graph_from_code(n, code)
 
 
 def disjoint_union(parts: Sequence[Graph]) -> Graph:
@@ -808,20 +808,25 @@ def disjoint_union(parts: Sequence[Graph]) -> Graph:
 
 
 def enumerate_all(n: int) -> Iterator[Graph]:
-    """One representative per isomorphism class of all graphs of order n.
+    """One representative per isomorphism class of all graphs of order n:
+    the connected classes, in the order of ``enumerate_connected(n)``, then
+    the disconnected ones, in the order of ``_disconnected(n)``."""
+    yield from enumerate_connected(n)
+    yield from _disconnected(n)
 
-    Assembled as disjoint unions of connected representatives; multisets of
-    connected classes are in bijection with graph classes, so no
-    deduplication pass is needed. The connected classes come first, as the
-    same objects and in the same order as ``enumerate_connected(n)``.
+
+def _disconnected(n: int) -> Iterator[Graph]:
+    """One representative per class of disconnected graphs of order n.
+
+    Assembled as disjoint unions of two or more connected representatives
+    of order below n, larger parts first; multisets of connected classes
+    are in bijection with graph classes, so no deduplication pass is needed.
     """
-    if not 1 <= n <= ENUM_MAX_ORDER:
-        raise OrderOutOfRange(f"order {n} not in 1..{ENUM_MAX_ORDER}")
-    comps = {k: _connected_graphs(k) for k in range(1, n + 1)}
+    comps = {k: [_graph_from_code(k, c) for c in _connected_codes(k)] for k in range(1, n)}
 
     def assemble(remaining: int, size_cap: int, index_floor: int, chosen: list[Graph]):
         if remaining == 0:
-            yield chosen[0] if len(chosen) == 1 else disjoint_union(chosen)
+            yield disjoint_union(chosen)
             return
         for k in range(min(remaining, size_cap), 0, -1):
             start = index_floor if k == size_cap else 0
@@ -830,4 +835,4 @@ def enumerate_all(n: int) -> Iterator[Graph]:
                 yield from assemble(remaining - k, k, i, chosen)
                 chosen.pop()
 
-    yield from assemble(n, n, 0, [])
+    yield from assemble(n, n - 1, 0, [])

@@ -4,11 +4,15 @@ A call walks its graphs once for all the theorems it checks. ``_verify``
 takes theorem ids with the largest order each sweeps, walks the union of
 their substrates (orders 1..max, the connected classes of each order and
 then the disconnected ones), and runs on each graph the checks whose
-substrate holds it. The checks of one graph share one ``recognition._Facts``
-record, the fact record that ``classify`` and the census tally read too:
-the 2K2 and C4 scans, the degree split test, the exceptional family, omega,
-alpha, balanced, pseudo-split, the NG characterisation, and one
-witness-edge walk for the labels the active checks read (``_WITNESS_LABELS``).
+substrate holds it. What goes from the enumeration (or a corpus) to the
+per-graph work is a run of int codes of one order: ``_check_graph`` and the
+census tally ``_census_one`` decode their own graph, so no ``Graph`` is
+held for the walk or pickled to a pool worker. The checks of one graph
+share one ``recognition._Facts`` record, the fact record that ``classify``
+and the census tally read too: the 2K2 and C4 scans, the degree split test,
+the exceptional family, omega, alpha, balanced, pseudo-split, the NG
+characterisation, and one witness-edge walk for the labels the active
+checks read (``_WITNESS_LABELS``).
 The oracles the checks compare against (the ``find_induced`` re-checks, the
 partition search, the forbidden-pattern split test, the decomposer's
 refusal and the colouring definition of NG) share no code with the
@@ -23,7 +27,6 @@ from __future__ import annotations
 import os
 import time
 from functools import partial
-from itertools import islice
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import (
@@ -38,16 +41,16 @@ from .graphs import (
     ENUM_MAX_ORDER,
     Graph,
     NamedPattern,
+    _code,
     _connected_codes,
     _contract,
+    _disconnected,
     _graph_from_code,
     _induced,
     canonical_code,
     canonical_form,
     complete_graph,
     cycle_graph,
-    enumerate_all,
-    enumerate_connected,
     write_graph6,
 )
 from .invariants import _contains_claw
@@ -75,7 +78,7 @@ class TheoremReport(NamedTuple):
 
     @property
     def elapsed_ms(self) -> float:
-        """Building the graph list (enumerating or reading it) plus checking it."""
+        """Building the code lists (enumerating or reading them) plus checking them."""
         return self.enumerate_ms + self.check_ms
 
     @property
@@ -439,17 +442,20 @@ _WITNESS_LABELS = {
 }
 
 
-def _check_graph(active: tuple[str, ...], g: Graph):
-    """Check g against the active theorems, over one fact record.
+def _check_graph(active: tuple[str, ...], n: int, code: int):
+    """Check the graph of order n with this code (``_graph_from_code``)
+    against the active theorems, over one fact record.
 
     Returns each check's seconds, in the order of the active ids, and
-    (index, details, member) for each check with something to report.
+    (index, details, member) for each check with something to report. The
+    decoding is charged to the first check.
     """
-    facts = _Facts(g, [_WITNESS_LABELS[t] for t in active if t in _WITNESS_LABELS])
     clock = time.perf_counter
+    last = clock()
+    g = _graph_from_code(n, code)
+    facts = _Facts(g, [_WITNESS_LABELS[t] for t in active if t in _WITNESS_LABELS])
     times = []
     bad = []
-    last = clock()
     for i, theorem in enumerate(active):
         details, member = CHECKERS[theorem].check(g, facts)
         now = clock()
@@ -465,7 +471,7 @@ def check_one(theorem: str, g: Graph) -> tuple[str, ...]:
     if theorem not in CHECKERS:
         raise UnknownTheorem(f"unknown theorem id {theorem!r}")
     _require_corpus_order(g)
-    _, bad = _check_graph((theorem,), g)
+    _, bad = _check_graph((theorem,), g.n, _code(g))
     return bad[0][1] if bad else ()
 
 
@@ -490,7 +496,8 @@ class _Pool:
     map is serial, and lazy, at jobs 1 or below 256 items, so a caller that
     streams the results never holds them all. Otherwise it runs on one
     ``multiprocessing`` pool, started on first use and terminated when the
-    block ends.
+    block ends. ``pool(fn, items, size)`` counts size items instead: the
+    whole walk that a short run of items is part of.
     """
 
     def __init__(self, jobs: int):
@@ -506,8 +513,8 @@ class _Pool:
         if self._workers is not None:
             self._workers.terminate()
 
-    def __call__(self, fn, items) -> Iterable:
-        if self.jobs == 1 or len(items) < 256:
+    def __call__(self, fn, items, size: int | None = None) -> Iterable:
+        if self.jobs == 1 or (len(items) if size is None else size) < 256:
             return map(fn, items)
         if self._workers is None:
             import multiprocessing
@@ -545,70 +552,67 @@ def verify_all(max_n: int = 7, jobs: int = 1, source=None) -> list[TheoremReport
 
 
 def _segments(orders: dict[str, int], pool: _Pool):
-    """(active ids, graphs) runs covering the union of the substrates.
+    """(active ids, n, codes) runs covering the union of the substrates.
 
     orders maps each theorem id to the largest order it sweeps. Each graph
-    of orders 1..max is decoded once and carries the ids whose substrate
-    holds it. Within an order, ``enumerate_all`` yields the connected
-    classes first, in ``enumerate_connected``'s order, so the first run of
-    an order is its connected graphs and the second, read from the same
-    iterator, the disconnected ones. A run's graphs must be read before the
-    next run is asked for.
+    of orders 1..max is one int code of order n, in one run, with the ids
+    whose substrate holds it: the canonical codes of the connected classes
+    of each order, then the labelled codes (``_code``) of the disconnected
+    ones and of the family graphs.
     """
     walked = [t for t in orders if CHECKERS[t].family is None]
-    top = max((orders[t] for t in walked), default=0)
-    if top:
-        _connected_codes(top, pool)
-    for n in range(1, top + 1):
+    for n in range(1, max((orders[t] for t in walked), default=0) + 1):
         connected = tuple(t for t in walked if n <= orders[t])
+        yield connected, n, _connected_codes(n, pool)
         disconnected = tuple(t for t in connected if n <= CHECKERS[t].disconnected)
-        graphs = enumerate_all(n) if disconnected else enumerate_connected(n)
-        yield connected, islice(graphs, len(_connected_codes(n, pool)))
         if disconnected:
-            yield disconnected, graphs
+            yield disconnected, n, [_code(g) for g in _disconnected(n)]
     for t in orders:
         family = CHECKERS[t].family
         if family is not None:
-            yield (t,), [family(n) for n in range(4, orders[t] + 1)]
+            for n in range(4, orders[t] + 1):
+                yield (t,), n, [_code(family(n))]
 
 
 def _verify(orders: dict[str, int], source, pool: _Pool) -> list[TheoremReport]:
     """One report per id of orders, in its order, from one walk.
 
     orders maps each theorem id to the largest order its substrate is swept
-    to (ignored for a corpus, whose every graph goes to every theorem).
+    to (ignored for a corpus, whose every graph goes to every theorem, in
+    one run per order).
     """
     tids = tuple(orders)
     start = time.perf_counter()
     if source is None:
-        runs = _segments(orders, pool)
+        runs = list(_segments(orders, pool))
     else:
-        graphs = list(source)
-        for g in graphs:
+        by_order: dict[int, list[int]] = {}
+        for g in source:
             _require_corpus_order(g)
-        runs = [(tids, graphs)]
-    runs = [(active, list(graphs)) for active, graphs in runs]
+            by_order.setdefault(g.n, []).append(_code(g))
+        runs = [(tids, n, by_order[n]) for n in sorted(by_order)]
     built = time.perf_counter()
+    # a walk of 256 graphs or more maps every run on the pool, however short:
+    # a corpus has one run per order
+    size = sum(len(codes) for _, _, codes in runs)
     checked = dict.fromkeys(tids, 0)
     span: dict[str, tuple[int, int]] = {}
     seconds = dict.fromkeys(tids, 0.0)
     violations: dict[str, list] = {t: [] for t in tids}
     members: dict[str, list] = {t: [] for t in tids}
-    for active, graphs in runs:
-        if not graphs:
+    for active, n, codes in runs:
+        if not codes:
             continue
-        lo = min(g.n for g in graphs)
-        hi = max(g.n for g in graphs)
         for t in active:
-            checked[t] += len(graphs)
-            seen = span.get(t)
-            span[t] = (lo, hi) if seen is None else (min(seen[0], lo), max(seen[1], hi))
+            checked[t] += len(codes)
+            lo, hi = span.get(t, (n, n))
+            span[t] = (min(lo, n), max(hi, n))
         # serial at jobs 1: the results stream, and only violations are kept
-        for g, (times, bad) in zip(graphs, pool(partial(_check_graph, active), graphs)):
+        for code, (times, bad) in zip(codes, pool(partial(_check_graph, active, n), codes, size)):
             for t, s in zip(active, times):
                 seconds[t] += s
             if bad:
-                g6 = write_graph6(g)
+                g6 = write_graph6(_graph_from_code(n, code))
                 for i, details, member in bad:
                     violations[active[i]].extend((g6, d) for d in details)
                     if member:
@@ -627,7 +631,7 @@ def _verify(orders: dict[str, int], source, pool: _Pool) -> list[TheoremReport]:
         found.sort()
         empty = orders[t] if source is None else 0
         lo, hi = span.get(t, (empty, empty))
-        # the shared graph list is charged to the first report
+        # the shared code lists are charged to the first report
         enumerate_ms = (built - start) * 1000.0 if t == tids[0] else 0.0
         reports.append(
             TheoremReport(t, lo, hi, checked[t], tuple(found), enumerate_ms, seconds[t] * 1000.0)

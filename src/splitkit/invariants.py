@@ -7,7 +7,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import OrderTooLargeForColoring, OrderTooLargeForIsomorphism
-from .graphs import Graph, NamedPattern, complement
+from .graphs import Graph, NamedPattern, _subset_code, complement
 
 COLORING_MAX_ORDER = 12
 PATTERN_MAX_ORDER = 8
@@ -115,24 +115,17 @@ class PatternWitness(NamedTuple):
     vertices: tuple[int, ...]
 
 
-def _subset_code(rows, verts) -> int:
-    # column-major adjacency bits of the ordered vertex tuple
-    code = 0
-    for j in range(1, len(verts)):
-        rv = rows[verts[j]]
-        w = 0
-        for i in range(j):
-            w = w << 1 | (rv >> verts[i] & 1)
-        code = code << j | w
-    return code
-
-
 @lru_cache(maxsize=None)
 def _template_prefixes(tag: str, param: int | None) -> tuple[frozenset[int], ...]:
     """Entry j: the codes of the first j + 1 vertices of every ordered tuple
     of template vertices, i.e. the top (j + 1) j / 2 bits of each full code;
-    the last entry holds the full codes."""
+    the last entry holds the full codes. A template of order above
+    PATTERN_MAX_ORDER raises OrderTooLargeForIsomorphism."""
     t = NamedPattern(tag, param).template
+    if t.n > PATTERN_MAX_ORDER:
+        raise OrderTooLargeForIsomorphism(
+            f"pattern {NamedPattern(tag, param)} has order {t.n} > {PATTERN_MAX_ORDER}"
+        )
     codes = {_subset_code(t.rows, p) for p in itertools.permutations(range(t.n))}
     total = t.n * (t.n - 1) // 2
     return tuple(
@@ -170,12 +163,10 @@ def find_induced(g: Graph, pattern: NamedPattern) -> PatternWitness | None:
     that no ordering of the template starts with. A pattern of order above
     PATTERN_MAX_ORDER = 8 raises OrderTooLargeForIsomorphism.
     """
-    k = pattern.template.n
-    if k > PATTERN_MAX_ORDER:
-        raise OrderTooLargeForIsomorphism(f"pattern {pattern} has order {k} > {PATTERN_MAX_ORDER}")
-    if k > g.n:
+    prefixes = _template_prefixes(pattern.tag, pattern.param)
+    if len(prefixes) > g.n:
         return None
-    s = _first_copy(g.rows, g.n, _template_prefixes(pattern.tag, pattern.param))
+    s = _first_copy(g.rows, g.n, prefixes)
     return None if s is None else PatternWitness(pattern, s)
 
 

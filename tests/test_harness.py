@@ -247,9 +247,10 @@ def test_fused_walk_details_match_check_one():
     orders = {t: min(7, harness.CHECKERS[t].cap) for t in THEOREM_IDS}
     with harness._Pool(1) as pool:
         walked = 0
-        for active, run in harness._segments(orders, pool):
-            for g in run:
-                _, bad = harness._check_graph(active, g)
+        for active, n, codes in harness._segments(orders, pool):
+            for code in codes:
+                g = graphs._graph_from_code(n, code)
+                _, bad = harness._check_graph(active, n, code)
                 fused = {active[i]: details for i, details, _ in bad}
                 for t in active:
                     assert fused.get(t, ()) == check_one(t, g), (t, g)
@@ -549,6 +550,9 @@ def test_fused_walk_parallel_matches_serial(monkeypatch, pools, method):
     # the fused per-graph check, mapped over the long runs on one pool
     assert len(pools["started"]) == 1
     assert pools["mapped"] and all(fn.func is harness._check_graph for fn in pools["mapped"])
+    # codes go out and results come back: no Graph crosses to a worker
+    assert not contains_graph(pools["sent"]) and not contains_graph(pools["received"])
+    assert all(type(code) is int for _, codes in pools["sent"] for code in codes)
 
 
 def test_corpus_runs_start_one_pool(pools):
@@ -561,6 +565,8 @@ def test_corpus_runs_start_one_pool(pools):
     assert without_ms([verify("THM_NG", source=corpus, jobs=2)]) == all_seq[-1:]
     assert len(pools["started"]) == 2
     assert pools["terminated"] == pools["started"]
+    assert not contains_graph(pools["sent"]) and not contains_graph(pools["received"])
+    assert all(type(code) is int for _, codes in pools["sent"] for code in codes)
 
 
 def test_verify_all_takes_a_corpus_at_any_max_n():
@@ -584,9 +590,9 @@ def test_jobs_checked_before_enumeration(monkeypatch):
     def refuse(n):
         raise AssertionError("enumerated before checking jobs")
 
-    monkeypatch.setattr(harness, "enumerate_connected", refuse)
-    monkeypatch.setattr(harness, "enumerate_all", refuse)
+    # what the walk and the census call first
     monkeypatch.setattr(harness, "_connected_codes", lambda n, pool: refuse(n))
+    monkeypatch.setattr(harness, "_disconnected", refuse)
     with pytest.raises(InvalidJobs):
         verify("THM_CONTRACTION", 8, jobs=0)
     with pytest.raises(InvalidJobs):

@@ -46,7 +46,7 @@ from splitkit import (
     star_graph,
     write_graph6,
 )
-from splitkit.graphs import _child_codes
+from splitkit.graphs import _child_codes, _code
 from splitkit.invariants import _contains_claw, _greedy_bound
 
 from graphgen import random_graph, relabel
@@ -182,6 +182,10 @@ def test_parse_graph6_matches_bitwise_oracle_to_order_64(seed, n):
     line = write_graph6(g)
     h = parse_graph6(line)
     assert h == g and decode_graph6_bits(line) == (n, h.edges())
+    # _code is the body's bits without the padding
+    body = line[4:] if n > 62 else line[1:]
+    pad = 6 * len(body) - n * (n - 1) // 2
+    assert _code(h) == int("".join(f"{ord(c) - 63:06b}" for c in body), 2) >> pad
     if n * (n - 1) // 2 % 6:  # a set padding bit is rejected
         with pytest.raises(MalformedGraph6, match="nonzero padding bits"):
             parse_graph6(line[:-1] + chr(63 + (ord(line[-1]) - 63 | 1)))

@@ -11,15 +11,22 @@ held for the walk or pickled to a pool worker. The checks of one graph
 share one ``recognition._Facts`` record, the fact record that ``classify``
 and the census tally read too: the 2K2 and C4 scans, the degree split test,
 the exceptional family, omega, alpha, balanced, pseudo-split, the NG
-characterisation, and one witness-edge walk for the labels the active
-checks read (``_WITNESS_LABELS``).
-The oracles the checks compare against (the ``find_induced`` re-checks, the
-partition search, the forbidden-pattern split test, the decomposer's
-refusal and the colouring definition of NG) share no code with the
-record's scans; the record only keeps a re-check's answer, so that LEMMA1
-and LEMMA2 search one kept contraction for C4 once. The per-graph work is
-embarrassingly parallel; counterexamples are merged and sorted, so reports
-are the same for every worker count.
+characterisation, one witness-edge walk for the labels the active checks
+read (``_WITNESS_LABELS``), and a memo that contracts each edge at most
+once for the walk, the LEMMA re-checks, THM_UNBALANCED and the PROP checks.
+The oracles the checks compare against (the ``find_induced`` re-checks,
+the partition search, the forbidden-pattern split test, the decomposer's
+refusal and the colouring definition of NG) read no fact of the record. A
+re-check takes its contraction from the memo and searches it with
+``find_induced``, which no fact calls; the record keeps the answer, so that
+LEMMA1 and LEMMA2 search one contraction for C4 once. The forbidden-pattern
+split test and the decomposer's refusal run ``contains_2k2`` and
+``contains_c4`` on the graph themselves, the scans behind the record's
+``has_2k2`` and ``has_c4``: THM_SPLIT_FORBIDDEN checks those scans against
+the degree test and the partition search, and THM_PSEUDO's refusal check
+cannot catch a fault in them. The per-graph work is embarrassingly
+parallel; counterexamples are merged and sorted, so reports are the same
+for every worker count.
 """
 
 from __future__ import annotations
@@ -43,7 +50,6 @@ from .graphs import (
     NamedPattern,
     _code,
     _connected_codes,
-    _contract,
     _disconnected,
     _graph_from_code,
     _induced,
@@ -122,16 +128,17 @@ def _contraction_image(cmask: int, u: int, v: int) -> int:
     return (cmask & ((1 << v) - 1)) | (cmask >> (v + 1)) << v
 
 
-def _contractions(g: Graph) -> list[tuple[int, int, Graph]]:
-    """(u, v, g/uv) for every edge u < v in lexicographic order: each edge
-    is contracted once for all the vertex sets a PROP check tries it with."""
-    return [(e.u, e.v, _contract(g, e.u, e.v)) for e in g.edges()]
+def _contractions(facts: _Facts) -> list[tuple[int, int, Graph]]:
+    """(u, v, g/uv) for every edge u < v of the record's graph, in
+    lexicographic order, from its contraction memo: each edge is contracted
+    once for all the vertex sets, and all the checks, that try it."""
+    return [(u, v, facts.contracted(u, v)) for u, v in facts.g.edges()]
 
 
 def _check_prop1(g: Graph, facts: _Facts):
     bad = []
     rows = g.rows
-    contracted = {(u, v): h for u, v, h in _contractions(g)}
+    contracted = {(u, v): h for u, v, h in _contractions(facts)}
     for cmask in range(1, 1 << g.n):
         cset = [x for x in range(g.n) if cmask >> x & 1]
         code = canonical_code(_induced(g, cmask))
@@ -155,7 +162,7 @@ def _check_prop1(g: Graph, facts: _Facts):
 
 def _check_prop2(g: Graph, facts: _Facts):
     bad = []
-    contracted = _contractions(g)
+    contracted = _contractions(facts)
     for cmask in range(1, 1 << g.n):
         code = canonical_code(_induced(g, cmask))
         for u, v, h in contracted:
@@ -170,7 +177,7 @@ def _check_prop2(g: Graph, facts: _Facts):
 def _check_prop3(g: Graph, facts: _Facts):
     bad = []
     rows = g.rows
-    contracted = _contractions(g)
+    contracted = _contractions(facts)
     for cmask in range(1, g.full_mask):
         cover = 0
         cset = []
@@ -199,9 +206,9 @@ def _check_prop4(g: Graph, facts: _Facts):
         return (), False
     target = canonical_code(cycle_graph(g.n - 1))
     bad = tuple(
-        f"C{g.n}/({e.u},{e.v}) is not C{g.n - 1}"
-        for e in g.edges()
-        if canonical_code(_contract(g, *e)) != target
+        f"C{g.n}/({u},{v}) is not C{g.n - 1}"
+        for u, v, h in _contractions(facts)
+        if canonical_code(h) != target
     )
     return bad, False
 
@@ -211,9 +218,9 @@ def _check_prop5(g: Graph, facts: _Facts):
         return (), False
     target = canonical_code(complete_graph(g.n - 1))
     bad = tuple(
-        f"K{g.n}/({e.u},{e.v}) is not K{g.n - 1}"
-        for e in g.edges()
-        if canonical_code(_contract(g, *e)) != target
+        f"K{g.n}/({u},{v}) is not K{g.n - 1}"
+        for u, v, h in _contractions(facts)
+        if canonical_code(h) != target
     )
     return bad, False
 
@@ -227,15 +234,15 @@ def _check_lemma1(g: Graph, facts: _Facts):
         return (), False
     tag = facts.tag
     terminal = tag is not None and tag.family in ("H1", "H2", "H3")
-    w = facts.witness("c4")
+    e = facts.witness("c4")
     if terminal:
-        if w is not None:
-            return (f"terminal graph {tag} has witness ({w[0].u},{w[0].v})",), False
+        if e is not None:
+            return (f"terminal graph {tag} has witness ({e.u},{e.v})",), False
         return (), False
-    if w is None:
+    if e is None:
         return ("no C4-preserving contraction on a non-terminal graph",), False
     # the re-check reads the contraction the walk tested, with its own search
-    e, h = w
+    h = facts.contracted(*e)
     if not facts.has_induced(h, _C4):
         return (f"contraction by ({e.u},{e.v}) lacks the promised C4",), False
     return (), False
@@ -252,14 +259,14 @@ def _check_lemma2(g: Graph, facts: _Facts):
     terminal = (tag is not None and tag.family in _LEMMA2_TERMINAL_FAMILIES) or (
         g.n == 6 and canonical_code(g) == _C6_CODE
     )
-    w = facts.witness("2k2")
+    e = facts.witness("2k2")
     if terminal:
-        if w is not None:
-            return (f"terminal graph has witness ({w[0].u},{w[0].v})",), False
+        if e is not None:
+            return (f"terminal graph has witness ({e.u},{e.v})",), False
         return (), False
-    if w is None:
+    if e is None:
         return ("no 2K2/C4-preserving contraction on a non-terminal graph",), False
-    e, h = w
+    h = facts.contracted(*e)
     if not (facts.has_induced(h, _TWO_K2) or facts.has_induced(h, _C4)):
         return (f"contraction by ({e.u},{e.v}) lacks the promised 2K2/C4",), False
     return (), False
@@ -289,7 +296,7 @@ def _ks_partition_exists(g: Graph) -> bool:
 
 
 def _check_split_triple(g: Graph, facts: _Facts):
-    # the forbidden-pattern test runs its own scans, not the record's
+    # the forbidden-pattern test scans g itself and reads no record fact
     a = is_split_forbidden(g)
     b = facts.split
     c = _ks_partition_exists(g)
@@ -309,12 +316,12 @@ def _check_2k2_claw(g: Graph, facts: _Facts):
 def _check_contraction(g: Graph, facts: _Facts):
     split = facts.split
     tag = facts.tag
-    w = facts.witness("nonsplit")
-    hits = int(split) + int(tag is not None) + int(w is not None)
-    exceptional_member = not split and w is None
+    e = facts.witness("nonsplit")
+    hits = int(split) + int(tag is not None) + int(e is not None)
+    exceptional_member = not split and e is None
     if hits != 1:
-        e = None if w is None else (w[0].u, w[0].v)
-        return (f"regions overlap or miss: split={split} family={tag} witness={e}",), exceptional_member
+        w = None if e is None else tuple(e)
+        return (f"regions overlap or miss: split={split} family={tag} witness={w}",), exceptional_member
     return (), exceptional_member
 
 
@@ -358,17 +365,14 @@ def _check_ks_cases(g: Graph, facts: _Facts):
 def _check_unbalanced(g: Graph, facts: _Facts):
     if not facts.split or facts.star_excluded:
         return (), False
-    w = facts.witness("unbalanced")
+    e = facts.witness("unbalanced")
     unbalanced = not facts.balanced
-    if (w is not None) != unbalanced:
-        e = None if w is None else (w[0].u, w[0].v)
-        return (f"unbalanced={unbalanced} but witness={e}",), False
-    if w is not None:
-        e, h = w
-        if h is None:
-            h = _contract(g, e.u, e.v)
-        # the postcondition reads h's own record: split and omega once each
-        hfacts = _Facts(h)
+    if (e is not None) != unbalanced:
+        w = None if e is None else tuple(e)
+        return (f"unbalanced={unbalanced} but witness={w}",), False
+    if e is not None:
+        # the postcondition reads g/e's own record: split and omega once each
+        hfacts = _Facts(facts.contracted(*e))
         if not hfacts.split:
             return (f"contraction by ({e.u},{e.v}) is not split",), False
         if hfacts.omega != facts.omega - 1 or hfacts.balanced:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Collection, Iterable, NamedTuple
+from typing import Collection, NamedTuple
 
 from .errors import (
     InvalidPartition,
@@ -394,63 +394,77 @@ def detect_exceptional(g: Graph) -> FamilyTag | None:
 # witness edges
 
 
-def _witnesses(
-    g: Graph, labels: Iterable[str], omega: int = 0
-) -> dict[str, tuple[Edge, Graph | None]]:
-    """The first edge e, in lexicographic order, whose contraction g/e passes
-    each label's test.
+def _witnesses(facts: _Facts) -> dict[str, Edge]:
+    """The first edge e of facts.g, in lexicographic order, whose contraction
+    g/e passes each label's test, for the labels of the record that apply
+    to g.
 
-    The labels: "c4", g/e has an induced C4; "2k2", g/e has an induced 2K2
-    or C4; "nonsplit", g/e is not split; "unbalanced", g/e is unbalanced
-    split with clique number omega - 1, for a split g of clique number omega
-    (then every g/e is split, and no other label can pass). The last two
-    read the degree list of g/e alone.
+    The labels: "c4", g/e has an induced C4, asked where g has one; "2k2",
+    g/e has an induced 2K2 or C4, asked where g has an induced 2K2;
+    "nonsplit", g/e is not split, always asked; "unbalanced", g/e is
+    unbalanced split with clique number omega(g) - 1, asked where g is split
+    and not star-excluded (then every g/e is split, and no other label can
+    pass). The last two read the degree list of g/e alone (see
+    ``_hammer_simeone``).
 
     Each edge is checked against every label still without a witness. The
     labels imply one another: a C4 in g/e passes 2k2 as well, and a graph
     with an induced 2K2 or C4 is not split, so a c4 or 2k2 hit settles a
     pending nonsplit without the degree list, and after a c4 miss the 2k2
-    test scans for a 2K2 alone. The contraction and the degree list are
-    each built at most once per edge, and only while a pending label reads
-    it. The walk stops when every label has a witness. Each label found
-    maps to (edge, g/edge), where g/edge is None when no pending c4 or 2k2
-    label read it; labels with no witness are absent.
+    test scans for a 2K2 alone. g/e comes from the record's contraction
+    memo, and it and the degree list are each read only while a pending
+    label reads them. The walk stops when every label has a witness. Each
+    label found maps to its edge; labels with no witness are absent.
     """
+    asked = facts.labels
+    pending = set()
+    if "c4" in asked and facts.has_c4:
+        pending.add("c4")
+    if "2k2" in asked and facts.has_2k2:
+        pending.add("2k2")
+    if "nonsplit" in asked:
+        pending.add("nonsplit")
+    if "unbalanced" in asked and facts.split and not facts.star_excluded:
+        pending.add("unbalanced")
     found = {}
-    pending = set(labels)
-    unbalanced = _unbalanced_test(omega) if "unbalanced" in pending else None
+    g = facts.g
     rows = g.rows
+    omega = facts.omega if "unbalanced" in pending else 0
     degrees = g.degrees() if pending & {"nonsplit", "unbalanced"} else None
     for u in range(g.n):
-        m = rows[u] >> (u + 1) << (u + 1)
-        while m and pending:
-            b = m & -m
-            m ^= b
+        above = rows[u] >> (u + 1) << (u + 1)
+        while above and pending:
+            b = above & -above
+            above ^= b
             v = b.bit_length() - 1
-            h = None
             hits = []
             if "c4" in pending:
-                h = _contract(g, u, v)
+                h = facts.contracted(u, v)
                 if contains_c4(h):
                     hits = ["c4", "2k2"]
                 elif "2k2" in pending and contains_2k2(h):
                     hits = ["2k2"]
             elif "2k2" in pending:
-                h = _contract(g, u, v)
+                h = facts.contracted(u, v)
                 if contains_2k2(h) or contains_c4(h):
                     hits = ["2k2"]
             if hits:
                 hits.append("nonsplit")
             elif "nonsplit" in pending or "unbalanced" in pending:
                 d = _contracted_degrees(degrees, rows, u, v)
-                if "nonsplit" in pending and _not_split(d):
+                m, split = _hammer_simeone(d)
+                if "nonsplit" in pending and not split:
                     hits.append("nonsplit")
-                if "unbalanced" in pending and unbalanced(d):
-                    hits.append("unbalanced")
+                if "unbalanced" in pending:
+                    if not split:
+                        raise NotSplit("balancedness is defined for split graphs only")
+                    # the clique number dropped and g/e is unbalanced
+                    if m == omega - 1 and d[m - 1] == m - 1:
+                        hits.append("unbalanced")
             for label in hits:
                 if label in pending:
                     pending.remove(label)
-                    found[label] = (Edge(u, v), h)
+                    found[label] = Edge(u, v)
     return found
 
 
@@ -472,22 +486,6 @@ def _contracted_degrees(degrees: list[int], rows, u: int, v: int) -> list[int]:
     return d
 
 
-def _not_split(d: list[int]) -> bool:
-    return not _hammer_simeone(d)[1]
-
-
-def _unbalanced_test(omega: int) -> Callable[[list[int]], bool]:
-    # the contraction drops the clique number and is unbalanced split; both
-    # read off its degree list (see _hammer_simeone)
-    def test(d: list[int]) -> bool:
-        m, split = _hammer_simeone(d)
-        if not split:
-            raise NotSplit("balancedness is defined for split graphs only")
-        return m == omega - 1 and d[m - 1] == m - 1
-
-    return test
-
-
 def find_c4_witness(g: Graph) -> Edge | None:
     """First edge whose contraction still has an induced C4, or None.
 
@@ -496,7 +494,7 @@ def find_c4_witness(g: Graph) -> Edge | None:
     facts = _Facts(g, ("c4",))
     if not facts.has_c4:
         raise NoInducedC4("graph has no induced C4")
-    return facts.edge("c4")
+    return facts.witness("c4")
 
 
 def find_2k2_witness(g: Graph) -> Edge | None:
@@ -507,12 +505,12 @@ def find_2k2_witness(g: Graph) -> Edge | None:
     facts = _Facts(g, ("2k2",))
     if not facts.has_2k2:
         raise NoInduced2K2("graph has no induced 2K2")
-    return facts.edge("2k2")
+    return facts.witness("2k2")
 
 
 def find_nonsplit_witness(g: Graph) -> Edge | None:
     """First edge whose contraction is not split, or None."""
-    return _Facts(g, ("nonsplit",)).edge("nonsplit")
+    return _Facts(g, ("nonsplit",)).witness("nonsplit")
 
 
 def find_unbalanced_witness(g: Graph) -> Edge | None:
@@ -529,7 +527,7 @@ def find_unbalanced_witness(g: Graph) -> Edge | None:
         raise IsStar("the one-vertex graph has no edges")
     if facts.star_excluded:
         raise IsStar(f"stars K_(1,{g.n - 1}) are excluded")
-    return facts.edge("unbalanced")
+    return facts.witness("unbalanced")
 
 
 # ---------------------------------------------------------------------------
@@ -630,13 +628,15 @@ class _Facts:
     compare against never read it.
 
     labels are the witness labels the caller asks for. ``walk`` runs one
-    ``_witnesses`` walk for those of them that apply to g: c4 when g has
-    an induced C4, 2k2 when it has an induced 2K2, nonsplit always, and
-    unbalanced when g is split and not star-excluded. The walk keeps the
-    contraction it built at each witness edge, and ``has_induced`` keeps
-    the ``find_induced`` re-check of each kept contraction against each
-    pattern, so LEMMA2 reads LEMMA1's C4 re-check when both labels share
-    their witness edge.
+    ``_witnesses`` walk for those of them that apply to g (c4 when g has an
+    induced C4, 2k2 when it has an induced 2K2, nonsplit always, and
+    unbalanced when g is split and not star-excluded) and maps each label
+    found to its witness edge. ``contracted(u, v)`` builds the contraction
+    g/uv at most once per record: the walk, the LEMMA re-checks,
+    THM_UNBALANCED's postcondition and the PROP checks all read it there.
+    ``has_induced`` keeps the ``find_induced`` re-check of each contraction
+    against each pattern, so LEMMA2 reads LEMMA1's C4 re-check when both
+    labels share their witness edge.
     """
 
     def __init__(self, g: Graph, labels: Collection[str] = ()):
@@ -661,35 +661,25 @@ class _Facts:
     tag = _fact(lambda f: detect_exceptional(f.g))
     # find_unbalanced_witness refuses K1 and the stars K_(1,m), m >= 2
     star_excluded = _fact(lambda f: f.g.n < 2 or (f.g.n >= 3 and is_star(f.g)))
+    _contractions = _fact(lambda f: {})
     _rechecks = _fact(lambda f: {})
+    walk = _fact(lambda f: _witnesses(f))
 
-    @_fact
-    def walk(self) -> dict[str, tuple[Edge, Graph | None]]:
-        asked = self.labels
-        labels = []
-        if "c4" in asked and self.has_c4:
-            labels.append("c4")
-        if "2k2" in asked and self.has_2k2:
-            labels.append("2k2")
-        if "nonsplit" in asked:
-            labels.append("nonsplit")
-        unbalanced = "unbalanced" in asked and self.split and not self.star_excluded
-        if unbalanced:
-            labels.append("unbalanced")
-        return _witnesses(self.g, labels, self.omega if unbalanced else 0)
+    def contracted(self, u: int, v: int) -> Graph:
+        """g/uv for an edge u < v of g, built once per record."""
+        memo = self._contractions
+        h = memo.get((u, v))
+        if h is None:
+            h = memo[u, v] = _contract(self.g, u, v)
+        return h
 
-    def witness(self, label: str) -> tuple[Edge, Graph | None] | None:
-        """The walk's (edge, contraction or None) for label, or None."""
+    def witness(self, label: str) -> Edge | None:
+        """The walk's witness edge for label, or None."""
         return self.walk.get(label)
 
-    def edge(self, label: str) -> Edge | None:
-        """The walk's witness edge for label, or None."""
-        w = self.walk.get(label)
-        return None if w is None else w[0]
-
     def has_induced(self, h: Graph, pattern: NamedPattern) -> bool:
-        """Whether ``find_induced`` finds pattern in h, a contraction the walk
-        kept, searched once per contraction and pattern."""
+        """Whether ``find_induced`` finds pattern in h, a contraction from
+        ``contracted``, searched once per contraction and pattern."""
         rechecks = self._rechecks
         key = (h, pattern)
         if key not in rechecks:
@@ -727,7 +717,5 @@ def classify(g: Graph) -> ClassificationReport:
         alpha=facts.alpha,
         chi=chi,
         chi_complement=chi_c,
-        witnesses=tuple(
-            (label, found[label][0]) for label in labels if label in found
-        ),
+        witnesses=tuple((label, found[label]) for label in labels if label in found),
     )

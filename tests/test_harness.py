@@ -187,13 +187,13 @@ def test_planted_witness_is_rechecked(corrupt):
     # a tree with an induced 2K2, whose contraction by (0,4) has none
     g = build(6, [(0, 4), (1, 3), (2, 5), (3, 5), (4, 5)])
     e = Edge(0, 4)
-    corrupt(g, walk={"2k2": (e, contract(g, e))})
+    corrupt(g, walk={"2k2": e})
     assert check_one("LEMMA2", g) == ("contraction by (0,4) lacks the promised 2K2/C4",)
     # PAW/(0,3) is K3, whose clique number did not drop
-    corrupt(PAW, walk={"unbalanced": (Edge(0, 3), None)})
+    corrupt(PAW, walk={"unbalanced": Edge(0, 3)})
     assert check_one("THM_UNBALANCED", PAW) == ("witness (0,3) fails its own postcondition",)
     c5 = cycle_graph(5)
-    corrupt(c5, split=True, walk={"unbalanced": (Edge(0, 1), None)})
+    corrupt(c5, split=True, walk={"unbalanced": Edge(0, 1)})
     assert check_one("THM_UNBALANCED", c5) == ("contraction by (0,1) is not split",)
 
 
@@ -220,7 +220,7 @@ def test_exceptional_region_is_compared_with_the_expected_set(corrupt):
     # witness leaves the region, C5 stripped of its witness joins it
     k22 = canonical_form(cycle_graph(4))
     c5 = canonical_form(cycle_graph(5))
-    corrupt(k22, walk={"nonsplit": (k22.edges()[0], None)})
+    corrupt(k22, walk={"nonsplit": k22.edges()[0]})
     corrupt(c5, walk={})
     r = verify("THM_CONTRACTION", 5)
     assert (write_graph6(k22), "expected exceptional graph not found") in r.counterexamples
@@ -230,7 +230,9 @@ def test_exceptional_region_is_compared_with_the_expected_set(corrupt):
 
 def test_prop_checks_catch_a_wrong_contraction(monkeypatch):
     # contracting nothing: on C5 the image of a vertex set then changes
-    monkeypatch.setattr(harness, "_contractions", lambda g: [(e.u, e.v, g) for e in g.edges()])
+    monkeypatch.setattr(
+        harness, "_contractions", lambda facts: [(u, v, facts.g) for u, v in facts.g.edges()]
+    )
     c5 = cycle_graph(5)
     assert len(check_one("PROP1", c5)) == 8
     assert check_one("PROP2", c5)[0] == "C=[0, 4] e=(1,2): induced subgraph not preserved"
@@ -283,13 +285,12 @@ def test_lemma1_recheck_catches_a_wrong_witness(monkeypatch):
     # caught by the independent find_induced re-check
     real = recognition._witnesses
 
-    def wrong_c4(g, labels, omega=0):
-        found = real(g, labels, omega)
+    def wrong_c4(facts):
+        found = real(facts)
         if "c4" in found:
-            for e in g.edges():
-                h = contract(g, e)
-                if not contains_c4(h):
-                    found["c4"] = (e, h)
+            for e in facts.g.edges():
+                if not contains_c4(contract(facts.g, e)):
+                    found["c4"] = e
                     break
         return found
 
@@ -319,6 +320,25 @@ def test_lemma_rechecks_search_each_contraction_once(monkeypatch):
     monkeypatch.setattr(recognition, "find_induced", find)
     assert all(r.verdict == "PASS" for r in verify_all(7))
     assert len(searches) == len(set(searches)) == 1158
+
+
+def test_each_edge_is_contracted_once_per_graph(monkeypatch):
+    # the record's memo serves the witness walk, the LEMMA re-checks,
+    # THM_UNBALANCED and PROP1-PROP5: no graph has an edge contracted twice
+    calls = []
+    real = graphs._contract
+
+    def counted(g, u, v):
+        calls.append((g, u, v))  # holding g keeps its id from being reused
+        return real(g, u, v)
+
+    for module in (graphs, recognition, harness):
+        if getattr(module, "_contract", None) is real:
+            monkeypatch.setattr(module, "_contract", counted)
+    assert all(r.verdict == "PASS" for r in verify_all(6))
+    keys = [(id(g), u, v) for g, u, v in calls]
+    # 4,245 calls when PROP1-PROP3 each contract every edge themselves
+    assert len(keys) == len(set(keys)) == 1426
 
 
 # ---------------------------------------------------------------------------

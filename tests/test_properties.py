@@ -5,7 +5,8 @@ graphs of orders 9-12 (see graphgen.py) and checks the recognizers, the
 decompositions, omega and alpha, the 2K2, C4 and claw scans, every witness
 that ``classify`` and the C4 and 2K2 witness searches report, and the
 degree-list witness tests on every edge against the brute-force oracles,
-the witness walk against a walk that tests each label on its own,
+the witness walk against a walk that tests each label on its own, the
+verify checks that read the walk on connected graphs of orders 9-10,
 the canonical codes that isomorphism answers by, the enumeration kernel's
 children against the plain extension step (parents of orders 9-11), and the
 greedy shortcut of the NG definition against the exact chromatic sum. Two properties reach
@@ -47,6 +48,7 @@ from splitkit import (
     write_graph6,
 )
 from splitkit.graphs import _child_codes, _code
+from splitkit.harness import CORPUS_MAX_ORDER, check_one
 from splitkit.invariants import _contains_claw, _greedy_bound
 
 from graphgen import random_graph, relabel
@@ -129,6 +131,19 @@ def test_degree_tests_past_the_exhaustive_range(g):
 @given(big_graphs())
 def test_witness_walk_past_the_exhaustive_range(g):
     check_witness_walk(g)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(st.randoms(use_true_random=False), st.integers(9, CORPUS_MAX_ORDER))
+def test_witness_checks_pass_past_the_exhaustive_range(rng, n):
+    # the checks that read the witness walk, on connected graphs of the
+    # corpus orders; on a disconnected one such as C4 + K1, LEMMA1 and
+    # THM_CONTRACTION report violations by design
+    g = random_graph(rng, n)
+    if not g.is_connected():
+        g = complement(g)  # the complement of a disconnected graph is connected
+    for theorem in ("LEMMA1", "LEMMA2", "THM_CONTRACTION", "THM_UNBALANCED"):
+        assert check_one(theorem, g) == (), (theorem, g)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60, database=None)

@@ -62,11 +62,10 @@ from splitkit import recognition
 from splitkit.graphs import _contract
 from splitkit.invariants import _find_c5, _greedy_bound
 from splitkit.recognition import (
+    _Facts,
     _contracted_degrees,
     _hammer_simeone,
     _ks,
-    _not_split,
-    _unbalanced_test,
     _witnesses,
 )
 
@@ -238,23 +237,32 @@ def test_family_tag_str():
 
 def check_degree_tests(g):
     """The degree-list witness tests on every edge of g agree with the
-    contraction itself, its split test and the brute-force omega and alpha."""
+    contraction itself, its split test and the brute-force omega and alpha:
+    the walk reads g/e as split when ``_hammer_simeone(d)`` says so, with
+    clique number m, and unbalanced when d_m = m - 1."""
     degrees = g.degrees()
     for u, v in g.edges():
         h = _contract(g, u, v)
         d = _contracted_degrees(degrees, g.rows, u, v)
         assert d == sorted(h.degrees(), reverse=True)
         split = is_split_degrees(h)
-        assert _not_split(d) == (not split)
+        m, split_d = _hammer_simeone(d)
+        assert split_d == split
         if not split:
-            with pytest.raises(NotSplit):
-                _unbalanced_test(2)(d)
             continue
         omega = clique_number_subsets(h)
         unbalanced = omega + independence_number_subsets(h) != h.n
-        assert _hammer_simeone(d)[0] == omega
-        for omega_g in (omega, omega + 1, omega + 2):
-            assert _unbalanced_test(omega_g)(d) == (omega == omega_g - 1 and unbalanced)
+        assert m == omega
+        assert (d[m - 1] == m - 1) == unbalanced
+
+
+def test_unbalanced_walk_refuses_a_nonsplit_contraction():
+    # the contractions of a split graph are split; a record that calls C5
+    # split makes the unbalanced walk meet C5/(0,1) = C4
+    facts = _Facts(cycle_graph(5), ("unbalanced",))
+    facts.split = True
+    with pytest.raises(NotSplit):
+        _witnesses(facts)
 
 
 def test_degree_tests_match_the_contraction():
@@ -408,13 +416,15 @@ def test_ng_definition_bound_matches_exact_sum():
 
 
 def test_witness_walk_keeps_each_tested_contraction():
-    # the LEMMA re-checks read the contraction the walk kept, so it must be
-    # g/e itself; a degree-only hit keeps one only where a graph test built it
+    # the LEMMA re-checks read the contraction the walk kept in the record's
+    # memo, so it must be g/e itself; a degree-only hit keeps one only where
+    # a graph test built it
     tests = ("c4", "2k2")
     for n in range(2, 7):
         for g in enumerate_all(n):
-            found = _witnesses(g, (*tests, "nonsplit"))
-            for label, (e, h) in found.items():
+            facts = _Facts(g, (*tests, "nonsplit"))
+            for label, e in _witnesses(facts).items():
+                h = facts._contractions.get(e)
                 if label in tests:
                     assert h == contract(g, e), (g, label)
                 else:
@@ -438,33 +448,40 @@ def test_witness_walk_lets_one_hit_settle_implied_labels(monkeypatch):
     for name in ("contains_c4", "contains_2k2", "_contracted_degrees"):
         monkeypatch.setattr(recognition, name, counted(name))
     labels = ("c4", "2k2", "nonsplit")
+
+    def walk(g):
+        # every graph here has an induced C4 and 2K2; the record's own scans
+        # of g run before the count starts
+        facts = _Facts(g, labels)
+        assert facts.has_c4 and facts.has_2k2
+        calls.clear()
+        return _witnesses(facts)
+
     # the C4 2-3-4-5 with the path 0-1-2: g/(0,1) keeps the C4
     g = build(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 2)])
-    found = _witnesses(g, labels)
-    assert {label: w[0] for label, w in found.items()} == dict.fromkeys(labels, Edge(0, 1))
+    found = walk(g)
+    assert found == dict.fromkeys(labels, Edge(0, 1))
     assert calls == {"contains_c4": 1}
     # the C4 0-1-2-3 with the path 2-4-5: g/(0,1) loses the C4 and has a
     # 2K2, found by the one 2K2 scan; the C4 scans go on alone up to the
     # fifth edge, (2, 4)
-    calls.clear()
     g = build(6, [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (4, 5)])
-    found = _witnesses(g, labels)
-    assert found["2k2"][0] == found["nonsplit"][0] == Edge(0, 1)
-    assert found["c4"][0] == g.edges()[4] == Edge(2, 4)
+    found = walk(g)
+    assert found["2k2"] == found["nonsplit"] == Edge(0, 1)
+    assert found["c4"] == g.edges()[4] == Edge(2, 4)
     assert calls == {"contains_c4": 5, "contains_2k2": 1}
     # g/(0,3) and g/(0,4) have neither pattern: one C4 scan, one 2K2 scan
     # and one degree list each; g/(1,4) has a C4, which settles all three
-    calls.clear()
     g = build(6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 3), (2, 5), (3, 5), (4, 5)])
-    found = _witnesses(g, labels)
-    assert {label: w[0] for label, w in found.items()} == dict.fromkeys(labels, Edge(1, 4))
+    found = walk(g)
+    assert found == dict.fromkeys(labels, Edge(1, 4))
     assert calls == {"contains_c4": 3, "contains_2k2": 2, "_contracted_degrees": 2}
 
 
 def walk_label_by_label(g, labels, omega=0):
     """The witness walk with no label settling another: at each edge, every
     label still without a witness runs its own test on g/e, through the
-    public functions. g/e is kept wherever a c4 or 2k2 label was pending."""
+    public functions."""
     tests = {
         "c4": contains_c4,
         "2k2": lambda h: contains_2k2(h) or contains_c4(h),
@@ -479,9 +496,8 @@ def walk_label_by_label(g, labels, omega=0):
         if not pending:
             break
         h = contract(g, e)
-        kept = h if {"c4", "2k2"} & set(pending) else None
         for label in [label for label in pending if tests[label](h)]:
-            found[label] = (e, kept)
+            found[label] = e
             pending.remove(label)
     return found
 
@@ -503,13 +519,13 @@ def check_witness_walk(g, subsets=True):
             for k in range(1, 1 << len(labels))
         ]
     for asked in chosen:
-        assert _witnesses(g, asked, omega) == walk_label_by_label(g, asked, omega), (g, asked)
+        assert _witnesses(_Facts(g, asked)) == walk_label_by_label(g, asked, omega), (g, asked)
 
 
 def test_witness_walk_matches_the_label_by_label_walk():
     # a c4 hit settles 2k2 and nonsplit, a 2k2 hit settles nonsplit, and a
     # c4 miss leaves 2k2 its 2K2 scan alone; none of it may move a witness
-    # edge or a kept contraction
+    # edge
     for g in all_graphs_upto(7):
         check_witness_walk(g)
     for g in enumerate_all(8):

@@ -12,10 +12,12 @@ share one ``recognition._Facts`` record, the fact record that ``classify``
 and the census tally read too: the 2K2 and C4 scans, the degree split test,
 the exceptional family, omega, alpha, balanced, pseudo-split, the NG
 characterisation, one witness-edge walk for the labels the active checks
-read (``_WITNESS_LABELS``), and a memo that contracts each edge at most
-once for the walk, the LEMMA re-checks, THM_UNBALANCED and the PROP checks.
-The oracles the checks compare against (the ``find_induced`` re-checks,
-the partition search, the forbidden-pattern split test, the decomposer's
+read (``_WITNESS_LABELS``), a memo that contracts each edge at most once
+for the walk, the LEMMA re-checks, THM_UNBALANCED and the PROP checks, and
+one of the code of each G[C], which PROP1-PROP3 compare with C's image in a
+contraction (``_keeps``). The oracles the checks compare against (the
+``find_induced`` re-checks, the partition search, which THM_SPLIT_FORBIDDEN
+and THM_KS_CASES share, the forbidden-pattern split test, the decomposer's
 refusal and the colouring definition of NG) read no fact of the record. A
 re-check takes its contraction from the memo and searches it with
 ``find_induced``, which no fact calls; the record keeps the answer, so that
@@ -62,7 +64,6 @@ from .graphs import (
 from .invariants import _contains_claw
 from .recognition import (
     _Facts,
-    _is_clique,
     _is_independent,
     _ks_case,
     is_split_forbidden,
@@ -128,20 +129,17 @@ def _contraction_image(cmask: int, u: int, v: int) -> int:
     return (cmask & ((1 << v) - 1)) | (cmask >> (v + 1)) << v
 
 
-def _contractions(facts: _Facts) -> list[tuple[int, int, Graph]]:
-    """(u, v, g/uv) for every edge u < v of the record's graph, in
-    lexicographic order, from its contraction memo: each edge is contracted
-    once for all the vertex sets, and all the checks, that try it."""
-    return [(u, v, facts.contracted(u, v)) for u, v in facts.g.edges()]
+def _keeps(facts: _Facts, cmask: int, u: int, v: int) -> bool:
+    """Whether the image of C in g/uv, u < v, has the canonical code of G[C]."""
+    image = _induced(facts.contracted(u, v), _contraction_image(cmask, u, v))
+    return canonical_code(image) == facts.subset_code(cmask)
 
 
 def _check_prop1(g: Graph, facts: _Facts):
     bad = []
     rows = g.rows
-    contracted = {(u, v): h for u, v, h in _contractions(facts)}
     for cmask in range(1, 1 << g.n):
         cset = [x for x in range(g.n) if cmask >> x & 1]
-        code = canonical_code(_induced(g, cmask))
         for u in cset:
             ncu = rows[u] & cmask
             outside = rows[u] & ~cmask
@@ -151,9 +149,7 @@ def _check_prop1(g: Graph, facts: _Facts):
                 v = b.bit_length() - 1
                 if rows[v] & cmask & ~(1 << u) & ~ncu:
                     continue  # N_C(v) minus u not inside N_C(u)
-                lo, hi = (u, v) if u < v else (v, u)
-                h = contracted[lo, hi]
-                if canonical_code(_induced(h, _contraction_image(cmask, lo, hi))) != code:
+                if not _keeps(facts, cmask, min(u, v), max(u, v)):
                     bad.append(
                         f"C={cset} u={u} v={v}: induced subgraph not preserved"
                     )
@@ -162,13 +158,12 @@ def _check_prop1(g: Graph, facts: _Facts):
 
 def _check_prop2(g: Graph, facts: _Facts):
     bad = []
-    contracted = _contractions(facts)
+    edges = g.edges()
     for cmask in range(1, 1 << g.n):
-        code = canonical_code(_induced(g, cmask))
-        for u, v, h in contracted:
+        for u, v in edges:
             if cmask >> u & 1 or cmask >> v & 1:
                 continue
-            if canonical_code(_induced(h, _contraction_image(cmask, u, v))) != code:
+            if not _keeps(facts, cmask, u, v):
                 cset = [x for x in range(g.n) if cmask >> x & 1]
                 bad.append(f"C={cset} e=({u},{v}): induced subgraph not preserved")
     return tuple(bad), False
@@ -177,7 +172,7 @@ def _check_prop2(g: Graph, facts: _Facts):
 def _check_prop3(g: Graph, facts: _Facts):
     bad = []
     rows = g.rows
-    contracted = _contractions(facts)
+    edges = g.edges()
     for cmask in range(1, g.full_mask):
         cover = 0
         cset = []
@@ -190,37 +185,26 @@ def _check_prop3(g: Graph, facts: _Facts):
             cover |= b | rows[x]
         if cover == g.full_mask:
             continue  # dominating sets are out of scope
-        code = canonical_code(_induced(g, cmask))
         # an edge inside C shrinks the image, which then cannot match
         if not any(
-            canonical_code(_induced(h, _contraction_image(cmask, u, v))) == code
-            for u, v, h in contracted
+            _keeps(facts, cmask, u, v)
+            for u, v in edges
             if not (cmask >> u & 1 and cmask >> v & 1)
         ):
             bad.append(f"C={cset}: no contraction preserves the induced subgraph")
     return tuple(bad), False
 
 
-def _check_prop4(g: Graph, facts: _Facts):
-    if g.n < 4 or not (g.is_connected() and all(d == 2 for d in g.degrees())):
+def _check_family(family: Callable[[int], Graph], name: str, g: Graph, facts: _Facts):
+    # PROP4 (cycles, name "C") and PROP5 (cliques, "K"): both families are
+    # regular, so a connected graph with the degree list of family(n) is it
+    if g.n < 4 or not g.is_connected() or g.degrees() != family(g.n).degrees():
         return (), False
-    target = canonical_code(cycle_graph(g.n - 1))
+    target = canonical_code(family(g.n - 1))
     bad = tuple(
-        f"C{g.n}/({u},{v}) is not C{g.n - 1}"
-        for u, v, h in _contractions(facts)
-        if canonical_code(h) != target
-    )
-    return bad, False
-
-
-def _check_prop5(g: Graph, facts: _Facts):
-    if g.n < 4 or g.edge_count() != g.n * (g.n - 1) // 2:
-        return (), False
-    target = canonical_code(complete_graph(g.n - 1))
-    bad = tuple(
-        f"K{g.n}/({u},{v}) is not K{g.n - 1}"
-        for u, v, h in _contractions(facts)
-        if canonical_code(h) != target
+        f"{name}{g.n}/({u},{v}) is not {name}{g.n - 1}"
+        for u, v in g.edges()
+        if canonical_code(facts.contracted(u, v)) != target
     )
     return bad, False
 
@@ -272,12 +256,13 @@ def _check_lemma2(g: Graph, facts: _Facts):
     return (), False
 
 
-def _ks_partition_exists(g: Graph) -> bool:
-    # brute force over every clique K, independent of both recognizers and
-    # of omega: a depth-first walk grows each clique once, by common
-    # neighbours above its largest vertex, and tests whether V - K is
-    # independent. A clique is dropped with its whole branch when the
-    # vertices outside it that can no longer join it already span an edge.
+def _ks_partitions(g: Graph):
+    # yields the mask of every clique K with V - K independent, by brute
+    # force over every clique, independent of both recognizers and of omega:
+    # a depth-first walk grows each clique once, by common neighbours above
+    # its largest vertex, and tests whether V - K is independent. A clique is
+    # dropped with its whole branch when the vertices outside it that can no
+    # longer join it already span an edge.
     rows = g.rows
     full = g.full_mask
     stack = [(0, full)]
@@ -287,19 +272,18 @@ def _ks_partition_exists(g: Graph) -> bool:
         if not _is_independent(g, rest & ~cand):
             continue
         if _is_independent(g, rest):
-            return True
+            yield k
         while cand:
             b = cand & -cand
             cand ^= b
             stack.append((k | b, cand & rows[b.bit_length() - 1]))
-    return False
 
 
 def _check_split_triple(g: Graph, facts: _Facts):
     # the forbidden-pattern test scans g itself and reads no record fact
     a = is_split_forbidden(g)
     b = facts.split
-    c = _ks_partition_exists(g)
+    c = next(_ks_partitions(g), None) is not None
     if a == b == c:
         return (), False
     return (f"forbidden={a} degrees={b} partition={c}",), False
@@ -342,10 +326,8 @@ def _check_ks_cases(g: Graph, facts: _Facts):
     case_i = 0
     omega = facts.omega
     alpha = facts.alpha
-    full = g.full_mask
-    for kmask in range(1 << g.n):
-        if not (_is_clique(g, kmask) and _is_independent(g, full ^ kmask)):
-            continue
+    # in mask order, as the details list the partitions
+    for kmask in sorted(_ks_partitions(g)):
         size = kmask.bit_count()
         try:
             case = _ks_case((size, g.n - size), omega, alpha)
@@ -421,8 +403,8 @@ CHECKERS: dict[str, _Checker] = {
     "PROP1": _Checker(6, _check_prop1, disconnected=6),
     "PROP2": _Checker(6, _check_prop2, disconnected=6),
     "PROP3": _Checker(6, _check_prop3),
-    "PROP4": _Checker(10, _check_prop4, family=cycle_graph),
-    "PROP5": _Checker(10, _check_prop5, family=complete_graph),
+    "PROP4": _Checker(10, partial(_check_family, cycle_graph, "C"), family=cycle_graph),
+    "PROP5": _Checker(10, partial(_check_family, complete_graph, "K"), family=complete_graph),
     "LEMMA1": _Checker(8, _check_lemma1),
     "LEMMA2": _Checker(8, _check_lemma2),
     # every class through order 7, connected classes only at 8

@@ -103,6 +103,21 @@ def ks_partition_exists(g) -> bool:
     return False
 
 
+def ks_partition_cliques(g) -> set:
+    """Every K, as a vertex mask, whose vertices are pairwise adjacent and
+    whose complement is pairwise non-adjacent."""
+    vs = range(g.n)
+    found = set()
+    for r in range(g.n + 1):
+        for k in itertools.combinations(vs, r):
+            if any(not g.has_edge(u, v) for u, v in itertools.combinations(k, 2)):
+                continue
+            rest = [v for v in vs if v not in k]
+            if not any(g.has_edge(u, v) for u, v in itertools.combinations(rest, 2)):
+                found.add(sum(1 << v for v in k))
+    return found
+
+
 def first_ks_partition(g):
     """(K, S) with |K| as large as any partition allows and K first in
     itertools.combinations order among those, or None when g is not split."""

@@ -33,8 +33,8 @@ from splitkit import graphs, harness, recognition
 from splitkit.graphs import ENUM_MAX_ORDER, enumerate_all
 from splitkit.harness import render_census_text
 
-from graphgen import labelled_graphs
-from oracles import ks_partition_exists
+from graphgen import labelled_graphs, relabel
+from oracles import ks_partition_cliques
 
 E2 = build(2)  # two isolated vertices, graph6 "A?"
 
@@ -126,6 +126,10 @@ def test_check_one_refuses_orders_past_the_corpus_cap():
     with pytest.raises(OrderOutOfRange):
         check_one("THM_NG", path_graph(harness.CORPUS_MAX_ORDER + 1))
     assert check_one("PROP4", cycle_graph(harness.CORPUS_MAX_ORDER)) == ()
+    # the family guard: a relabelled C7 is a cycle; C3 + C4 is 2-regular but
+    # not connected, so PROP4 does not apply to it
+    assert check_one("PROP4", relabel(cycle_graph(7), [3, 6, 0, 5, 1, 4, 2])) == ()
+    assert check_one("PROP4", build(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)])) == ()
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +234,18 @@ def test_exceptional_region_is_compared_with_the_expected_set(corrupt):
 
 def test_prop_checks_catch_a_wrong_contraction(monkeypatch):
     # contracting nothing: on C5 the image of a vertex set then changes
-    monkeypatch.setattr(
-        harness, "_contractions", lambda facts: [(u, v, facts.g) for u, v in facts.g.edges()]
-    )
+    monkeypatch.setattr(recognition._Facts, "contracted", lambda facts, u, v: facts.g)
     c5 = cycle_graph(5)
     assert len(check_one("PROP1", c5)) == 8
     assert check_one("PROP2", c5)[0] == "C=[0, 4] e=(1,2): induced subgraph not preserved"
     assert check_one("PROP3", c5) == ("C=[0, 4]: no contraction preserves the induced subgraph",)
+    # the one family test of PROP4 and PROP5 names each edge, in edge order
+    assert check_one("PROP4", c5) == tuple(
+        f"C5/({u},{v}) is not C4" for u, v in ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))
+    )
+    assert check_one("PROP5", complete_graph(5)) == tuple(
+        f"K5/({u},{v}) is not K4" for u, v in itertools.combinations(range(5), 2)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +350,34 @@ def test_each_edge_is_contracted_once_per_graph(monkeypatch):
     assert len(keys) == len(set(keys)) == 1426
 
 
+def test_each_vertex_subset_is_coded_once_per_graph(monkeypatch):
+    # PROP1-PROP3 read the code of each G[C] from the record's memo: no
+    # checked graph has one of its induced subgraphs built twice
+    checked = []
+    calls = []
+    real_decode = harness._graph_from_code
+    real = graphs._induced
+
+    def decode(n, code):
+        g = real_decode(n, code)
+        checked.append(g)  # holding g keeps its id from being reused
+        return g
+
+    def counted(g, mask):
+        calls.append((g, mask))
+        return real(g, mask)
+
+    monkeypatch.setattr(harness, "_graph_from_code", decode)
+    for module in (graphs, recognition, harness):
+        if getattr(module, "_induced", None) is real:
+            monkeypatch.setattr(module, "_induced", counted)
+    assert all(r.verdict == "PASS" for r in verify_all(6))
+    own = {id(g) for g in checked}
+    keys = [(id(g), mask) for g, mask in calls if id(g) in own]
+    # 24,458 calls for 11,082 pairs when PROP1-PROP3 each code every G[C]
+    assert len(keys) == len(set(keys)) == 9937
+
+
 # ---------------------------------------------------------------------------
 # corpus sources
 
@@ -412,16 +449,18 @@ def test_verify_all_rejects_nonpositive_order():
 
 
 def test_ks_partition_oracle_matches_brute_force():
+    # THM_KS_CASES reads every partition the walk yields, each once, so the
+    # walk must be complete and not only find one
     for n in range(1, 8):
         for g in enumerate_all(n):
-            assert harness._ks_partition_exists(g) == ks_partition_exists(g), g
+            assert sorted(harness._ks_partitions(g)) == sorted(ks_partition_cliques(g)), g
 
 
 def test_ks_partition_oracle_on_every_labelling():
     # the walk's pruning depends on the labels
     for n in range(1, 6):
         for g in labelled_graphs(n):
-            assert harness._ks_partition_exists(g) == ks_partition_exists(g), g
+            assert sorted(harness._ks_partitions(g)) == sorted(ks_partition_cliques(g)), g
 
 
 def test_contraction_image_follows_the_contraction():

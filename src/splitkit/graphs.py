@@ -225,12 +225,6 @@ def _induced(g: Graph, mask: int) -> Graph:
 # canonical form and isomorphism
 
 
-_MEMO_MAX_ORDER = 6
-# codes of the labelled graphs of order <= _MEMO_MAX_ORDER coded so far,
-# keyed by rows; there are 33,867 such labelled graphs in all
-_small_codes: dict[tuple[int, ...], int] = {}
-
-
 def canonical_code(g: Graph) -> int:
     """Lexicographically minimal adjacency bitstring over vertex orderings.
 
@@ -242,22 +236,9 @@ def canonical_code(g: Graph) -> int:
     depth-first search prunes a prefix that is already above the best code,
     and places twin vertices (same neighbourhood off the pair) in label
     order, so each twin class is expanded once per node. The search is
-    ``_search``, which the enumeration kernel ``_child_codes`` calls too.
-
-    Graphs of order <= 6 are memoised by ``rows``: the PROP sweeps code a
-    few hundred distinct small graphs tens of thousands of times. Larger
-    orders are searched on every call.
+    ``_search``, which the enumeration kernel ``_child_codes`` calls too;
+    this function computes g's keys and twins for it.
     """
-    if g.n > _MEMO_MAX_ORDER:
-        return _search_code(g)
-    code = _small_codes.get(g.rows)
-    if code is None:
-        code = _small_codes[g.rows] = _search_code(g)
-    return code
-
-
-def _search_code(g: Graph) -> int:
-    """``canonical_code`` without the memo: g's keys and twins, then ``_search``."""
     n = g.n
     rows = g.rows
     degs = [r.bit_count() for r in rows]

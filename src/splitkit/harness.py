@@ -13,12 +13,14 @@ and the census tally read too: the 2K2 and C4 scans, the degree split test,
 the exceptional family, omega, alpha, balanced, pseudo-split, the NG
 characterisation, one witness-edge walk for the labels the active checks
 read (``_WITNESS_LABELS``), a memo that contracts each edge at most once
-for the walk, the LEMMA re-checks, THM_UNBALANCED and the PROP checks, and
-one of the code of each G[C], which PROP1-PROP3 compare with C's image in a
-contraction (``_keeps``). The oracles the checks compare against (the
-``find_induced`` re-checks, the partition search, which THM_SPLIT_FORBIDDEN
-and THM_KS_CASES share, the forbidden-pattern split test, the decomposer's
-refusal and the colouring definition of NG) read no fact of the record. A
+for the walk, the LEMMA re-checks, THM_UNBALANCED and the PROP checks.
+No contraction check codes a graph: PROP1-PROP3 test whether the
+contraction's own vertex map keeps G[C] (``_keeps``), and PROP4, PROP5 and
+LEMMA2's C6 test read degrees and connectivity (``_is_member``). The
+oracles the checks compare against (the ``find_induced`` re-checks, the
+partition search, which THM_SPLIT_FORBIDDEN and THM_KS_CASES share, the
+forbidden-pattern split test, the decomposer's refusal and the colouring
+definition of NG) read no fact of the record. A
 re-check takes its contraction from the memo and searches it with
 ``find_induced``, which no fact calls; the record keeps the answer, so that
 LEMMA1 and LEMMA2 search one contraction for C4 once. The forbidden-pattern
@@ -54,8 +56,6 @@ from .graphs import (
     _connected_codes,
     _disconnected,
     _graph_from_code,
-    _induced,
-    canonical_code,
     canonical_form,
     complete_graph,
     cycle_graph,
@@ -130,9 +130,27 @@ def _contraction_image(cmask: int, u: int, v: int) -> int:
 
 
 def _keeps(facts: _Facts, cmask: int, u: int, v: int) -> bool:
-    """Whether the image of C in g/uv, u < v, has the canonical code of G[C]."""
-    image = _induced(facts.contracted(u, v), _contraction_image(cmask, u, v))
-    return canonical_code(image) == facts.subset_code(cmask)
+    """Whether the image of C in g/uv, u < v, induces a graph isomorphic to
+    G[C], for u and v not both in C.
+
+    Then the contraction maps C one-to-one onto its image and keeps every
+    edge of G[C]; it can add edges only at the merged vertex. So the image
+    is isomorphic to G[C] exactly when it has no more edges, i.e. when the
+    map is an isomorphism: for each x in C, the row of x's image, masked
+    to the image of C, is the image of x's row in G[C].
+    """
+    rows = facts.g.rows
+    image_rows = facts.contracted(u, v).rows
+    image = _contraction_image(cmask, u, v)
+    m = cmask
+    while m:
+        b = m & -m
+        m ^= b
+        x = b.bit_length() - 1
+        y = u if x == v else x - (x > v)  # x's label in g/uv
+        if image_rows[y] & image != _contraction_image(rows[x] & cmask, u, v):
+            return False
+    return True
 
 
 def _check_prop1(g: Graph, facts: _Facts):
@@ -185,7 +203,8 @@ def _check_prop3(g: Graph, facts: _Facts):
             cover |= b | rows[x]
         if cover == g.full_mask:
             continue  # dominating sets are out of scope
-        # an edge inside C shrinks the image, which then cannot match
+        # an edge inside C maps two of its vertices to one, so the image is
+        # smaller than G[C]; _keeps asks for a one-to-one map
         if not any(
             _keeps(facts, cmask, u, v)
             for u, v in edges
@@ -195,16 +214,20 @@ def _check_prop3(g: Graph, facts: _Facts):
     return tuple(bad), False
 
 
+def _is_member(family: Callable[[int], Graph], n: int, g: Graph) -> bool:
+    """Whether g is family(n) up to labels: a connected graph with the
+    degree list of C_n or K_n is C_n or K_n."""
+    return g.is_connected() and g.degrees() == family(n).degrees()
+
+
 def _check_family(family: Callable[[int], Graph], name: str, g: Graph, facts: _Facts):
-    # PROP4 (cycles, name "C") and PROP5 (cliques, "K"): both families are
-    # regular, so a connected graph with the degree list of family(n) is it
-    if g.n < 4 or not g.is_connected() or g.degrees() != family(g.n).degrees():
+    # PROP4 (cycles, name "C") and PROP5 (cliques, "K")
+    if g.n < 4 or not _is_member(family, g.n, g):
         return (), False
-    target = canonical_code(family(g.n - 1))
     bad = tuple(
         f"{name}{g.n}/({u},{v}) is not {name}{g.n - 1}"
         for u, v in g.edges()
-        if canonical_code(facts.contracted(u, v)) != target
+        if not _is_member(family, g.n - 1, facts.contracted(u, v))
     )
     return bad, False
 
@@ -233,7 +256,6 @@ def _check_lemma1(g: Graph, facts: _Facts):
 
 
 _LEMMA2_TERMINAL_FAMILIES = ("H4", "H5", "H6", "H7")
-_C6_CODE = canonical_code(cycle_graph(6))
 
 
 def _check_lemma2(g: Graph, facts: _Facts):
@@ -241,7 +263,7 @@ def _check_lemma2(g: Graph, facts: _Facts):
         return (), False
     tag = facts.tag
     terminal = (tag is not None and tag.family in _LEMMA2_TERMINAL_FAMILIES) or (
-        g.n == 6 and canonical_code(g) == _C6_CODE
+        g.n == 6 and _is_member(cycle_graph, 6, g)
     )
     e = facts.witness("2k2")
     if terminal:

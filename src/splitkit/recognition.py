@@ -16,7 +16,7 @@ from .errors import (
     OrderTooLargeForColoring,
     UnclassifiablePartition,
 )
-from .graphs import Edge, Graph, NamedPattern, _contract, _induced, canonical_code, complement
+from .graphs import Edge, Graph, NamedPattern, _contract, canonical_code, complement
 from .invariants import (
     COLORING_MAX_ORDER,
     _chromatic,
@@ -633,11 +633,11 @@ class _Facts:
     unbalanced when g is split and not star-excluded) and maps each label
     found to its witness edge. ``contracted(u, v)`` builds the contraction
     g/uv at most once per record: the walk, the LEMMA re-checks,
-    THM_UNBALANCED's postcondition and the PROP checks all read it there.
-    ``subset_code(cmask)`` codes G[C] at most once per record, for the
-    PROP1-PROP3 checks. ``has_induced`` keeps the ``find_induced`` re-check
-    of each contraction against each pattern, so LEMMA2 reads LEMMA1's C4
-    re-check when both labels share their witness edge.
+    THM_UNBALANCED's postcondition and the PROP checks all read it there;
+    the PROP checks test the contraction's vertex map on it and code
+    nothing. ``has_induced`` keeps the ``find_induced`` re-check of each
+    contraction against each pattern, so LEMMA2 reads LEMMA1's C4 re-check
+    when both labels share their witness edge.
     """
 
     def __init__(self, g: Graph, labels: Collection[str] = ()):
@@ -663,7 +663,6 @@ class _Facts:
     # find_unbalanced_witness refuses K1 and the stars K_(1,m), m >= 2
     star_excluded = _fact(lambda f: f.g.n < 2 or (f.g.n >= 3 and is_star(f.g)))
     _contractions = _fact(lambda f: {})
-    _subset_codes = _fact(lambda f: {})
     _rechecks = _fact(lambda f: {})
     walk = _fact(lambda f: _witnesses(f))
 
@@ -674,14 +673,6 @@ class _Facts:
         if h is None:
             h = memo[u, v] = _contract(self.g, u, v)
         return h
-
-    def subset_code(self, cmask: int) -> int:
-        """The canonical code of G[C], C a nonempty vertex mask of g."""
-        memo = self._subset_codes
-        code = memo.get(cmask)
-        if code is None:
-            code = memo[cmask] = canonical_code(_induced(self.g, cmask))
-        return code
 
     def witness(self, label: str) -> Edge | None:
         """The walk's witness edge for label, or None."""

@@ -36,21 +36,17 @@ from splitkit import (
     parse_graph6_lines,
     path_graph,
     star_graph,
-    verify,
     write_graph6,
 )
 
 from splitkit import graphs
 from splitkit.graphs import (
     ENUM_MAX_ORDER,
-    Graph,
     _code,
     _connected_codes,
     _contract,
     _graph_from_code,
     _induced,
-    _search_code,
-    _small_codes,
 )
 
 from graphgen import labelled_graphs, relabel
@@ -255,22 +251,6 @@ def test_canonical_code_groups_labelled_graphs_into_classes(n, classes):
     for first, *rest in groups.values():
         for g in rest:
             assert iso_by_permutations(first, g)
-
-
-def test_memoised_codes_match_the_uncached_search():
-    verify("PROP1", 6)  # fills the memo with the sweep's induced subgraphs
-    assert _small_codes
-    graphs = list(enumerate_all(6))
-    assert len(graphs) == 156
-    rng = random.Random(11)
-    for g in graphs:
-        for _ in range(3):
-            perm = list(range(6))
-            rng.shuffle(perm)
-            h = relabel(g, perm)
-            assert canonical_code(h) == _search_code(h)
-    for rows, code in list(_small_codes.items()):
-        assert code == _search_code(Graph(len(rows), rows))
 
 
 @pytest.mark.parametrize("n", [4, 5])

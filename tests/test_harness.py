@@ -23,6 +23,7 @@ from splitkit import (
     contains_c4,
     contract,
     cycle_graph,
+    induced,
     parse_graph6_lines,
     path_graph,
     verify,
@@ -34,7 +35,7 @@ from splitkit.graphs import ENUM_MAX_ORDER, enumerate_all
 from splitkit.harness import render_census_text
 
 from graphgen import labelled_graphs, relabel
-from oracles import ks_partition_cliques
+from oracles import iso_by_permutations, ks_partition_cliques
 
 E2 = build(2)  # two isolated vertices, graph6 "A?"
 
@@ -130,6 +131,14 @@ def test_check_one_refuses_orders_past_the_corpus_cap():
     # not connected, so PROP4 does not apply to it
     assert check_one("PROP4", relabel(cycle_graph(7), [3, 6, 0, 5, 1, 4, 2])) == ()
     assert check_one("PROP4", build(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)])) == ()
+
+
+def test_lemma2_tells_c6_by_degrees_and_connectivity():
+    # a relabelled C6 is terminal and has no witness; two triangles are
+    # 2-regular but not connected, and the walk finds a witness there, which
+    # a terminal test without the connectivity clause would report
+    assert check_one("LEMMA2", relabel(cycle_graph(6), [4, 0, 5, 2, 1, 3])) == ()
+    assert check_one("LEMMA2", build(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])) == ()
 
 
 # ---------------------------------------------------------------------------
@@ -350,32 +359,53 @@ def test_each_edge_is_contracted_once_per_graph(monkeypatch):
     assert len(keys) == len(set(keys)) == 1426
 
 
-def test_each_vertex_subset_is_coded_once_per_graph(monkeypatch):
-    # PROP1-PROP3 read the code of each G[C] from the record's memo: no
-    # checked graph has one of its induced subgraphs built twice
-    checked = []
-    calls = []
-    real_decode = harness._graph_from_code
-    real = graphs._induced
+def test_prop1_catches_a_relabelled_contraction(monkeypatch):
+    # g/uv with its labels reversed: some images of C still induce a P3, as
+    # G[C] does, but the contraction's vertex map no longer keeps G[C]
+    def reversed_contraction(facts, u, v):
+        h = graphs._contract(facts.g, u, v)
+        return relabel(h, [h.n - 1 - i for i in range(h.n)])
 
-    def decode(n, code):
-        g = real_decode(n, code)
-        checked.append(g)  # holding g keeps its id from being reused
-        return g
+    monkeypatch.setattr(recognition._Facts, "contracted", reversed_contraction)
+    claw = build(4, [(0, 3), (1, 3), (2, 3)])
+    details = check_one("PROP1", claw)
+    assert len(details) == 4
+    assert "C=[0, 1, 3] u=3 v=2: induced subgraph not preserved" in details
+    assert "C=[1, 2, 3] u=3 v=0: induced subgraph not preserved" in details
 
-    def counted(g, mask):
-        calls.append((g, mask))
-        return real(g, mask)
 
-    monkeypatch.setattr(harness, "_graph_from_code", decode)
+def test_keeps_matches_isomorphism():
+    # the vertex-map test against a permutation search, for every class of
+    # order <= 6, every C and every edge not inside C
+    triples = 0
+    for n in range(1, 7):
+        for g in enumerate_all(n):
+            facts = recognition._Facts(g)
+            for cmask in range(1, 1 << n):
+                cset = [x for x in range(n) if cmask >> x & 1]
+                sub = induced(g, cset)
+                for u, v in g.edges():
+                    if cmask >> u & 1 and cmask >> v & 1:
+                        continue
+                    image = {u if x == v else x - (x > v) for x in cset}
+                    iso = iso_by_permutations(sub, induced(contract(g, (u, v)), image))
+                    assert harness._keeps(facts, cmask, u, v) == iso, (g, cset, u, v)
+                    triples += 1
+    assert triples == 59295
+
+
+def test_contraction_checks_read_no_canonical_code(monkeypatch):
+    # PROP1-PROP3 test the contraction's vertex map, and PROP4, PROP5 the
+    # degrees and connectivity; the enumeration calls _search itself
+    def refuse(g):
+        raise AssertionError("a contraction check asked for a canonical code")
+
     for module in (graphs, recognition, harness):
-        if getattr(module, "_induced", None) is real:
-            monkeypatch.setattr(module, "_induced", counted)
-    assert all(r.verdict == "PASS" for r in verify_all(6))
-    own = {id(g) for g in checked}
-    keys = [(id(g), mask) for g, mask in calls if id(g) in own]
-    # 24,458 calls for 11,082 pairs when PROP1-PROP3 each code every G[C]
-    assert len(keys) == len(set(keys)) == 9937
+        monkeypatch.setattr(module, "canonical_code", refuse, raising=False)
+    for theorem in ("PROP1", "PROP2", "PROP3"):
+        assert verify(theorem, 6).verdict == "PASS"
+    for theorem in ("PROP4", "PROP5"):
+        assert verify(theorem, 10).verdict == "PASS"
 
 
 # ---------------------------------------------------------------------------

@@ -1,36 +1,26 @@
 """Exhaustive verification of every characterization over enumerated graphs.
 
-A call walks its graphs once for all the theorems it checks. ``_verify``
-takes theorem ids with the largest order each sweeps, walks the union of
-their substrates (orders 1..max, the connected classes of each order and
-then the disconnected ones), and runs on each graph the checks whose
-substrate holds it. What goes from the enumeration (or a corpus) to the
-per-graph work is a run of int codes of one order: ``_check_graph`` and the
-census tally ``_census_one`` decode their own graph, so no ``Graph`` is
-held for the walk or pickled to a pool worker. The checks of one graph
-share one ``recognition._Facts`` record, the fact record that ``classify``
-and the census tally read too: the 2K2 and C4 scans, the degree split test,
-the exceptional family, omega, alpha, balanced, pseudo-split, the NG
-characterisation, one witness-edge walk for the labels the active checks
-read (``_WITNESS_LABELS``), a memo that contracts each edge at most once
-for the walk, the LEMMA re-checks, THM_UNBALANCED and the PROP checks.
-No contraction check codes a graph: PROP1-PROP3 test whether the
-contraction's own vertex map keeps G[C] (``_keeps``), and PROP4, PROP5 and
-LEMMA2's C6 test read degrees and connectivity (``_is_member``). The
-oracles the checks compare against (the ``find_induced`` re-checks, the
-partition search, which THM_SPLIT_FORBIDDEN and THM_KS_CASES share, the
-forbidden-pattern split test, the decomposer's refusal and the colouring
-definition of NG) read no fact of the record. A
-re-check takes its contraction from the memo and searches it with
-``find_induced``, which no fact calls; the record keeps the answer, so that
-LEMMA1 and LEMMA2 search one contraction for C4 once. The forbidden-pattern
-split test and the decomposer's refusal run ``contains_2k2`` and
-``contains_c4`` on the graph themselves, the scans behind the record's
-``has_2k2`` and ``has_c4``: THM_SPLIT_FORBIDDEN checks those scans against
-the degree test and the partition search, and THM_PSEUDO's refusal check
-cannot catch a fault in them. The per-graph work is embarrassingly
-parallel; counterexamples are merged and sorted, so reports are the same
-for every worker count.
+Each theorem is one row of ``CHECKERS``, a ``_Checker`` that states:
+
+- its substrate: the connected graphs of orders 1..max_n and the
+  disconnected ones up to an order of their own, or, for PROP4 and PROP5,
+  the cycles or cliques of orders 4..max_n;
+- its hypothesis, a predicate on the graph's fact record
+  (``recognition._Facts``). The check runs only where it holds; a graph of
+  the substrate outside it is counted and passes;
+- the witness label its check reads from the record's walk over the edges;
+- for THM_CONTRACTION, the exceptional region: which graphs are in it, and
+  the graphs an enumerated sweep must find there;
+- the check, which returns the details of each violation. It compares the
+  record's facts with oracles that read none of them, or re-checks a
+  witness with a search of its own.
+
+A call walks its graphs once for all the theorems it checks: ``_segments``
+yields the union of their substrates as runs of int codes of one order,
+with the ids whose substrate holds each run, and ``_check_graph`` decodes
+one graph, builds its record with the labels of those rows and runs each
+row. The per-graph work is embarrassingly parallel; counterexamples are
+merged and sorted, so reports are the same for every worker count.
 """
 
 from __future__ import annotations
@@ -117,8 +107,9 @@ class TheoremReport(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# per-graph checks; each takes the graph and its fact record and returns
-# (violation details, in-exceptional-region)
+# per-graph checks; each takes a graph of its theorem's substrate on which
+# the hypothesis holds, and the graph's fact record, and returns the details
+# of each violation
 
 
 def _contraction_image(cmask: int, u: int, v: int) -> int:
@@ -171,7 +162,7 @@ def _check_prop1(g: Graph, facts: _Facts):
                     bad.append(
                         f"C={cset} u={u} v={v}: induced subgraph not preserved"
                     )
-    return tuple(bad), False
+    return tuple(bad)
 
 
 def _check_prop2(g: Graph, facts: _Facts):
@@ -184,7 +175,7 @@ def _check_prop2(g: Graph, facts: _Facts):
             if not _keeps(facts, cmask, u, v):
                 cset = [x for x in range(g.n) if cmask >> x & 1]
                 bad.append(f"C={cset} e=({u},{v}): induced subgraph not preserved")
-    return tuple(bad), False
+    return tuple(bad)
 
 
 def _check_prop3(g: Graph, facts: _Facts):
@@ -211,7 +202,7 @@ def _check_prop3(g: Graph, facts: _Facts):
             if not (cmask >> u & 1 and cmask >> v & 1)
         ):
             bad.append(f"C={cset}: no contraction preserves the induced subgraph")
-    return tuple(bad), False
+    return tuple(bad)
 
 
 def _is_member(family: Callable[[int], Graph], n: int, g: Graph) -> bool:
@@ -220,16 +211,19 @@ def _is_member(family: Callable[[int], Graph], n: int, g: Graph) -> bool:
     return g.is_connected() and g.degrees() == family(n).degrees()
 
 
+def _in_family(family: Callable[[int], Graph], facts: _Facts) -> bool:
+    # PROP4 and PROP5 contract the edges of C_n and K_n, n >= 4
+    g = facts.g
+    return g.n >= 4 and _is_member(family, g.n, g)
+
+
 def _check_family(family: Callable[[int], Graph], name: str, g: Graph, facts: _Facts):
     # PROP4 (cycles, name "C") and PROP5 (cliques, "K")
-    if g.n < 4 or not _is_member(family, g.n, g):
-        return (), False
-    bad = tuple(
+    return tuple(
         f"{name}{g.n}/({u},{v}) is not {name}{g.n - 1}"
         for u, v in g.edges()
         if not _is_member(family, g.n - 1, facts.contracted(u, v))
     )
-    return bad, False
 
 
 _C4 = NamedPattern("C4")
@@ -237,45 +231,32 @@ _TWO_K2 = NamedPattern("TWO_K2")
 
 
 def _check_lemma1(g: Graph, facts: _Facts):
-    if not facts.has_c4:
-        return (), False
     tag = facts.tag
-    terminal = tag is not None and tag.family in ("H1", "H2", "H3")
     e = facts.witness("c4")
-    if terminal:
-        if e is not None:
-            return (f"terminal graph {tag} has witness ({e.u},{e.v})",), False
-        return (), False
+    if tag is not None and tag.family in ("H1", "H2", "H3"):
+        return () if e is None else (f"terminal graph {tag} has witness ({e.u},{e.v})",)
     if e is None:
-        return ("no C4-preserving contraction on a non-terminal graph",), False
+        return ("no C4-preserving contraction on a non-terminal graph",)
     # the re-check reads the contraction the walk tested, with its own search
-    h = facts.contracted(*e)
-    if not facts.has_induced(h, _C4):
-        return (f"contraction by ({e.u},{e.v}) lacks the promised C4",), False
-    return (), False
-
-
-_LEMMA2_TERMINAL_FAMILIES = ("H4", "H5", "H6", "H7")
+    if not facts.has_induced(facts.contracted(*e), _C4):
+        return (f"contraction by ({e.u},{e.v}) lacks the promised C4",)
+    return ()
 
 
 def _check_lemma2(g: Graph, facts: _Facts):
-    if not facts.has_2k2:
-        return (), False
     tag = facts.tag
-    terminal = (tag is not None and tag.family in _LEMMA2_TERMINAL_FAMILIES) or (
+    terminal = (tag is not None and tag.family in ("H4", "H5", "H6", "H7")) or (
         g.n == 6 and _is_member(cycle_graph, 6, g)
     )
     e = facts.witness("2k2")
     if terminal:
-        if e is not None:
-            return (f"terminal graph has witness ({e.u},{e.v})",), False
-        return (), False
+        return () if e is None else (f"terminal graph has witness ({e.u},{e.v})",)
     if e is None:
-        return ("no 2K2/C4-preserving contraction on a non-terminal graph",), False
+        return ("no 2K2/C4-preserving contraction on a non-terminal graph",)
     h = facts.contracted(*e)
     if not (facts.has_induced(h, _TWO_K2) or facts.has_induced(h, _C4)):
-        return (f"contraction by ({e.u},{e.v}) lacks the promised 2K2/C4",), False
-    return (), False
+        return (f"contraction by ({e.u},{e.v}) lacks the promised 2K2/C4",)
+    return ()
 
 
 def _ks_partitions(g: Graph):
@@ -306,29 +287,21 @@ def _check_split_triple(g: Graph, facts: _Facts):
     a = is_split_forbidden(g)
     b = facts.split
     c = next(_ks_partitions(g), None) is not None
-    if a == b == c:
-        return (), False
-    return (f"forbidden={a} degrees={b} partition={c}",), False
+    return () if a == b == c else (f"forbidden={a} degrees={b} partition={c}",)
 
 
 def _check_2k2_claw(g: Graph, facts: _Facts):
-    if facts.has_2k2 or _contains_claw(g):
-        return (), False
-    if facts.alpha < 3 or facts.split:
-        return (), False
-    return ("(2K2, claw)-free with alpha >= 3 but not split",), False
+    return () if facts.split else ("(2K2, claw)-free with alpha >= 3 but not split",)
 
 
 def _check_contraction(g: Graph, facts: _Facts):
     split = facts.split
     tag = facts.tag
     e = facts.witness("nonsplit")
-    hits = int(split) + int(tag is not None) + int(e is not None)
-    exceptional_member = not split and e is None
-    if hits != 1:
-        w = None if e is None else tuple(e)
-        return (f"regions overlap or miss: split={split} family={tag} witness={w}",), exceptional_member
-    return (), exceptional_member
+    if int(split) + int(tag is not None) + int(e is not None) == 1:
+        return ()
+    w = None if e is None else tuple(e)
+    return (f"regions overlap or miss: split={split} family={tag} witness={w}",)
 
 
 def _expected_exceptional(max_n: int) -> set[str]:
@@ -342,8 +315,6 @@ def _expected_exceptional(max_n: int) -> set[str]:
 
 
 def _check_ks_cases(g: Graph, facts: _Facts):
-    if not facts.split:
-        return (), False
     bad = []
     case_i = 0
     omega = facts.omega
@@ -363,109 +334,130 @@ def _check_ks_cases(g: Graph, facts: _Facts):
         bad.append(f"{case_i} distinct case-I partitions")
     if (case_i == 1) != facts.balanced:
         bad.append("omega+alpha=n criterion disagrees with case-I existence")
-    return tuple(bad), False
+    return tuple(bad)
 
 
 def _check_unbalanced(g: Graph, facts: _Facts):
-    if not facts.split or facts.star_excluded:
-        return (), False
     e = facts.witness("unbalanced")
     unbalanced = not facts.balanced
     if (e is not None) != unbalanced:
         w = None if e is None else tuple(e)
-        return (f"unbalanced={unbalanced} but witness={w}",), False
+        return (f"unbalanced={unbalanced} but witness={w}",)
     if e is not None:
         # the postcondition reads g/e's own record: split and omega once each
         hfacts = _Facts(facts.contracted(*e))
         if not hfacts.split:
-            return (f"contraction by ({e.u},{e.v}) is not split",), False
+            return (f"contraction by ({e.u},{e.v}) is not split",)
         if hfacts.omega != facts.omega - 1 or hfacts.balanced:
-            return (f"witness ({e.u},{e.v}) fails its own postcondition",), False
-    return (), False
+            return (f"witness ({e.u},{e.v}) fails its own postcondition",)
+    return ()
 
 
 def _check_pseudo(g: Graph, facts: _Facts):
-    # the public decomposer runs only on graphs it must refuse; a (2K2,
-    # C4)-free graph is decomposed from the record's facts
+    # The refusal branch checks the decomposer's API: it must refuse every
+    # graph the record finds not pseudo-split. It refuses through the same
+    # contains_2k2 and contains_c4 scans that computed the record's pseudo
+    # fact, so it cannot catch a fault in them; THM_NG (against the
+    # colouring definition) and THM_SPLIT_FORBIDDEN (against the degree test
+    # and the partition search) cross-check those scans. A (2K2, C4)-free
+    # graph is decomposed from the record's facts.
     if not facts.pseudo:
         try:
             pseudo_split_decompose(g)
         except NotPseudoSplit:
-            return (), False
-        return ("decomposition accepted a graph with induced 2K2 or C4",), False
+            return ()
+        return ("decomposition accepted a graph with induced 2K2 or C4",)
     try:
         d = facts.psd
     except NotSplit:
-        return ("C5-free pseudo-split graph is not split",), False
+        return ("C5-free pseudo-split graph is not split",)
     if not d.is_valid_for(g):
-        return (f"invalid decomposition a={d.a} b={d.b} c={d.c}",), False
-    return (), False
+        return (f"invalid decomposition a={d.a} b={d.b} c={d.c}",)
+    return ()
 
 
 def _check_ng(g: Graph, facts: _Facts):
     by_def = is_ng_by_definition(g)
     by_char = facts.ng
-    if by_def != by_char:
-        return (f"definition={by_def} characterisation={by_char}",), False
-    return (), False
+    return () if by_def == by_char else (f"definition={by_def} characterisation={by_char}",)
 
 
 class _Checker(NamedTuple):
     cap: int
-    check: Callable[[Graph, _Facts], tuple[tuple[str, ...], bool]]
+    check: Callable[[Graph, _Facts], tuple[str, ...]]
     # the substrate: the connected graphs of orders 1..max_n and the
     # disconnected ones of orders up to `disconnected`; or, when `family`
     # is set, family(n) for n = 4..max_n alone
     disconnected: int = 0
     family: Callable[[int], Graph] | None = None
-    expected_set: Callable[[int], set[str]] | None = None
+    # the hypothesis, a predicate on the record: the check runs only where
+    # it holds, and None means on the whole substrate
+    hypothesis: Callable[[_Facts], bool] | None = None
+    # the witness label the check reads from the record's walk
+    label: str | None = None
+    # the exceptional region: whether the record's graph is in it, and the
+    # graph6 set of an enumerated sweep to max_n
+    region: tuple[Callable[[_Facts], bool], Callable[[int], set[str]]] | None = None
 
 
 CHECKERS: dict[str, _Checker] = {
     "PROP1": _Checker(6, _check_prop1, disconnected=6),
     "PROP2": _Checker(6, _check_prop2, disconnected=6),
     "PROP3": _Checker(6, _check_prop3),
-    "PROP4": _Checker(10, partial(_check_family, cycle_graph, "C"), family=cycle_graph),
-    "PROP5": _Checker(10, partial(_check_family, complete_graph, "K"), family=complete_graph),
-    "LEMMA1": _Checker(8, _check_lemma1),
-    "LEMMA2": _Checker(8, _check_lemma2),
+    "PROP4": _Checker(
+        10, partial(_check_family, cycle_graph, "C"), family=cycle_graph,
+        hypothesis=partial(_in_family, cycle_graph),
+    ),
+    "PROP5": _Checker(
+        10, partial(_check_family, complete_graph, "K"), family=complete_graph,
+        hypothesis=partial(_in_family, complete_graph),
+    ),
+    "LEMMA1": _Checker(8, _check_lemma1, hypothesis=lambda f: f.has_c4, label="c4"),
+    "LEMMA2": _Checker(8, _check_lemma2, hypothesis=lambda f: f.has_2k2, label="2k2"),
     # every class through order 7, connected classes only at 8
     "THM_SPLIT_FORBIDDEN": _Checker(8, _check_split_triple, disconnected=7),
-    "THM_2K2_CLAW": _Checker(8, _check_2k2_claw),
-    "THM_CONTRACTION": _Checker(8, _check_contraction, expected_set=_expected_exceptional),
-    "THM_KS_CASES": _Checker(7, _check_ks_cases, disconnected=7),
-    "THM_UNBALANCED": _Checker(8, _check_unbalanced),
+    "THM_2K2_CLAW": _Checker(
+        8, _check_2k2_claw,
+        hypothesis=lambda f: not f.has_2k2 and not _contains_claw(f.g) and f.alpha >= 3,
+    ),
+    "THM_CONTRACTION": _Checker(
+        8, _check_contraction, label="nonsplit",
+        region=(lambda f: not f.split and f.witness("nonsplit") is None, _expected_exceptional),
+    ),
+    "THM_KS_CASES": _Checker(7, _check_ks_cases, disconnected=7, hypothesis=lambda f: f.split),
+    "THM_UNBALANCED": _Checker(
+        8, _check_unbalanced, hypothesis=lambda f: f.split and not f.star_excluded,
+        label="unbalanced",
+    ),
     "THM_PSEUDO": _Checker(8, _check_pseudo, disconnected=8),
     "THM_NG": _Checker(7, _check_ng, disconnected=7),
 }
 
 THEOREM_IDS = tuple(CHECKERS)
 
-# the witness label each theorem's check reads from the record
-_WITNESS_LABELS = {
-    "LEMMA1": "c4",
-    "LEMMA2": "2k2",
-    "THM_CONTRACTION": "nonsplit",
-    "THM_UNBALANCED": "unbalanced",
-}
-
 
 def _check_graph(active: tuple[str, ...], n: int, code: int):
     """Check the graph of order n with this code (``_graph_from_code``)
-    against the active theorems, over one fact record.
+    against the rows of the active theorems, over one fact record that
+    asks for their witness labels.
 
-    Returns each check's seconds, in the order of the active ids, and
-    (index, details, member) for each check with something to report. The
-    decoding is charged to the first check.
+    Each row's check runs where its hypothesis holds. Returns each row's
+    seconds, in the order of the active ids, and (index, details, member)
+    for each row with something to report, member telling whether the
+    graph is in the row's exceptional region. A row's seconds include its
+    hypothesis test; the decoding is charged to the first row.
     """
     clock = time.perf_counter
     last = clock()
     g = _graph_from_code(n, code)
-    facts = _Facts(g, [_WITNESS_LABELS[t] for t in active if t in _WITNESS_LABELS])
+    checkers = [CHECKERS[t] for t in active]
+    facts = _Facts(g, [c.label for c in checkers if c.label])
     times = []
     bad = []
-    for i, theorem in enumerate(active):
-        details, member = CHECKERS[theorem].check(g, facts)
+    for i, c in enumerate(checkers):
+        hypothesis = c.hypothesis
+        details = c.check(g, facts) if hypothesis is None or hypothesis(facts) else ()
+        member = c.region is not None and c.region[0](facts)
         now = clock()
         times.append(now - last)
         last = now
@@ -628,9 +620,9 @@ def _verify(orders: dict[str, int], source, pool: _Pool) -> list[TheoremReport]:
     reports = []
     for t in tids:
         found = violations[t]
-        expected_set = CHECKERS[t].expected_set
-        if source is None and expected_set is not None:
-            expected = expected_set(orders[t])
+        region = CHECKERS[t].region
+        if source is None and region is not None:
+            expected = region[1](orders[t])
             seen = set(members[t])
             for g6 in sorted(seen - expected):
                 found.append((g6, "unexpected member of the exceptional region"))

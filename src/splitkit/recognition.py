@@ -622,16 +622,20 @@ class _Facts:
 
     This is the one definition of balanced, pseudo-split, NG by the
     characterisation, the star exclusion and the witness labels that apply
-    to g. ``classify``, the census tally, every verify check, and
+    to g. ``classify``, the census tally, every verify theorem (its
+    hypothesis, its check and THM_CONTRACTION's exceptional region), and
     ``is_balanced_split``, ``is_ng_by_characterisation`` and the
     ``find_*_witness`` functions read a record. The oracles the checks
     compare against never read it.
 
-    labels are the witness labels the caller asks for. ``walk`` runs one
-    ``_witnesses`` walk for those of them that apply to g (c4 when g has an
-    induced C4, 2k2 when it has an induced 2K2, nonsplit always, and
-    unbalanced when g is split and not star-excluded) and maps each label
-    found to its witness edge. ``contracted(u, v)`` builds the contraction
+    labels are the witness labels the caller asks for; a verify walk asks
+    for those of the theorems it checks. ``walk`` runs one ``_witnesses``
+    walk for those of them that apply to g (c4 when g has an induced C4,
+    2k2 when it has an induced 2K2, nonsplit always, and unbalanced when g
+    is split and not star-excluded: the hypotheses of LEMMA1, LEMMA2 and
+    THM_UNBALANCED) and maps each label found to its witness edge. A walk
+    over every label that applies would cost a caller of one label the
+    contractions and scans of the others. ``contracted(u, v)`` builds the contraction
     g/uv at most once per record: the walk, the LEMMA re-checks,
     THM_UNBALANCED's postcondition and the PROP checks all read it there;
     the PROP checks test the contraction's vertex map on it and code

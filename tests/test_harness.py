@@ -11,6 +11,7 @@ from splitkit import (
     Graph,
     InvalidJobs,
     KSPartition,
+    NamedPattern,
     OrderOutOfRange,
     SplitkitError,
     THEOREM_IDS,
@@ -35,7 +36,14 @@ from splitkit.graphs import ENUM_MAX_ORDER, enumerate_all
 from splitkit.harness import render_census_text
 
 from graphgen import labelled_graphs, relabel
-from oracles import iso_by_permutations, ks_partition_cliques
+from oracles import (
+    has_induced_copy,
+    independence_number_subsets,
+    is_connected_search,
+    iso_by_permutations,
+    ks_partition_cliques,
+    ks_partition_exists,
+)
 
 E2 = build(2)  # two isolated vertices, graph6 "A?"
 
@@ -255,6 +263,102 @@ def test_prop_checks_catch_a_wrong_contraction(monkeypatch):
     assert check_one("PROP5", complete_graph(5)) == tuple(
         f"K5/({u},{v}) is not K4" for u, v in itertools.combinations(range(5), 2)
     )
+
+
+def test_a_fault_in_the_2k2_scan_is_caught_by_the_cross_checks(monkeypatch):
+    # THM_PSEUDO's refusal branch runs the scans behind the record's pseudo
+    # fact, so it cannot see a fault in them; THM_NG, against the colouring
+    # definition, and THM_SPLIT_FORBIDDEN, against the degree test and the
+    # partition search, can
+    real = recognition.contains_2k2
+    c5, p4 = cycle_graph(5), path_graph(4)
+    monkeypatch.setattr(recognition, "contains_2k2", lambda g: real(g) or g in (c5, p4))
+    assert check_one("THM_PSEUDO", c5) == ()
+    assert check_one("THM_NG", c5) == ("definition=True characterisation=False",)
+    assert check_one("THM_PSEUDO", p4) == ()
+    assert check_one("THM_SPLIT_FORBIDDEN", p4) == ("forbidden=False degrees=True partition=True",)
+
+
+# ---------------------------------------------------------------------------
+# each theorem's hypothesis, against the oracles
+
+_C4_TEMPLATE = NamedPattern("C4").template
+_TWO_K2_TEMPLATE = NamedPattern("TWO_K2").template
+_CLAW_TEMPLATE = NamedPattern("CLAW").template
+
+
+def _degree_list(g):
+    return sorted(sum(g.has_edge(u, v) for v in range(g.n) if v != u) for u in range(g.n))
+
+
+def _is_copy_of(family, g):
+    # C_n or K_n, n >= 4: the degree list first, then a permutation search
+    if g.n < 4:
+        return False
+    h = family(g.n)
+    return _degree_list(g) == _degree_list(h) and iso_by_permutations(g, h)
+
+
+def _star_excluded(g):
+    # K1 and the stars K_(1,m), m >= 2, by their degree lists
+    return g.n == 1 or (g.n >= 3 and _degree_list(g) == [1] * (g.n - 1) + [g.n - 1])
+
+
+ORACLE_HYPOTHESES = {
+    "PROP4": lambda g: _is_copy_of(cycle_graph, g),
+    "PROP5": lambda g: _is_copy_of(complete_graph, g),
+    "LEMMA1": lambda g: has_induced_copy(g, _C4_TEMPLATE),
+    "LEMMA2": lambda g: has_induced_copy(g, _TWO_K2_TEMPLATE),
+    "THM_2K2_CLAW": lambda g: not has_induced_copy(g, _TWO_K2_TEMPLATE)
+    and not has_induced_copy(g, _CLAW_TEMPLATE)
+    and independence_number_subsets(g) >= 3,
+    "THM_KS_CASES": ks_partition_exists,
+    "THM_UNBALANCED": lambda g: ks_partition_exists(g) and not _star_excluded(g),
+}
+
+
+def test_hypotheses_match_the_oracles():
+    # every class to order 6 and every labelled graph to order 5; the other
+    # theorems hold on their whole substrate
+    gated = {t for t in THEOREM_IDS if harness.CHECKERS[t].hypothesis is not None}
+    assert gated == set(ORACLE_HYPOTHESES)
+    held = dict.fromkeys(ORACLE_HYPOTHESES, 0)
+    for g in [*(g for n in range(1, 7) for g in enumerate_all(n)),
+              *(g for n in range(1, 6) for g in labelled_graphs(n))]:
+        facts = recognition._Facts(g)
+        for t, oracle in ORACLE_HYPOTHESES.items():
+            expected = oracle(g)
+            assert harness.CHECKERS[t].hypothesis(facts) == expected, (t, g)
+            held[t] += expected
+    assert all(held.values())
+
+
+def test_gated_checks_run_exactly_where_the_hypothesis_holds(monkeypatch):
+    calls = dict.fromkeys(ORACLE_HYPOTHESES, 0)
+    for t in ORACLE_HYPOTHESES:
+        row = harness.CHECKERS[t]
+
+        def counted(g, facts, t=t, check=row.check):
+            calls[t] += 1
+            return check(g, facts)
+
+        monkeypatch.setitem(harness.CHECKERS, t, row._replace(check=counted))
+    reports = {r.theorem: r for r in verify_all(6)}
+    assert all(r.verdict == "PASS" for r in reports.values())
+    expected = {}
+    for t, oracle in ORACLE_HYPOTHESES.items():
+        row = harness.CHECKERS[t]
+        if row.family is not None:
+            substrate = [row.family(n) for n in range(4, 7)]
+        else:
+            substrate = [
+                g for n in range(1, 7) for g in enumerate_all(n)
+                if n <= row.disconnected or is_connected_search(g)
+            ]
+        # graphs outside the hypothesis are still counted, and pass
+        assert reports[t].graphs_checked == len(substrate)
+        expected[t] = sum(map(oracle, substrate))
+    assert calls == expected
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,10 @@ def canonical_code(g: Graph) -> int:
     return _search(rows, keys, prev)
 
 
+# per order n: rem[pos], the code bits that follow position pos
+_rems: dict[int, list[int]] = {}
+
+
 def _search(rows: Sequence[int], keys: Sequence[int], prev: Sequence[int]) -> int:
     """The canonical code of the graph with these rows, given its vertex keys
     (degree << 12 | neighbour-degree sum) and twin classes (``prev[w]`` is
@@ -270,65 +274,92 @@ def _search(rows: Sequence[int], keys: Sequence[int], prev: Sequence[int]) -> in
 
     The cells are the vertices of equal key, in key order, and each position
     draws from one cell. A vertex is placed only after its ``prev``, so a
-    twin class is expanded once per node.
+    twin class is expanded once per node. A candidate's word is its
+    adjacency to the placed vertices in placement order, gathered from its
+    placed neighbours alone. Only the candidates of least word are expanded:
+    once the first of them is searched, the best code's prefix is at most
+    that word, and a larger word is pruned. A position with one candidate,
+    or one of least word, extends the code in place; tied candidates wait
+    on a stack, in label order, until the search backtracks to them. The
+    prune is strict, so the search reaches every ordering that gives the
+    canonical code and places each twin class in label order.
     """
     n = len(rows)
     cell_of: dict[int, int] = {}
     for v, key in enumerate(keys):
         cell_of[key] = cell_of.get(key, 0) | 1 << v
     # cells[pos]: the cell that position pos draws from
-    cells = []
-    for key in sorted(cell_of):
-        cells += [cell_of[key]] * cell_of[key].bit_count()
-    total_bits = n * (n - 1) // 2
-
+    cells = [cell_of[key] for key in sorted(keys)]
     # best starts above every code; once position pos is placed the code
     # has (pos + 1) pos / 2 bits, and rem[pos] more follow
-    best = 1 << total_bits
-    rem = [total_bits - (pos + 1) * pos // 2 for pos in range(n)]
-    placed = [0] * n
-
-    def extend(pos: int, used: int, code: int) -> None:
-        nonlocal best
-        while True:
-            cands = []
-            m = cells[pos] & ~used
+    rem = _rems.get(n)
+    if rem is None:
+        total = n * (n - 1) // 2
+        rem = _rems[n] = [total - (pos + 1) * pos // 2 for pos in range(n)]
+    best = 1 << (n * (n - 1) // 2)
+    # at[v]: 1 << (n - 1 - the position of v), for each placed v; the word
+    # at position pos is the sum over the placed neighbours >> (n - pos)
+    at = [0] * n
+    # (pos, used, code, ties): the tied candidates not yet placed at pos,
+    # with the code that each of them extends
+    stack = []
+    pos = used = code = 0
+    while True:
+        # ties: the candidates of least word, low: that word
+        ties = cells[pos] & ~used
+        if ties & (ties - 1):
+            m = ties
+            low = 1 << n  # above every word
             while m:
                 b = m & -m
                 m ^= b
                 v = b.bit_length() - 1
                 if prev[v] & ~used:
                     continue
-                rv = rows[v]
+                a = rows[v] & used
                 w = 0
-                for j in range(pos):
-                    w = w << 1 | (rv >> placed[j] & 1)
-                cands.append((w, v))
-            if len(cands) > 1:
+                while a:
+                    c = a & -a
+                    a ^= c
+                    w |= at[c.bit_length() - 1]
+                if w < low:
+                    low = w
+                    ties = b
+                elif w == low:
+                    ties |= b
+        else:
+            a = rows[ties.bit_length() - 1] & used
+            low = 0
+            while a:
+                c = a & -a
+                a ^= c
+                low |= at[c.bit_length() - 1]
+        code = code << pos | low >> (n - pos)
+        if code <= best >> rem[pos]:
+            b = ties & -ties
+            # two or more ties leave pos + 1 < n: the last position has
+            # one candidate
+            if ties ^ b:
+                stack.append((pos, used, code, ties ^ b))
+            if pos + 1 < n:
+                at[b.bit_length() - 1] = 1 << (n - 1 - pos)
+                used |= b
+                pos += 1
+                continue
+            best = code
+        # a leaf or a pruned prefix: resume the deepest waiting tie
+        while stack:
+            pos, used, code, ties = stack.pop()
+            if code <= best >> rem[pos]:
+                b = ties & -ties
+                if ties ^ b:
+                    stack.append((pos, used, code, ties ^ b))
+                at[b.bit_length() - 1] = 1 << (n - 1 - pos)
+                used |= b
+                pos += 1
                 break
-            # a forced position extends the code in place
-            w, v = cands[0]
-            code = code << pos | w
-            if code > best >> rem[pos]:
-                return
-            if pos + 1 == n:
-                best = code
-                return
-            placed[pos] = v
-            used |= 1 << v
-            pos += 1
-        cands.sort()
-        for w, v in cands:
-            ncode = code << pos | w
-            if ncode > best >> rem[pos]:
-                break
-            # two or more candidates leave pos + 1 < n: the last position
-            # is always forced, and set above
-            placed[pos] = v
-            extend(pos + 1, used | 1 << v, ncode)
-
-    extend(0, 0, 0)
-    return best
+        else:
+            return best
 
 
 def canonical_form(g: Graph) -> Graph:
@@ -607,8 +638,10 @@ def _components_without(rows: Sequence[int], w: int) -> list[int]:
         seen = frontier = rest & -rest
         while frontier:
             reach = 0
-            for v in _bits(frontier):
-                reach |= rows[v]
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                reach |= rows[b.bit_length() - 1]
             frontier = reach & rest & ~seen
             seen |= frontier
         comps.append(seen)

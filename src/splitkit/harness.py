@@ -53,6 +53,7 @@ from .graphs import (
 )
 from .invariants import _contains_claw
 from .recognition import (
+    _APPLIES,
     _Facts,
     _is_independent,
     _ks_case,
@@ -412,8 +413,10 @@ CHECKERS: dict[str, _Checker] = {
         10, partial(_check_family, complete_graph, "K"), family=complete_graph,
         hypothesis=partial(_in_family, complete_graph),
     ),
-    "LEMMA1": _Checker(8, _check_lemma1, hypothesis=lambda f: f.has_c4, label="c4"),
-    "LEMMA2": _Checker(8, _check_lemma2, hypothesis=lambda f: f.has_2k2, label="2k2"),
+    # a row whose label applies only under its hypothesis reads it where
+    # the witness walk does
+    "LEMMA1": _Checker(8, _check_lemma1, hypothesis=_APPLIES["c4"], label="c4"),
+    "LEMMA2": _Checker(8, _check_lemma2, hypothesis=_APPLIES["2k2"], label="2k2"),
     # every class through order 7, connected classes only at 8
     "THM_SPLIT_FORBIDDEN": _Checker(8, _check_split_triple, disconnected=7),
     "THM_2K2_CLAW": _Checker(
@@ -426,8 +429,7 @@ CHECKERS: dict[str, _Checker] = {
     ),
     "THM_KS_CASES": _Checker(7, _check_ks_cases, disconnected=7, hypothesis=lambda f: f.split),
     "THM_UNBALANCED": _Checker(
-        8, _check_unbalanced, hypothesis=lambda f: f.split and not f.star_excluded,
-        label="unbalanced",
+        8, _check_unbalanced, hypothesis=_APPLIES["unbalanced"], label="unbalanced",
     ),
     "THM_PSEUDO": _Checker(8, _check_pseudo, disconnected=8),
     "THM_NG": _Checker(7, _check_ng, disconnected=7),

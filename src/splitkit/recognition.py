@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from typing import Collection, NamedTuple
+from typing import Callable, Collection, NamedTuple
 
 from .errors import (
     InvalidPartition,
@@ -394,10 +394,20 @@ def detect_exceptional(g: Graph) -> FamilyTag | None:
 # witness edges
 
 
+# where a witness label applies, as a predicate on the record: the
+# hypotheses of LEMMA1, LEMMA2 and THM_UNBALANCED, whose rows in
+# harness.CHECKERS read them here; "nonsplit" applies to every graph
+_APPLIES: dict[str, Callable[[_Facts], bool]] = {
+    "c4": lambda f: f.has_c4,
+    "2k2": lambda f: f.has_2k2,
+    "unbalanced": lambda f: f.split and not f.star_excluded,
+}
+
+
 def _witnesses(facts: _Facts) -> dict[str, Edge]:
     """The first edge e of facts.g, in lexicographic order, whose contraction
     g/e passes each label's test, for the labels of the record that apply
-    to g.
+    to g (``_APPLIES``).
 
     The labels: "c4", g/e has an induced C4, asked where g has one; "2k2",
     g/e has an induced 2K2 or C4, asked where g has an induced 2K2;
@@ -416,16 +426,9 @@ def _witnesses(facts: _Facts) -> dict[str, Edge]:
     label reads them. The walk stops when every label has a witness. Each
     label found maps to its edge; labels with no witness are absent.
     """
-    asked = facts.labels
-    pending = set()
-    if "c4" in asked and facts.has_c4:
-        pending.add("c4")
-    if "2k2" in asked and facts.has_2k2:
-        pending.add("2k2")
-    if "nonsplit" in asked:
-        pending.add("nonsplit")
-    if "unbalanced" in asked and facts.split and not facts.star_excluded:
-        pending.add("unbalanced")
+    pending = {
+        label for label in facts.labels if label not in _APPLIES or _APPLIES[label](facts)
+    }
     found = {}
     g = facts.g
     rows = g.rows
@@ -630,18 +633,19 @@ class _Facts:
 
     labels are the witness labels the caller asks for; a verify walk asks
     for those of the theorems it checks. ``walk`` runs one ``_witnesses``
-    walk for those of them that apply to g (c4 when g has an induced C4,
-    2k2 when it has an induced 2K2, nonsplit always, and unbalanced when g
-    is split and not star-excluded: the hypotheses of LEMMA1, LEMMA2 and
-    THM_UNBALANCED) and maps each label found to its witness edge. A walk
-    over every label that applies would cost a caller of one label the
-    contractions and scans of the others. ``contracted(u, v)`` builds the contraction
-    g/uv at most once per record: the walk, the LEMMA re-checks,
-    THM_UNBALANCED's postcondition and the PROP checks all read it there;
-    the PROP checks test the contraction's vertex map on it and code
-    nothing. ``has_induced`` keeps the ``find_induced`` re-check of each
-    contraction against each pattern, so LEMMA2 reads LEMMA1's C4 re-check
-    when both labels share their witness edge.
+    walk for those of them that apply to g (``_APPLIES``: c4 when g has an
+    induced C4, 2k2 when it has an induced 2K2, nonsplit always, and
+    unbalanced when g is split and not star-excluded, the hypotheses of
+    LEMMA1, LEMMA2 and THM_UNBALANCED) and maps each label found to its
+    witness edge. A walk over every label that applies would cost a caller
+    of one label the contractions and scans of the others.
+    ``contracted(u, v)`` builds the contraction g/uv at most once per
+    record: the walk, the LEMMA re-checks, THM_UNBALANCED's postcondition
+    and the PROP checks all read it there; the PROP checks test the
+    contraction's vertex map on it and code nothing. ``has_induced`` keeps
+    the ``find_induced`` re-check of each contraction against each
+    pattern, so LEMMA2 reads LEMMA1's C4 re-check when both labels share
+    their witness edge.
     """
 
     def __init__(self, g: Graph, labels: Collection[str] = ()):

@@ -190,6 +190,33 @@ def automorphism_count(g) -> int:
     return extend(0)
 
 
+def canonical_code_by_orderings(g) -> int:
+    """The least column-major adjacency code, x01, x02, x12, x03, ... from
+    the most significant bit, over every vertex ordering that is
+    non-decreasing in the key (degree, sum of neighbour degrees).
+
+    Every such ordering is tried: the vertices of each key, in every order,
+    one key after another.
+    """
+    n = g.n
+    adj = [[u != v and g.has_edge(u, v) for v in range(n)] for u in range(n)]
+    deg = [sum(row) for row in adj]
+    key = [(deg[v], sum(deg[u] for u in range(n) if adj[v][u])) for v in range(n)]
+    cells = {}
+    for v in sorted(range(n), key=key.__getitem__):
+        cells.setdefault(key[v], []).append(v)
+    best = None
+    for parts in itertools.product(*(itertools.permutations(c) for c in cells.values())):
+        order = [v for part in parts for v in part]
+        code = 0
+        for j in range(1, n):
+            for i in range(j):
+                code = code << 1 | adj[order[i]][order[j]]
+        if best is None or code < best:
+            best = code
+    return best
+
+
 def labelled_connected_count(n) -> int:
     """Connected labelled graphs on n vertices (OEIS A001187): every labelled
     graph minus those whose vertex 1 lies in a component of k < n vertices,

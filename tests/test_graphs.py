@@ -52,6 +52,7 @@ from splitkit.graphs import (
 from graphgen import labelled_graphs, relabel
 from oracles import (
     automorphism_count,
+    canonical_code_by_orderings,
     connected_codes_by_extension,
     decode_graph6_bits,
     is_connected_search,
@@ -251,6 +252,34 @@ def test_canonical_code_groups_labelled_graphs_into_classes(n, classes):
     for first, *rest in groups.values():
         for g in rest:
             assert iso_by_permutations(first, g)
+
+
+def test_canonical_code_is_the_least_code_over_key_orderings():
+    # the exact code, not only a class invariant: the search prunes and
+    # expands twins once, the oracle tries every ordering
+    for n in range(1, 6):
+        for g in labelled_graphs(n):
+            assert canonical_code(g) == canonical_code_by_orderings(g)
+    for g in all_graphs_upto(7):
+        assert canonical_code(g) == canonical_code_by_orderings(g)
+
+
+def test_ordering_oracle_catches_a_search_that_skips_orderings(monkeypatch):
+    # a search told that each cell is one twin class places every cell in
+    # label order, and misses the least code of some classes
+    classes = list(all_graphs_upto(7))
+    search = graphs._search
+
+    def label_order(rows, keys, prev):
+        last = {}
+        chained = []
+        for v, key in enumerate(keys):
+            chained.append(last.get(key, 0))
+            last[key] = 1 << v
+        return search(rows, keys, chained)
+
+    monkeypatch.setattr(graphs, "_search", label_order)
+    assert any(canonical_code(g) != canonical_code_by_orderings(g) for g in classes)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -565,6 +594,19 @@ def test_connected_codes_are_canonical_codes(n):
     # be the code canonical_code gives the decoded graph
     for code in _connected_codes(n):
         assert canonical_code(_graph_from_code(n, code)) == code
+
+
+def test_order_9_kernel_codes_are_canonical_codes():
+    # the kernel past the exhaustive range: the children of every 100th
+    # order-8 parent
+    parents = _connected_codes(8)[::100]
+    assert len(parents) == 112
+    children = 0
+    for parent in parents:
+        for code in graphs._child_codes(9, parent):
+            assert canonical_code(_graph_from_code(9, code)) == code
+            children += 1
+    assert children == 2688
 
 
 def _all_by_decoding(n):

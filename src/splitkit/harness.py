@@ -55,7 +55,6 @@ from .invariants import _contains_claw
 from .recognition import (
     _APPLIES,
     _Facts,
-    _is_independent,
     _ks_case,
     is_split_forbidden,
     is_ng_by_definition,
@@ -113,14 +112,6 @@ class TheoremReport(NamedTuple):
 # of each violation
 
 
-def _contraction_image(cmask: int, u: int, v: int) -> int:
-    """The vertex mask cmask becomes after contracting u < v."""
-    if cmask >> v & 1:
-        cmask = cmask & ~(1 << v) | 1 << u
-    # drop bit v and shift every label above it down by one
-    return (cmask & ((1 << v) - 1)) | (cmask >> (v + 1)) << v
-
-
 def _keeps(facts: _Facts, cmask: int, u: int, v: int) -> bool:
     """Whether the image of C in g/uv, u < v, induces a graph isomorphic to
     G[C], for u and v not both in C.
@@ -133,14 +124,24 @@ def _keeps(facts: _Facts, cmask: int, u: int, v: int) -> bool:
     """
     rows = facts.g.rows
     image_rows = facts.contracted(u, v).rows
-    image = _contraction_image(cmask, u, v)
+    # a mask's image: v's bit moves to u (u is then outside the mask), and
+    # every label above v shifts down by one
+    bv = 1 << v
+    swap = bv | 1 << u
+    low = bv - 1
+    high = ~low
+    m = cmask ^ swap if cmask & bv else cmask
+    image = m & low | m >> 1 & high
     m = cmask
     while m:
         b = m & -m
         m ^= b
         x = b.bit_length() - 1
         y = u if x == v else x - (x > v)  # x's label in g/uv
-        if image_rows[y] & image != _contraction_image(rows[x] & cmask, u, v):
+        r = rows[x] & cmask
+        if r & bv:
+            r ^= swap
+        if image_rows[y] & image != r & low | r >> 1 & high:
             return False
     return True
 
@@ -149,8 +150,11 @@ def _check_prop1(g: Graph, facts: _Facts):
     bad = []
     rows = g.rows
     for cmask in range(1, 1 << g.n):
-        cset = [x for x in range(g.n) if cmask >> x & 1]
-        for u in cset:
+        m = cmask
+        while m:
+            b = m & -m
+            m ^= b
+            u = b.bit_length() - 1
             ncu = rows[u] & cmask
             outside = rows[u] & ~cmask
             while outside:
@@ -160,6 +164,7 @@ def _check_prop1(g: Graph, facts: _Facts):
                 if rows[v] & cmask & ~(1 << u) & ~ncu:
                     continue  # N_C(v) minus u not inside N_C(u)
                 if not _keeps(facts, cmask, min(u, v), max(u, v)):
+                    cset = [x for x in range(g.n) if cmask >> x & 1]
                     bad.append(
                         f"C={cset} u={u} v={v}: induced subgraph not preserved"
                     )
@@ -255,7 +260,14 @@ def _check_lemma2(g: Graph, facts: _Facts):
     if e is None:
         return ("no 2K2/C4-preserving contraction on a non-terminal graph",)
     h = facts.contracted(*e)
-    if not (facts.has_induced(h, _TWO_K2) or facts.has_induced(h, _C4)):
+    # a C4 the record already found in h (LEMMA1's re-check, when the c4 and
+    # 2k2 labels share their edge) settles it before any search of its own;
+    # a stored no does not, as h may still hold a 2K2
+    if not (
+        facts._rechecks.get((h, _C4))
+        or facts.has_induced(h, _TWO_K2)
+        or facts.has_induced(h, _C4)
+    ):
         return (f"contraction by ({e.u},{e.v}) lacks the promised 2K2/C4",)
     return ()
 
@@ -273,14 +285,27 @@ def _ks_partitions(g: Graph):
     while stack:
         k, cand = stack.pop()
         rest = full ^ k
-        if not _is_independent(g, rest & ~cand):
-            continue
-        if _is_independent(g, rest):
-            yield k
-        while cand:
-            b = cand & -cand
-            cand ^= b
-            stack.append((k | b, cand & rows[b.bit_length() - 1]))
+        out = rest & ~cand  # outside K, and can no longer join it
+        m = out
+        while m:
+            b = m & -m
+            m ^= b
+            if rows[b.bit_length() - 1] & out:
+                break
+        else:
+            # out is independent, so V - K is when no edge meets cand
+            m = cand
+            while m:
+                b = m & -m
+                m ^= b
+                if rows[b.bit_length() - 1] & rest:
+                    break
+            else:
+                yield k
+            while cand:
+                b = cand & -cand
+                cand ^= b
+                stack.append((k | b, cand & rows[b.bit_length() - 1]))
 
 
 def _check_split_triple(g: Graph, facts: _Facts):

@@ -643,9 +643,10 @@ class _Facts:
     record: the walk, the LEMMA re-checks, THM_UNBALANCED's postcondition
     and the PROP checks all read it there; the PROP checks test the
     contraction's vertex map on it and code nothing. ``has_induced`` keeps
-    the ``find_induced`` re-check of each contraction against each
-    pattern, so LEMMA2 reads LEMMA1's C4 re-check when both labels share
-    their witness edge.
+    the ``find_induced`` re-check of each contraction against each pattern
+    in ``_rechecks``. When the c4 and 2k2 labels share their witness edge,
+    LEMMA2 reads LEMMA1's positive C4 answer there before any search of its
+    own; a stored no does not end its check.
     """
 
     def __init__(self, g: Graph, labels: Collection[str] = ()):

@@ -218,6 +218,30 @@ def test_planted_witness_is_rechecked(corrupt):
     assert check_one("THM_UNBALANCED", c5) == ("contraction by (0,1) is not split",)
 
 
+def test_shared_witness_edge_is_searched_past_a_stored_no(corrupt, monkeypatch):
+    # the C4 2-4-3-5 and the 2K2 {05, 14}, with one planted witness edge for
+    # both labels: g/(2,4) has neither pattern. LEMMA1's re-check stores a
+    # no for C4 on it, and LEMMA2 must still search for a 2K2 of its own
+    g = build(6, [(0, 5), (1, 4), (2, 4), (2, 5), (3, 4), (3, 5)])
+    e = Edge(2, 4)
+    corrupt(g, walk={"c4": e, "2k2": e})
+    searches = []
+    real = recognition.find_induced
+
+    def find(h, pattern):
+        searches.append(pattern.tag)
+        return real(h, pattern)
+
+    monkeypatch.setattr(recognition, "find_induced", find)
+    _, bad = harness._check_graph(("LEMMA1", "LEMMA2"), g.n, graphs._code(g))
+    assert bad == [
+        (0, ("contraction by (2,4) lacks the promised C4",), False),
+        (1, ("contraction by (2,4) lacks the promised 2K2/C4",), False),
+    ]
+    # the stored no for C4 is read, not searched again
+    assert searches == ["C4", "TWO_K2"]
+
+
 def test_wrong_omega_is_reported(corrupt):
     k2 = complete_graph(2)
     corrupt(k2, omega=1)
@@ -388,6 +412,14 @@ def test_single_theorem_reports_match_verify_all():
     assert alone == together
 
 
+def test_lemma2_alone_matches_lemma2_in_verify_all_at_order_eight():
+    # on its own, LEMMA2 has no C4 answer of LEMMA1's to read and searches
+    # every witness contraction itself; order 8 is where the two paths part
+    # most
+    together = without_ms(verify_all(8))
+    assert without_ms([verify("LEMMA2", 8)]) == [together[THEOREM_IDS.index("LEMMA2")]]
+
+
 def test_detect_exceptional_runs_once_per_graph(monkeypatch):
     calls = []
     real = recognition.detect_exceptional
@@ -424,9 +456,12 @@ def test_lemma1_recheck_catches_a_wrong_witness(monkeypatch):
 
 def test_lemma_rechecks_search_each_contraction_once(monkeypatch):
     # LEMMA2 reads LEMMA1's C4 re-check where the c4 and 2k2 labels keep
-    # the same contraction; without the memo order 7 makes 1,381 searches
+    # the same contraction, and a positive answer settles it before any
+    # search of its own: 1,158 searches, 241 of them finding nothing, when
+    # LEMMA2 searches for a 2K2 first; without the memo order 7 makes 1,381
     current = []
     searches = []
+    misses = []
     real_init = recognition._Facts.__init__
     real_find = recognition.find_induced
 
@@ -435,13 +470,16 @@ def test_lemma_rechecks_search_each_contraction_once(monkeypatch):
         real_init(self, g, labels)
 
     def find(h, pattern):
+        found = real_find(h, pattern)
         searches.append((current[0], h, pattern))
-        return real_find(h, pattern)
+        misses.append(found is None)
+        return found
 
     monkeypatch.setattr(recognition._Facts, "__init__", init)
     monkeypatch.setattr(recognition, "find_induced", find)
     assert all(r.verdict == "PASS" for r in verify_all(7))
-    assert len(searches) == len(set(searches)) == 1158
+    assert len(searches) == len(set(searches)) == 860
+    assert sum(misses) == 18
 
 
 def test_each_edge_is_contracted_once_per_graph(monkeypatch):
@@ -597,13 +635,24 @@ def test_ks_partition_oracle_on_every_labelling():
             assert sorted(harness._ks_partitions(g)) == sorted(ks_partition_cliques(g)), g
 
 
-def test_contraction_image_follows_the_contraction():
-    for n in range(2, 7):
-        for u, v in itertools.combinations(range(n), 2):
-            for cmask in range(1 << n):
-                image = {u if w == v else w for w in range(n) if cmask >> w & 1}
-                expect = sum(1 << (w - 1 if w > v else w) for w in image)
-                assert harness._contraction_image(cmask, u, v) == expect, (n, u, v, cmask)
+def test_keeps_follows_the_contraction_map():
+    # _keeps works out the images of C and of its rows itself; here the map
+    # v -> u, w -> w - 1 above v, is applied pair by pair through has_edge
+    for n in range(2, 6):
+        for g in labelled_graphs(n):
+            facts = recognition._Facts(g)
+            for u, v in g.edges():
+                h = contract(g, Edge(u, v))
+                image = [u if w == v else w - (w > v) for w in range(n)]
+                for cmask in range(1 << n):
+                    if cmask >> u & 1 and cmask >> v & 1:
+                        continue
+                    c = [w for w in range(n) if cmask >> w & 1]
+                    kept = all(
+                        h.has_edge(image[a], image[b]) == g.has_edge(a, b)
+                        for a, b in itertools.combinations(c, 2)
+                    )
+                    assert harness._keeps(facts, cmask, u, v) == kept, (g, u, v, cmask)
 
 
 def test_default_jobs_follows_affinity(monkeypatch):

@@ -195,20 +195,9 @@ def induced(g: Graph, vertices: Iterable[int]) -> Graph:
     for v in vs:
         g._check_vertex(v)
         mask |= 1 << v
-    return _induced(g, mask)
-
-
-def _induced(g: Graph, mask: int) -> Graph:
-    """``induced`` on a nonempty vertex mask, without its checks."""
     # place[1 << v] is the bit of v's new label
-    vs = []
-    place = {}
-    m = mask
-    while m:
-        b = m & -m
-        m ^= b
-        place[b] = 1 << len(vs)
-        vs.append(b.bit_length() - 1)
+    vs = sorted(vs)
+    place = {1 << v: 1 << i for i, v in enumerate(vs)}
     rows = []
     for v in vs:
         r = 0

@@ -8,7 +8,9 @@ Each theorem is one row of ``CHECKERS``, a ``_Checker`` that states:
 - its hypothesis, a predicate on the graph's fact record
   (``recognition._Facts``). The check runs only where it holds; a graph of
   the substrate outside it is counted and passes;
-- the witness label its check reads from the record's walk over the edges;
+- for LEMMA1, LEMMA2, THM_CONTRACTION and THM_UNBALANCED, the witness its
+  check reads from the record: the first edge whose contraction passes the
+  label's test, computed when first read; g/e has its own record;
 - for THM_CONTRACTION, the exceptional region: which graphs are in it, and
   the graphs an enumerated sweep must find there;
 - the check, which returns the details of each violation. It compares the
@@ -18,9 +20,9 @@ Each theorem is one row of ``CHECKERS``, a ``_Checker`` that states:
 A call walks its graphs once for all the theorems it checks: ``_segments``
 yields the union of their substrates as runs of int codes of one order,
 with the ids whose substrate holds each run, and ``_check_graph`` decodes
-one graph, builds its record with the labels of those rows and runs each
-row. The per-graph work is embarrassingly parallel; counterexamples are
-merged and sorted, so reports are the same for every worker count.
+one graph, builds its record and runs each row. The per-graph work is
+embarrassingly parallel; counterexamples are merged and sorted, so reports
+are the same for every worker count.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ def _keeps(facts: _Facts, cmask: int, u: int, v: int) -> bool:
     to the image of C, is the image of x's row in G[C].
     """
     rows = facts.g.rows
-    image_rows = facts.contracted(u, v).rows
+    image_rows = facts.contracted(u, v).g.rows
     # a mask's image: v's bit moves to u (u is then outside the mask), and
     # every label above v shifts down by one
     bv = 1 << v
@@ -228,7 +230,7 @@ def _check_family(family: Callable[[int], Graph], name: str, g: Graph, facts: _F
     return tuple(
         f"{name}{g.n}/({u},{v}) is not {name}{g.n - 1}"
         for u, v in g.edges()
-        if not _is_member(family, g.n - 1, facts.contracted(u, v))
+        if not _is_member(family, g.n - 1, facts.contracted(u, v).g)
     )
 
 
@@ -243,8 +245,8 @@ def _check_lemma1(g: Graph, facts: _Facts):
         return () if e is None else (f"terminal graph {tag} has witness ({e.u},{e.v})",)
     if e is None:
         return ("no C4-preserving contraction on a non-terminal graph",)
-    # the re-check reads the contraction the walk tested, with its own search
-    if not facts.has_induced(facts.contracted(*e), _C4):
+    # the re-check searches the record of the contraction the search tested
+    if not facts.contracted(*e).has_induced(_C4):
         return (f"contraction by ({e.u},{e.v}) lacks the promised C4",)
     return ()
 
@@ -260,14 +262,10 @@ def _check_lemma2(g: Graph, facts: _Facts):
     if e is None:
         return ("no 2K2/C4-preserving contraction on a non-terminal graph",)
     h = facts.contracted(*e)
-    # a C4 the record already found in h (LEMMA1's re-check, when the c4 and
+    # a C4 that h's record already holds (LEMMA1's re-check, when the c4 and
     # 2k2 labels share their edge) settles it before any search of its own;
     # a stored no does not, as h may still hold a 2K2
-    if not (
-        facts._rechecks.get((h, _C4))
-        or facts.has_induced(h, _TWO_K2)
-        or facts.has_induced(h, _C4)
-    ):
+    if not (h._rechecks.get(_C4) or h.has_induced(_TWO_K2) or h.has_induced(_C4)):
         return (f"contraction by ({e.u},{e.v}) lacks the promised 2K2/C4",)
     return ()
 
@@ -370,11 +368,11 @@ def _check_unbalanced(g: Graph, facts: _Facts):
         w = None if e is None else tuple(e)
         return (f"unbalanced={unbalanced} but witness={w}",)
     if e is not None:
-        # the postcondition reads g/e's own record: split and omega once each
-        hfacts = _Facts(facts.contracted(*e))
-        if not hfacts.split:
+        # the postcondition reads g/e's own record
+        h = facts.contracted(*e)
+        if not h.split:
             return (f"contraction by ({e.u},{e.v}) is not split",)
-        if hfacts.omega != facts.omega - 1 or hfacts.balanced:
+        if h.omega != facts.omega - 1 or h.balanced:
             return (f"witness ({e.u},{e.v}) fails its own postcondition",)
     return ()
 
@@ -419,8 +417,6 @@ class _Checker(NamedTuple):
     # the hypothesis, a predicate on the record: the check runs only where
     # it holds, and None means on the whole substrate
     hypothesis: Callable[[_Facts], bool] | None = None
-    # the witness label the check reads from the record's walk
-    label: str | None = None
     # the exceptional region: whether the record's graph is in it, and the
     # graph6 set of an enumerated sweep to max_n
     region: tuple[Callable[[_Facts], bool], Callable[[int], set[str]]] | None = None
@@ -438,10 +434,10 @@ CHECKERS: dict[str, _Checker] = {
         10, partial(_check_family, complete_graph, "K"), family=complete_graph,
         hypothesis=partial(_in_family, complete_graph),
     ),
-    # a row whose label applies only under its hypothesis reads it where
-    # the witness walk does
-    "LEMMA1": _Checker(8, _check_lemma1, hypothesis=_APPLIES["c4"], label="c4"),
-    "LEMMA2": _Checker(8, _check_lemma2, hypothesis=_APPLIES["2k2"], label="2k2"),
+    # a row whose witness label applies only under its hypothesis reads it
+    # where classify does
+    "LEMMA1": _Checker(8, _check_lemma1, hypothesis=_APPLIES["c4"]),
+    "LEMMA2": _Checker(8, _check_lemma2, hypothesis=_APPLIES["2k2"]),
     # every class through order 7, connected classes only at 8
     "THM_SPLIT_FORBIDDEN": _Checker(8, _check_split_triple, disconnected=7),
     "THM_2K2_CLAW": _Checker(
@@ -449,13 +445,11 @@ CHECKERS: dict[str, _Checker] = {
         hypothesis=lambda f: not f.has_2k2 and not _contains_claw(f.g) and f.alpha >= 3,
     ),
     "THM_CONTRACTION": _Checker(
-        8, _check_contraction, label="nonsplit",
+        8, _check_contraction,
         region=(lambda f: not f.split and f.witness("nonsplit") is None, _expected_exceptional),
     ),
     "THM_KS_CASES": _Checker(7, _check_ks_cases, disconnected=7, hypothesis=lambda f: f.split),
-    "THM_UNBALANCED": _Checker(
-        8, _check_unbalanced, hypothesis=_APPLIES["unbalanced"], label="unbalanced",
-    ),
+    "THM_UNBALANCED": _Checker(8, _check_unbalanced, hypothesis=_APPLIES["unbalanced"]),
     "THM_PSEUDO": _Checker(8, _check_pseudo, disconnected=8),
     "THM_NG": _Checker(7, _check_ng, disconnected=7),
 }
@@ -465,8 +459,7 @@ THEOREM_IDS = tuple(CHECKERS)
 
 def _check_graph(active: tuple[str, ...], n: int, code: int):
     """Check the graph of order n with this code (``_graph_from_code``)
-    against the rows of the active theorems, over one fact record that
-    asks for their witness labels.
+    against the rows of the active theorems, over one fact record.
 
     Each row's check runs where its hypothesis holds. Returns each row's
     seconds, in the order of the active ids, and (index, details, member)
@@ -477,11 +470,10 @@ def _check_graph(active: tuple[str, ...], n: int, code: int):
     clock = time.perf_counter
     last = clock()
     g = _graph_from_code(n, code)
-    checkers = [CHECKERS[t] for t in active]
-    facts = _Facts(g, [c.label for c in checkers if c.label])
+    facts = _Facts(g)
     times = []
     bad = []
-    for i, c in enumerate(checkers):
+    for i, c in enumerate([CHECKERS[t] for t in active]):
         hypothesis = c.hypothesis
         details = c.check(g, facts) if hypothesis is None or hypothesis(facts) else ()
         member = c.region is not None and c.region[0](facts)

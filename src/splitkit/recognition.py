@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Collection, NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import (
     InvalidPartition,
@@ -394,81 +394,85 @@ def detect_exceptional(g: Graph) -> FamilyTag | None:
 # witness edges
 
 
-# where a witness label applies, as a predicate on the record: the
-# hypotheses of LEMMA1, LEMMA2 and THM_UNBALANCED, whose rows in
-# harness.CHECKERS read them here; "nonsplit" applies to every graph
+# where a witness label applies, as a predicate on the record, in the
+# order classify reports the labels: the hypotheses of LEMMA1, LEMMA2 and
+# THM_UNBALANCED, whose rows in harness.CHECKERS read them here, and
+# classify's rule for "nonsplit". A label's witness is the first edge
+# whose contraction passes the label's test, computed when first read
+# (``_Facts.witness``); g/e has its own record
 _APPLIES: dict[str, Callable[[_Facts], bool]] = {
     "c4": lambda f: f.has_c4,
     "2k2": lambda f: f.has_2k2,
+    "nonsplit": lambda f: f.g.is_connected(),
     "unbalanced": lambda f: f.split and not f.star_excluded,
 }
 
 
-def _witnesses(facts: _Facts) -> dict[str, Edge]:
-    """The first edge e of facts.g, in lexicographic order, whose contraction
-    g/e passes each label's test, for the labels of the record that apply
-    to g (``_APPLIES``).
+def _search(facts: _Facts, label: str) -> Edge | None:
+    """The first edge e of facts.g, in lexicographic order, whose
+    contraction g/e passes the label's test, or None.
 
-    The labels: "c4", g/e has an induced C4, asked where g has one; "2k2",
-    g/e has an induced 2K2 or C4, asked where g has an induced 2K2;
-    "nonsplit", g/e is not split, always asked; "unbalanced", g/e is
-    unbalanced split with clique number omega(g) - 1, asked where g is split
-    and not star-excluded (then every g/e is split, and no other label can
-    pass). The last two read the degree list of g/e alone (see
-    ``_hammer_simeone``).
+    The tests: "c4", g/e has an induced C4; "2k2", g/e has an induced 2K2
+    or C4; "nonsplit", g/e is not split; "unbalanced", g/e is unbalanced
+    split with clique number omega(g) - 1, asked where g is split (then
+    every g/e is split).
 
-    Each edge is checked against every label still without a witness. The
-    labels imply one another: a C4 in g/e passes 2k2 as well, and a graph
-    with an induced 2K2 or C4 is not split, so a c4 or 2k2 hit settles a
-    pending nonsplit without the degree list, and after a c4 miss the 2k2
-    test scans for a 2K2 alone. g/e comes from the record's contraction
-    memo, and it and the degree list are each read only while a pending
-    label reads them. The walk stops when every label has a witness. Each
-    label found maps to its edge; labels with no witness are absent.
+    The c4 and 2k2 tests read the scans of g/e's own record
+    (``_Facts.contracted``), so the two labels share each scan. Once the c4
+    search has run, its C4 scans are stored up to the 2k2 witness, and the
+    2k2 test reads them first. The nonsplit and unbalanced tests read one
+    degree test per edge, ``_contracted_degrees`` and ``_hammer_simeone``,
+    kept on the record for both labels; it never builds g/e. A C4 or 2K2
+    makes g/e non-split, so a c4 or 2k2 witness already found ends the
+    nonsplit search at its edge.
     """
-    pending = {
-        label for label in facts.labels if label not in _APPLIES or _APPLIES[label](facts)
-    }
-    found = {}
-    g = facts.g
-    rows = g.rows
-    omega = facts.omega if "unbalanced" in pending else 0
-    degrees = g.degrees() if pending & {"nonsplit", "unbalanced"} else None
-    for u in range(g.n):
-        above = rows[u] >> (u + 1) << (u + 1)
-        while above and pending:
+    found = facts._found
+    rows = facts.g.rows
+    if label == "c4":
+        def passes(u, v):
+            return facts.contracted(u, v).has_c4
+    elif label == "2k2" and "c4" in found:
+        def passes(u, v):
+            h = facts.contracted(u, v)
+            return h.has_c4 or h.has_2k2
+    elif label == "2k2":
+        def passes(u, v):
+            h = facts.contracted(u, v)
+            return h.has_2k2 or h.has_c4
+    else:
+        # the degree test of each edge, once per record: m and split from
+        # _hammer_simeone on the degree list d of g/e, and d's m-th entry
+        tests = facts._degree_tests
+        degrees = facts.g.degrees()
+        nonsplit = label == "nonsplit"
+        hits = [e for e in (found.get("c4"), found.get("2k2")) if e is not None]
+        su, sv = min(hits, default=(-1, -1)) if nonsplit else (-1, -1)
+        omega = 0 if nonsplit else facts.omega
+
+        def passes(u, v):
+            if u == su and v == sv:
+                return True
+            t = tests.get((u, v))
+            if t is None:
+                d = _contracted_degrees(degrees, rows, u, v)
+                m, split = _hammer_simeone(d)
+                t = tests[u, v] = m, split, d[m - 1]
+            m, split, dm = t
+            if nonsplit:
+                return not split
+            if not split:
+                raise NotSplit("balancedness is defined for split graphs only")
+            # the clique number dropped and g/e is unbalanced
+            return m == omega - 1 and dm == m - 1
+    for u, row in enumerate(rows):
+        above = row >> (u + 1) << (u + 1)
+        while above:
             b = above & -above
             above ^= b
             v = b.bit_length() - 1
-            hits = []
-            if "c4" in pending:
-                h = facts.contracted(u, v)
-                if contains_c4(h):
-                    hits = ["c4", "2k2"]
-                elif "2k2" in pending and contains_2k2(h):
-                    hits = ["2k2"]
-            elif "2k2" in pending:
-                h = facts.contracted(u, v)
-                if contains_2k2(h) or contains_c4(h):
-                    hits = ["2k2"]
-            if hits:
-                hits.append("nonsplit")
-            elif "nonsplit" in pending or "unbalanced" in pending:
-                d = _contracted_degrees(degrees, rows, u, v)
-                m, split = _hammer_simeone(d)
-                if "nonsplit" in pending and not split:
-                    hits.append("nonsplit")
-                if "unbalanced" in pending:
-                    if not split:
-                        raise NotSplit("balancedness is defined for split graphs only")
-                    # the clique number dropped and g/e is unbalanced
-                    if m == omega - 1 and d[m - 1] == m - 1:
-                        hits.append("unbalanced")
-            for label in hits:
-                if label in pending:
-                    pending.remove(label)
-                    found[label] = Edge(u, v)
-    return found
+            if passes(u, v):
+                return Edge(u, v)
+    return None
 
 
 def _contracted_degrees(degrees: list[int], rows, u: int, v: int) -> list[int]:
@@ -494,7 +498,7 @@ def find_c4_witness(g: Graph) -> Edge | None:
 
     None only happens on K_{2,l}, W4, and the octahedron.
     """
-    facts = _Facts(g, ("c4",))
+    facts = _Facts(g)
     if not facts.has_c4:
         raise NoInducedC4("graph has no induced C4")
     return facts.witness("c4")
@@ -505,7 +509,7 @@ def find_2k2_witness(g: Graph) -> Edge | None:
 
     None only happens on 2K2, P5, the hammer, the butterfly, and C6.
     """
-    facts = _Facts(g, ("2k2",))
+    facts = _Facts(g)
     if not facts.has_2k2:
         raise NoInduced2K2("graph has no induced 2K2")
     return facts.witness("2k2")
@@ -513,7 +517,7 @@ def find_2k2_witness(g: Graph) -> Edge | None:
 
 def find_nonsplit_witness(g: Graph) -> Edge | None:
     """First edge whose contraction is not split, or None."""
-    return _Facts(g, ("nonsplit",)).witness("nonsplit")
+    return _Facts(g).witness("nonsplit")
 
 
 def find_unbalanced_witness(g: Graph) -> Edge | None:
@@ -523,7 +527,7 @@ def find_unbalanced_witness(g: Graph) -> Edge | None:
     with m >= 2 are rejected (the equivalence genuinely fails there), as is
     K1, which has no edge to contract; K2 passes through.
     """
-    facts = _Facts(g, ("unbalanced",))
+    facts = _Facts(g)
     if not facts.split:
         raise NotSplit("witness search is defined for split graphs")
     if g.n < 2:
@@ -624,34 +628,26 @@ class _Facts:
     stated in, each computed on its first read and at most once.
 
     This is the one definition of balanced, pseudo-split, NG by the
-    characterisation, the star exclusion and the witness labels that apply
-    to g. ``classify``, the census tally, every verify theorem (its
-    hypothesis, its check and THM_CONTRACTION's exceptional region), and
+    characterisation, the star exclusion and the four witnesses.
+    ``classify``, the census tally, every verify theorem (its hypothesis,
+    its check and THM_CONTRACTION's exceptional region), and
     ``is_balanced_split``, ``is_ng_by_characterisation`` and the
     ``find_*_witness`` functions read a record. The oracles the checks
     compare against never read it.
 
-    labels are the witness labels the caller asks for; a verify walk asks
-    for those of the theorems it checks. ``walk`` runs one ``_witnesses``
-    walk for those of them that apply to g (``_APPLIES``: c4 when g has an
-    induced C4, 2k2 when it has an induced 2K2, nonsplit always, and
-    unbalanced when g is split and not star-excluded, the hypotheses of
-    LEMMA1, LEMMA2 and THM_UNBALANCED) and maps each label found to its
-    witness edge. A walk over every label that applies would cost a caller
-    of one label the contractions and scans of the others.
-    ``contracted(u, v)`` builds the contraction g/uv at most once per
-    record: the walk, the LEMMA re-checks, THM_UNBALANCED's postcondition
-    and the PROP checks all read it there; the PROP checks test the
-    contraction's vertex map on it and code nothing. ``has_induced`` keeps
-    the ``find_induced`` re-check of each contraction against each pattern
-    in ``_rechecks``. When the c4 and 2k2 labels share their witness edge,
-    LEMMA2 reads LEMMA1's positive C4 answer there before any search of its
-    own; a stored no does not end its check.
+    ``witness(label)`` is the first edge whose contraction passes the
+    label's test (``_search``), computed when first read, for that label
+    alone; a caller pays only for the labels it reads. g/e has its own
+    record: ``contracted(u, v)`` builds it at most once per record, and
+    everything known about g/e lives there, its C4 and 2K2 scans, its
+    ``find_induced`` answers (``has_induced``) and THM_UNBALANCED's split
+    and omega. The witness search, the LEMMA re-checks, THM_UNBALANCED's
+    postcondition and the PROP checks all read it; the PROP checks test the
+    contraction's vertex map on it and code nothing.
     """
 
-    def __init__(self, g: Graph, labels: Collection[str] = ()):
+    def __init__(self, g: Graph):
         self.g = g
-        self.labels = labels
 
     split = _fact(lambda f: is_split(f.g))
     clique = _fact(lambda f: max_clique(f.g))
@@ -672,29 +668,31 @@ class _Facts:
     # find_unbalanced_witness refuses K1 and the stars K_(1,m), m >= 2
     star_excluded = _fact(lambda f: f.g.n < 2 or (f.g.n >= 3 and is_star(f.g)))
     _contractions = _fact(lambda f: {})
+    _degree_tests = _fact(lambda f: {})
     _rechecks = _fact(lambda f: {})
-    walk = _fact(lambda f: _witnesses(f))
+    _found = _fact(lambda f: {})
 
-    def contracted(self, u: int, v: int) -> Graph:
-        """g/uv for an edge u < v of g, built once per record."""
+    def contracted(self, u: int, v: int) -> _Facts:
+        """The record of g/uv for an edge u < v of g, built once per record."""
         memo = self._contractions
         h = memo.get((u, v))
         if h is None:
-            h = memo[u, v] = _contract(self.g, u, v)
+            h = memo[u, v] = _Facts(_contract(self.g, u, v))
         return h
 
     def witness(self, label: str) -> Edge | None:
-        """The walk's witness edge for label, or None."""
-        return self.walk.get(label)
+        """The label's witness edge, or None, searched on the first read."""
+        found = self._found
+        if label not in found:
+            found[label] = _search(self, label)
+        return found[label]
 
-    def has_induced(self, h: Graph, pattern: NamedPattern) -> bool:
-        """Whether ``find_induced`` finds pattern in h, a contraction from
-        ``contracted``, searched once per contraction and pattern."""
+    def has_induced(self, pattern: NamedPattern) -> bool:
+        """Whether ``find_induced`` finds pattern in g, searched once per pattern."""
         rechecks = self._rechecks
-        key = (h, pattern)
-        if key not in rechecks:
-            rechecks[key] = find_induced(h, pattern) is not None
-        return rechecks[key]
+        if pattern not in rechecks:
+            rechecks[pattern] = find_induced(self.g, pattern) is not None
+        return rechecks[pattern]
 
 
 # ---------------------------------------------------------------------------
@@ -707,14 +705,12 @@ def classify(g: Graph) -> ClassificationReport:
         raise OrderTooLargeForColoring(
             f"classification needs exact coloring, order {g.n} > {COLORING_MAX_ORDER}"
         )
-    # witness labels in report order; one walk over the edges serves all
-    labels = ("c4", "2k2", "nonsplit", "unbalanced")
-    if not g.is_connected():
-        labels = ("c4", "2k2", "unbalanced")
-    facts = _Facts(g, labels)
+    facts = _Facts(g)
     chi = _chromatic(g, facts.clique)
     chi_c = _chromatic(facts.gc, facts.co_clique)
-    found = facts.walk
+    found = [
+        (label, facts.witness(label)) for label, applies in _APPLIES.items() if applies(facts)
+    ]
     return ClassificationReport(
         is_split=facts.split,
         is_balanced_split=facts.balanced if facts.split else None,
@@ -727,5 +723,5 @@ def classify(g: Graph) -> ClassificationReport:
         alpha=facts.alpha,
         chi=chi,
         chi_complement=chi_c,
-        witnesses=tuple((label, found[label]) for label in labels if label in found),
+        witnesses=tuple((label, e) for label, e in found if e is not None),
     )

@@ -46,7 +46,6 @@ from splitkit.graphs import (
     _connected_codes,
     _contract,
     _graph_from_code,
-    _induced,
 )
 
 from graphgen import labelled_graphs, relabel
@@ -201,11 +200,16 @@ def test_induced_relabels_in_sorted_order():
         induced(PAW, [0, 4])
 
 
-def test_unchecked_induced_matches_public_induced():
+def test_induced_matches_adjacency():
+    # vertex i of induced(g, vs) is the i-th smallest of vs, read through
+    # the public has_edge
     for g in all_graphs_upto(5):
         for mask in range(1, 1 << g.n):
             vs = [v for v in range(g.n) if mask >> v & 1]
-            assert _induced(g, mask) == induced(g, vs), (g, vs)
+            h = induced(g, vs[::-1])
+            assert h.n == len(vs), (g, vs)
+            for (i, x), (j, y) in itertools.combinations(enumerate(vs), 2):
+                assert h.has_edge(i, j) == g.has_edge(x, y), (g, vs, x, y)
 
 
 def test_relabel_applies_permutation():

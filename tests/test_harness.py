@@ -158,16 +158,18 @@ PAW = build(4, [(0, 1), (0, 2), (1, 2), (0, 3)])  # unbalanced split
 
 @pytest.fixture
 def corrupt(monkeypatch):
-    """corrupt(g, **facts): every record built for g from then on holds
-    these facts before any check reads it, in place of computing them."""
+    """corrupt(g, **facts): every record the harness builds for g from then
+    on holds these facts before any check reads it, in place of computing
+    them. A witness is planted as _found={label: edge}. The records of the
+    contractions, which the record builds itself, are left as they are."""
     planted = {}
-    real_init = recognition._Facts.__init__
 
-    def init(self, g, labels=()):
-        real_init(self, g, labels)
-        self.__dict__.update(planted.get(g, {}))
+    def record(g):
+        facts = recognition._Facts(g)
+        facts.__dict__.update(planted.get(g, {}))
+        return facts
 
-    monkeypatch.setattr(recognition._Facts, "__init__", init)
+    monkeypatch.setattr(harness, "_Facts", record)
     return lambda g, **facts: planted.setdefault(g, {}).update(facts)
 
 
@@ -208,13 +210,13 @@ def test_planted_witness_is_rechecked(corrupt):
     # a tree with an induced 2K2, whose contraction by (0,4) has none
     g = build(6, [(0, 4), (1, 3), (2, 5), (3, 5), (4, 5)])
     e = Edge(0, 4)
-    corrupt(g, walk={"2k2": e})
+    corrupt(g, _found={"2k2": e})
     assert check_one("LEMMA2", g) == ("contraction by (0,4) lacks the promised 2K2/C4",)
     # PAW/(0,3) is K3, whose clique number did not drop
-    corrupt(PAW, walk={"unbalanced": Edge(0, 3)})
+    corrupt(PAW, _found={"unbalanced": Edge(0, 3)})
     assert check_one("THM_UNBALANCED", PAW) == ("witness (0,3) fails its own postcondition",)
     c5 = cycle_graph(5)
-    corrupt(c5, split=True, walk={"unbalanced": Edge(0, 1)})
+    corrupt(c5, split=True, _found={"unbalanced": Edge(0, 1)})
     assert check_one("THM_UNBALANCED", c5) == ("contraction by (0,1) is not split",)
 
 
@@ -224,7 +226,7 @@ def test_shared_witness_edge_is_searched_past_a_stored_no(corrupt, monkeypatch):
     # no for C4 on it, and LEMMA2 must still search for a 2K2 of its own
     g = build(6, [(0, 5), (1, 4), (2, 4), (2, 5), (3, 4), (3, 5)])
     e = Edge(2, 4)
-    corrupt(g, walk={"c4": e, "2k2": e})
+    corrupt(g, _found={"c4": e, "2k2": e})
     searches = []
     real = recognition.find_induced
 
@@ -265,8 +267,8 @@ def test_exceptional_region_is_compared_with_the_expected_set(corrupt):
     # witness leaves the region, C5 stripped of its witness joins it
     k22 = canonical_form(cycle_graph(4))
     c5 = canonical_form(cycle_graph(5))
-    corrupt(k22, walk={"nonsplit": k22.edges()[0]})
-    corrupt(c5, walk={})
+    corrupt(k22, _found={"nonsplit": k22.edges()[0]})
+    corrupt(c5, _found={"nonsplit": None})
     r = verify("THM_CONTRACTION", 5)
     assert (write_graph6(k22), "expected exceptional graph not found") in r.counterexamples
     assert (write_graph6(c5), "unexpected member of the exceptional region") in r.counterexamples
@@ -275,7 +277,7 @@ def test_exceptional_region_is_compared_with_the_expected_set(corrupt):
 
 def test_prop_checks_catch_a_wrong_contraction(monkeypatch):
     # contracting nothing: on C5 the image of a vertex set then changes
-    monkeypatch.setattr(recognition._Facts, "contracted", lambda facts, u, v: facts.g)
+    monkeypatch.setattr(recognition._Facts, "contracted", lambda facts, u, v: facts)
     c5 = cycle_graph(5)
     assert len(check_one("PROP1", c5)) == 8
     assert check_one("PROP2", c5)[0] == "C=[0, 4] e=(1,2): induced subgraph not preserved"
@@ -412,12 +414,14 @@ def test_single_theorem_reports_match_verify_all():
     assert alone == together
 
 
-def test_lemma2_alone_matches_lemma2_in_verify_all_at_order_eight():
-    # on its own, LEMMA2 has no C4 answer of LEMMA1's to read and searches
-    # every witness contraction itself; order 8 is where the two paths part
-    # most
+def test_witness_rows_alone_match_verify_all_at_order_eight():
+    # on its own, each row that reads a witness searches it with no earlier
+    # label's scans or cut-off: LEMMA2 has no C4 scan of the c4 search and
+    # no C4 answer of LEMMA1's to read, and the nonsplit search no c4 or
+    # 2k2 witness to stop at; order 8 is where the two paths part most
     together = without_ms(verify_all(8))
-    assert without_ms([verify("LEMMA2", 8)]) == [together[THEOREM_IDS.index("LEMMA2")]]
+    for t in ("LEMMA1", "LEMMA2", "THM_CONTRACTION", "THM_UNBALANCED"):
+        assert without_ms([verify(t, 8)]) == [together[THEOREM_IDS.index(t)]], t
 
 
 def test_detect_exceptional_runs_once_per_graph(monkeypatch):
@@ -435,20 +439,19 @@ def test_detect_exceptional_runs_once_per_graph(monkeypatch):
 
 
 def test_lemma1_recheck_catches_a_wrong_witness(monkeypatch):
-    # a walk that hands LEMMA1 an edge whose contraction has no C4 must be
-    # caught by the independent find_induced re-check
-    real = recognition._witnesses
+    # a search that hands LEMMA1 an edge whose contraction has no C4 must
+    # be caught by the independent find_induced re-check
+    real = recognition._search
 
-    def wrong_c4(facts):
-        found = real(facts)
-        if "c4" in found:
+    def wrong_c4(facts, label):
+        found = real(facts, label)
+        if label == "c4" and found is not None:
             for e in facts.g.edges():
                 if not contains_c4(contract(facts.g, e)):
-                    found["c4"] = e
-                    break
+                    return e
         return found
 
-    monkeypatch.setattr(recognition, "_witnesses", wrong_c4)
+    monkeypatch.setattr(recognition, "_search", wrong_c4)
     r = verify("LEMMA1", 6)
     assert r.verdict == "FAIL"
     assert all("lacks the promised C4" in detail for _, detail in r.counterexamples)
@@ -462,12 +465,12 @@ def test_lemma_rechecks_search_each_contraction_once(monkeypatch):
     current = []
     searches = []
     misses = []
-    real_init = recognition._Facts.__init__
     real_find = recognition.find_induced
 
-    def init(self, g, labels=()):
+    def record(g):
+        # the graph the harness checks; contraction records are built apart
         current[:] = [g]
-        real_init(self, g, labels)
+        return recognition._Facts(g)
 
     def find(h, pattern):
         found = real_find(h, pattern)
@@ -475,7 +478,7 @@ def test_lemma_rechecks_search_each_contraction_once(monkeypatch):
         misses.append(found is None)
         return found
 
-    monkeypatch.setattr(recognition._Facts, "__init__", init)
+    monkeypatch.setattr(harness, "_Facts", record)
     monkeypatch.setattr(recognition, "find_induced", find)
     assert all(r.verdict == "PASS" for r in verify_all(7))
     assert len(searches) == len(set(searches)) == 860
@@ -501,12 +504,31 @@ def test_each_edge_is_contracted_once_per_graph(monkeypatch):
     assert len(keys) == len(set(keys)) == 1426
 
 
+def test_witness_labels_share_their_scans(monkeypatch):
+    # the C4 and 2K2 scans and the contracted degree lists of a verify_all
+    # walk, through the record: the c4 and 2k2 labels read the scans of one
+    # contraction record, and nonsplit and unbalanced one degree test per
+    # edge. A label that scanned or tested again what another label had
+    # would raise a count
+    calls = dict.fromkeys(("contains_c4", "contains_2k2", "_contracted_degrees"), 0)
+    for name in calls:
+        real = getattr(recognition, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(recognition, name, counted)
+    assert all(r.verdict == "PASS" for r in verify_all(7))
+    assert calls == {"contains_c4": 3533, "contains_2k2": 4207, "_contracted_degrees": 2522}
+
+
 def test_prop1_catches_a_relabelled_contraction(monkeypatch):
     # g/uv with its labels reversed: some images of C still induce a P3, as
     # G[C] does, but the contraction's vertex map no longer keeps G[C]
     def reversed_contraction(facts, u, v):
         h = graphs._contract(facts.g, u, v)
-        return relabel(h, [h.n - 1 - i for i in range(h.n)])
+        return recognition._Facts(relabel(h, [h.n - 1 - i for i in range(h.n)]))
 
     monkeypatch.setattr(recognition._Facts, "contracted", reversed_contraction)
     claw = build(4, [(0, 3), (1, 3), (2, 3)])

@@ -66,7 +66,6 @@ from splitkit.recognition import (
     _contracted_degrees,
     _hammer_simeone,
     _ks,
-    _witnesses,
 )
 
 from graphgen import labelled_graphs, random_graph, relabel
@@ -258,11 +257,11 @@ def check_degree_tests(g):
 
 def test_unbalanced_walk_refuses_a_nonsplit_contraction():
     # the contractions of a split graph are split; a record that calls C5
-    # split makes the unbalanced walk meet C5/(0,1) = C4
-    facts = _Facts(cycle_graph(5), ("unbalanced",))
+    # split makes the unbalanced search meet C5/(0,1) = C4
+    facts = _Facts(cycle_graph(5))
     facts.split = True
     with pytest.raises(NotSplit):
-        _witnesses(facts)
+        facts.witness("unbalanced")
 
 
 def test_degree_tests_match_the_contraction():
@@ -416,24 +415,29 @@ def test_ng_definition_bound_matches_exact_sum():
 
 
 def test_witness_walk_keeps_each_tested_contraction():
-    # the LEMMA re-checks read the contraction the walk kept in the record's
-    # memo, so it must be g/e itself; a degree-only hit keeps one only where
-    # a graph test built it
+    # the LEMMA re-checks read the contraction record the search kept in
+    # the record's memo, so it must be g/e's; a degree-only hit keeps one
+    # only where a graph test built it
     tests = ("c4", "2k2")
     for n in range(2, 7):
         for g in enumerate_all(n):
-            facts = _Facts(g, (*tests, "nonsplit"))
-            for label, e in _witnesses(facts).items():
+            facts = _Facts(g)
+            labels = [label for label in tests if recognition._APPLIES[label](facts)]
+            for label in (*labels, "nonsplit"):
+                e = facts.witness(label)
+                if e is None:
+                    continue
                 h = facts._contractions.get(e)
                 if label in tests:
-                    assert h == contract(g, e), (g, label)
+                    assert h.g == contract(g, e), (g, label)
                 else:
-                    assert h is None or h == contract(g, e), (g, label)
+                    assert h is None or h.g == contract(g, e), (g, label)
 
 
 def test_witness_walk_lets_one_hit_settle_implied_labels(monkeypatch):
     # a C4 in g/e passes 2k2 and makes g/e non-split, and a 2K2 makes it
-    # non-split: such a hit builds no degree list and runs no further scan
+    # non-split: read in the order c4, 2k2, nonsplit, such a hit builds no
+    # degree list and runs no further scan
     calls = {}
 
     def counted(name):
@@ -452,10 +456,10 @@ def test_witness_walk_lets_one_hit_settle_implied_labels(monkeypatch):
     def walk(g):
         # every graph here has an induced C4 and 2K2; the record's own scans
         # of g run before the count starts
-        facts = _Facts(g, labels)
+        facts = _Facts(g)
         assert facts.has_c4 and facts.has_2k2
         calls.clear()
-        return _witnesses(facts)
+        return {label: facts.witness(label) for label in labels}
 
     # the C4 2-3-4-5 with the path 0-1-2: g/(0,1) keeps the C4
     g = build(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 2)])
@@ -479,9 +483,9 @@ def test_witness_walk_lets_one_hit_settle_implied_labels(monkeypatch):
 
 
 def walk_label_by_label(g, labels, omega=0):
-    """The witness walk with no label settling another: at each edge, every
-    label still without a witness runs its own test on g/e, through the
-    public functions."""
+    """The witness search with no label settling another: at each edge,
+    every label still without a witness runs its own test on g/e, through
+    the public functions."""
     tests = {
         "c4": contains_c4,
         "2k2": lambda h: contains_2k2(h) or contains_c4(h),
@@ -502,34 +506,37 @@ def walk_label_by_label(g, labels, omega=0):
     return found
 
 
-def check_witness_walk(g, subsets=True):
-    """_witnesses equals the label-by-label walk on g, for the labels a
-    caller asks on g (c4 and 2k2 where g has the pattern, nonsplit, and
-    unbalanced on split non-stars) and, with subsets, for each subset."""
+def check_witness_walk(g, reorder=True):
+    """The record's witnesses equal the label-by-label walk on g, for the
+    labels a caller reads on g (c4 and 2k2 where g has the pattern,
+    nonsplit, and unbalanced on split non-stars), read in that order and,
+    with reorder, in reverse order and each alone, each way on a fresh
+    record: the scans one label leaves and the nonsplit cut-off depend on
+    which labels were read first."""
     labels = [label for label, has in (("c4", contains_c4), ("2k2", contains_2k2)) if has(g)]
     labels.append("nonsplit")
     omega = 0
     if is_split(g) and g.n >= 2 and not (g.n >= 3 and is_star(g)):
         labels.append("unbalanced")
         omega = clique_number(g)
-    chosen = [labels]
-    if subsets:
-        chosen = [
-            [label for i, label in enumerate(labels) if k >> i & 1]
-            for k in range(1, 1 << len(labels))
-        ]
-    for asked in chosen:
-        assert _witnesses(_Facts(g, asked)) == walk_label_by_label(g, asked, omega), (g, asked)
+    expected = walk_label_by_label(g, labels, omega)
+    orders = [labels]
+    if reorder:
+        orders += [labels[::-1], *([label] for label in labels)]
+    for order in orders:
+        facts = _Facts(g)
+        for label in order:
+            assert facts.witness(label) == expected.get(label), (g, order, label)
 
 
 def test_witness_walk_matches_the_label_by_label_walk():
-    # a c4 hit settles 2k2 and nonsplit, a 2k2 hit settles nonsplit, and a
-    # c4 miss leaves 2k2 its 2K2 scan alone; none of it may move a witness
-    # edge
+    # the 2k2 test reads the C4 scans the c4 search left, and a c4 or 2k2
+    # witness ends the nonsplit search; whatever was read first, none of it
+    # may move a witness edge
     for g in all_graphs_upto(7):
         check_witness_walk(g)
     for g in enumerate_all(8):
-        check_witness_walk(g, subsets=False)
+        check_witness_walk(g, reorder=False)
 
 
 # ---------------------------------------------------------------------------

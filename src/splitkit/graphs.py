@@ -8,7 +8,7 @@ for any order up to 64.
 from __future__ import annotations
 
 import itertools
-from functools import partial
+from functools import partial, reduce
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -643,7 +643,7 @@ def _components_without(rows: Sequence[int], w: int) -> list[int]:
 _codes: dict[int, tuple[int, ...]] = {1: (0,)}
 
 
-def _connected_codes(n: int, mapper=map) -> tuple[int, ...]:
+def _connected_codes(n: int, mapper=lambda fn, items: (fn(items),)) -> tuple[int, ...]:
     """Sorted canonical codes of the connected graphs of order n.
 
     Enumeration by canonical deletion (McKay's canonical construction path).
@@ -664,26 +664,25 @@ def _connected_codes(n: int, mapper=map) -> tuple[int, ...]:
     acceptance test is invariant under that map; sorting each class's part
     of a neighbourhood to the front of the class is such a permutation.
 
-    ``mapper(fn, parents)`` applies the per-parent kernel ``_child_codes``
-    to the codes of order n-1 (the builtin map, or a pool map); orders not
-    yet cached are filled with the same mapper. The kernel canonicalizes
-    its children itself, so ``canonical_code`` is not called here. The
-    codes are ints, cheap to send to a worker, which decodes them with
-    ``_graph_from_code`` (``census`` and ``verify`` check them that way).
+    ``mapper(fn, parents)`` calls the kernel ``_child_codes`` on chunks of
+    the codes of order n-1, one set of children per chunk (one chunk by
+    default, or a ``harness._Pool``), merged in place into the first set;
+    orders not yet cached are filled with the same mapper. The kernel
+    canonicalizes its children itself, so ``canonical_code`` is not called
+    here. The codes are ints, cheap to send to a worker, which decodes them
+    with ``_graph_from_code`` (``census`` and ``verify`` check them that way).
     """
     codes = _codes.get(n)
     if codes is None:
-        seen = set()
-        for children in mapper(partial(_child_codes, n), _connected_codes(n - 1, mapper)):
-            seen.update(children)
-        codes = _codes[n] = tuple(sorted(seen))
+        parts = mapper(partial(_child_codes, n), _connected_codes(n - 1, mapper))
+        codes = _codes[n] = tuple(sorted(reduce(set.__ior__, parts)))
     return codes
 
 
-def _child_codes(n: int, parent_code: int) -> tuple[int, ...]:
-    """Canonical codes of the accepted order-n children of one parent.
+def _child_codes(n: int, parent_codes) -> set[int]:
+    """Canonical codes of the accepted order-n children of a chunk of parents.
 
-    The parent is the connected graph of order n-1 with the given code; see
+    The parents are connected graphs of order n-1, given by code; see
     ``_connected_codes`` for the acceptance test and the twin-prefix masks.
 
     An accepted child is not rebuilt as a ``Graph`` for ``canonical_code``:
@@ -695,96 +694,97 @@ def _child_codes(n: int, parent_code: int) -> tuple[int, ...]:
     """
     m = n - 1
     top = 1 << m
-    base = _graph_from_code(m, parent_code).rows
-    # per-parent tables: degrees, neighbour-degree sums, and the components
-    # left by deleting each vertex
-    bdeg = [r.bit_count() for r in base]
-    bsum = [sum(bdeg[v] for v in _bits(r)) for r in base]
-    comps = [_components_without(base, w) for w in range(m)]
-    # twin-prefix masks, each with its sum of parent degrees, and pprev[w],
-    # the bit of the next lower member of w's twin class (0 for the lowest);
-    # twins are an equivalence relation, so each class is the twins of its
-    # lowest member
-    masks = [(0, 0)]
-    pprev = [0] * m
-    left = top - 1
-    while left:
-        low = left & -left
-        v = low.bit_length() - 1
-        prefixes = [(0, 0)]
-        pmask = psum = last = 0
-        for w in _bits(left):
-            off = ~(low | 1 << w)
-            if w == v or base[v] & off == base[w] & off:
-                pprev[w] = last
-                last = 1 << w
-                pmask |= last
-                psum += bdeg[w]
-                prefixes.append((pmask, psum))
-        left &= ~pmask
-        masks = [(a | b, s + t) for a, s in masks for b, t in prefixes]
-    # per parent vertex: its bit, row, key in the parent and twin link
-    table = [(1 << w, r, bdeg[w] << 12 | bsum[w], pprev[w]) for w, r in enumerate(base)]
-    # the rank test's candidates, highest parent degree first: once one
-    # cannot reach the new vertex's degree even as its neighbour, no later
-    # one can
-    rivals = sorted(
-        ((bdeg[w], bsum[w], 1 << w, base[w], comps[w]) for w in range(m)),
-        key=lambda t: -t[0],
-    )
     seen = set()
-    for mask, msum in masks[1:]:
-        d = mask.bit_count()
-        s = msum + d  # neighbour-degree sum of the new vertex
-        outranked = False
-        for dw, sw, b, r, cs in rivals:
-            if dw + 1 < d:
-                break
-            if mask & b:
-                dw += 1
-                sw += d
-            if dw < d or (dw == d and sw + (r & mask).bit_count() <= s):
-                continue
-            # this vertex outranks the new one; the child minus it is
-            # connected when the new vertex reaches every component of
-            # base minus it
-            for c in cs:
-                if not mask & c:
+    for parent_code in parent_codes:
+        base = _graph_from_code(m, parent_code).rows
+        # per-parent tables: degrees, neighbour-degree sums, and the
+        # components left by deleting each vertex
+        bdeg = [r.bit_count() for r in base]
+        bsum = [sum(bdeg[v] for v in _bits(r)) for r in base]
+        comps = [_components_without(base, w) for w in range(m)]
+        # twin-prefix masks, each with its sum of parent degrees, and
+        # pprev[w], the bit of the next lower member of w's twin class (0 for
+        # the lowest); twins are an equivalence relation, so each class is the
+        # twins of its lowest member
+        masks = [(0, 0)]
+        pprev = [0] * m
+        left = top - 1
+        while left:
+            low = left & -left
+            v = low.bit_length() - 1
+            prefixes = [(0, 0)]
+            pmask = psum = last = 0
+            for w in _bits(left):
+                off = ~(low | 1 << w)
+                if w == v or base[v] & off == base[w] & off:
+                    pprev[w] = last
+                    last = 1 << w
+                    pmask |= last
+                    psum += bdeg[w]
+                    prefixes.append((pmask, psum))
+            left &= ~pmask
+            masks = [(a | b, s + t) for a, s in masks for b, t in prefixes]
+        # per parent vertex: its bit, row, key in the parent and twin link
+        table = [(1 << w, r, bdeg[w] << 12 | bsum[w], pprev[w]) for w, r in enumerate(base)]
+        # the rank test's candidates, highest parent degree first: once one
+        # cannot reach the new vertex's degree even as its neighbour, no later
+        # one can
+        rivals = sorted(
+            ((bdeg[w], bsum[w], 1 << w, base[w], comps[w]) for w in range(m)),
+            key=lambda t: -t[0],
+        )
+        for mask, msum in masks[1:]:
+            d = mask.bit_count()
+            s = msum + d  # neighbour-degree sum of the new vertex
+            outranked = False
+            for dw, sw, b, r, cs in rivals:
+                if dw + 1 < d:
                     break
-            else:
-                outranked = True
-                break
-        if outranked:
-            continue
-        # the child's rows, keys and twin links; a neighbour of the new
-        # vertex gains one degree and d in its neighbour-degree sum, and
-        # a class meets the mask in a prefix, so only the link from its
-        # last member in the mask to its first outside is cut
-        rows = []
-        keys = []
-        prev = []
-        twin = 0
-        inc = 1 << 12 | d
-        for b, r, k, p in table:
-            k += (r & mask).bit_count()
-            if mask & b:
-                rows.append(r | top)
-                keys.append(k + inc)
-                prev.append(p)
-                if r == mask ^ b:
-                    twin = b
-            else:
-                rows.append(r)
-                keys.append(k)
-                prev.append(p & ~mask)
-                if r == mask:
-                    twin = b
-        rows.append(mask)
-        keys.append(d << 12 | s)
-        # the new vertex follows its highest twin, if it has one
-        prev.append(twin)
-        seen.add(_search(rows, keys, prev))
-    return tuple(seen)
+                if mask & b:
+                    dw += 1
+                    sw += d
+                if dw < d or (dw == d and sw + (r & mask).bit_count() <= s):
+                    continue
+                # this vertex outranks the new one; the child minus it is
+                # connected when the new vertex reaches every component of
+                # base minus it
+                for c in cs:
+                    if not mask & c:
+                        break
+                else:
+                    outranked = True
+                    break
+            if outranked:
+                continue
+            # the child's rows, keys and twin links; a neighbour of the new
+            # vertex gains one degree and d in its neighbour-degree sum, and
+            # a class meets the mask in a prefix, so only the link from its
+            # last member in the mask to its first outside is cut
+            rows = []
+            keys = []
+            prev = []
+            twin = 0
+            inc = 1 << 12 | d
+            for b, r, k, p in table:
+                k += (r & mask).bit_count()
+                if mask & b:
+                    rows.append(r | top)
+                    keys.append(k + inc)
+                    prev.append(p)
+                    if r == mask ^ b:
+                        twin = b
+                else:
+                    rows.append(r)
+                    keys.append(k)
+                    prev.append(p & ~mask)
+                    if r == mask:
+                        twin = b
+            rows.append(mask)
+            keys.append(d << 12 | s)
+            # the new vertex follows its highest twin, if it has one
+            prev.append(twin)
+            seen.add(_search(rows, keys, prev))
+    return seen
 
 
 def enumerate_connected(n: int) -> Iterator[Graph]:

@@ -19,10 +19,10 @@ Each theorem is one row of ``CHECKERS``, a ``_Checker`` that states:
 
 A call walks its graphs once for all the theorems it checks: ``_segments``
 yields the union of their substrates as runs of int codes of one order,
-with the ids whose substrate holds each run, and ``_check_graph`` decodes
-one graph, builds its record and runs each row. The per-graph work is
-embarrassingly parallel; counterexamples are merged and sorted, so reports
-are the same for every worker count.
+with the ids whose substrate holds each run; ``_check_run`` decodes each
+graph of a chunk of a run, builds its record, runs each row and returns
+the chunk's row seconds and reports. Counterexamples are merged and
+sorted, so reports are the same for every worker count.
 """
 
 from __future__ import annotations
@@ -457,32 +457,34 @@ CHECKERS: dict[str, _Checker] = {
 THEOREM_IDS = tuple(CHECKERS)
 
 
-def _check_graph(active: tuple[str, ...], n: int, code: int):
-    """Check the graph of order n with this code (``_graph_from_code``)
-    against the rows of the active theorems, over one fact record.
+def _check_run(active: tuple[str, ...], n: int, codes):
+    """Check the graphs of order n with these codes (``_graph_from_code``)
+    against the rows of the active theorems, over one fact record each.
 
     Each row's check runs where its hypothesis holds. Returns each row's
-    seconds, in the order of the active ids, and (index, details, member)
-    for each row with something to report, member telling whether the
-    graph is in the row's exceptional region. A row's seconds include its
-    hypothesis test; the decoding is charged to the first row.
+    seconds (with its hypothesis test; the decoding goes to the first row)
+    summed over the codes, in the order of the active ids, and (index,
+    graph6, details, member) for each row of each graph with something to
+    report, member telling whether the graph is in its exceptional region.
     """
     clock = time.perf_counter
-    last = clock()
-    g = _graph_from_code(n, code)
-    facts = _Facts(g)
-    times = []
+    checkers = [CHECKERS[t] for t in active]
+    seconds = [0.0] * len(active)
     bad = []
-    for i, c in enumerate([CHECKERS[t] for t in active]):
-        hypothesis = c.hypothesis
-        details = c.check(g, facts) if hypothesis is None or hypothesis(facts) else ()
-        member = c.region is not None and c.region[0](facts)
-        now = clock()
-        times.append(now - last)
-        last = now
-        if details or member:
-            bad.append((i, details, member))
-    return times, bad
+    last = clock()
+    for code in codes:
+        g = _graph_from_code(n, code)
+        facts = _Facts(g)
+        for i, c in enumerate(checkers):
+            hypothesis = c.hypothesis
+            details = c.check(g, facts) if hypothesis is None or hypothesis(facts) else ()
+            member = c.region is not None and c.region[0](facts)
+            if details or member:
+                bad.append((i, write_graph6(g), details, member))
+            now = clock()
+            seconds[i] += now - last
+            last = now
+    return seconds, bad
 
 
 def check_one(theorem: str, g: Graph) -> tuple[str, ...]:
@@ -490,8 +492,8 @@ def check_one(theorem: str, g: Graph) -> tuple[str, ...]:
     if theorem not in CHECKERS:
         raise UnknownTheorem(f"unknown theorem id {theorem!r}")
     _require_corpus_order(g)
-    _, bad = _check_graph((theorem,), g.n, _code(g))
-    return bad[0][1] if bad else ()
+    _, bad = _check_run((theorem,), g.n, (_code(g),))
+    return bad[0][2] if bad else ()
 
 
 def _require_corpus_order(g: Graph) -> None:
@@ -509,14 +511,15 @@ def default_jobs() -> int:
 
 
 class _Pool:
-    """Maps fn over items in order, on one pool of jobs workers when that pays.
+    """Calls fn on contiguous chunks of items: one result per chunk, in order.
 
-    ``with _Pool(jobs) as pool:`` opens it; ``pool(fn, items)`` maps. The
-    map is serial, and lazy, at jobs 1 or below 256 items, so a caller that
-    streams the results never holds them all. Otherwise it runs on one
-    ``multiprocessing`` pool, started on first use and terminated when the
-    block ends. ``pool(fn, items, size)`` counts size items instead: the
-    whole walk that a short run of items is part of.
+    ``with _Pool(jobs) as pool:`` opens it; ``pool(fn, items)`` maps. At
+    jobs 1 or below 256 items fn gets all the items at once; otherwise at
+    most 4 chunks per worker, streamed back from one ``multiprocessing``
+    pool started on first use and terminated when the block ends. fn
+    reduces its chunk where it runs, so no caller holds a result per item.
+    ``pool(fn, items, size)`` counts size items instead: the whole walk
+    that a short run of items is part of.
     """
 
     def __init__(self, jobs: int):
@@ -534,12 +537,15 @@ class _Pool:
 
     def __call__(self, fn, items, size: int | None = None) -> Iterable:
         if self.jobs == 1 or (len(items) if size is None else size) < 256:
-            return map(fn, items)
+            return (fn(items),)
         if self._workers is None:
             import multiprocessing
 
             self._workers = multiprocessing.Pool(self.jobs)
-        return self._workers.map(fn, items, -(-len(items) // (self.jobs * 4)))
+        step = -(-len(items) // (self.jobs * 4))
+        # one task per chunk; perfbench's traced imap forwards an omitted chunksize as None
+        chunks = [items[i : i + step] for i in range(0, len(items), step)]
+        return self._workers.imap(fn, chunks, 1)
 
 
 def verify(theorem: str, max_n: int = 7, source=None, jobs: int = 1) -> TheoremReport:
@@ -626,16 +632,14 @@ def _verify(orders: dict[str, int], source, pool: _Pool) -> list[TheoremReport]:
             checked[t] += len(codes)
             lo, hi = span.get(t, (n, n))
             span[t] = (min(lo, n), max(hi, n))
-        # serial at jobs 1: the results stream, and only violations are kept
-        for code, (times, bad) in zip(codes, pool(partial(_check_graph, active, n), codes, size)):
+        # each chunk comes back reduced: row seconds and what it reports
+        for times, bad in pool(partial(_check_run, active, n), codes, size):
             for t, s in zip(active, times):
                 seconds[t] += s
-            if bad:
-                g6 = write_graph6(_graph_from_code(n, code))
-                for i, details, member in bad:
-                    violations[active[i]].extend((g6, d) for d in details)
-                    if member:
-                        members[active[i]].append(g6)
+            for i, g6, details, member in bad:
+                violations[active[i]].extend((g6, d) for d in details)
+                if member:
+                    members[active[i]].append(g6)
     reports = []
     for t in tids:
         found = violations[t]
@@ -677,24 +681,28 @@ class CensusRow(NamedTuple):
         return {**self._asdict(), "exceptional": dict(self.exceptional)}
 
 
-def _census_one(n: int, code: int):
-    """The census flags of the connected graph of order n with this code.
+def _census_run(n: int, codes) -> dict[tuple, int]:
+    """The count of each census flag tuple (split, balanced, family or None,
+    pseudo, ng) over the connected graphs of order n with these codes.
 
     Mapped over ``_connected_codes(n)``, so a pool worker decodes its own
-    graphs and only ints and flags cross the process boundary.
+    graphs and only ints and counts cross the process boundary.
     """
-    facts = _Facts(_graph_from_code(n, code))
-    tag = facts.tag
-    return facts.split, facts.balanced, None if tag is None else str(tag), facts.pseudo, facts.ng
+    tally: dict[tuple, int] = {}
+    for code in codes:
+        f = _Facts(_graph_from_code(n, code))
+        flags = f.split, f.balanced, None if f.tag is None else str(f.tag), f.pseudo, f.ng
+        tally[flags] = tally.get(flags, 0) + 1
+    return tally
 
 
 def census(max_n: int = 7, jobs: int = 1) -> list[CensusRow]:
     """Classification counts over connected graphs of each order up to max_n.
 
     Each order's codes are tallied through one ``_Pool`` of jobs workers,
-    which also fills the orders not yet enumerated: ``_census_one`` is
-    mapped over the codes, so the graphs are decoded where they are
-    classified and no ``Graph`` is pickled.
+    which also fills the orders not yet enumerated: ``_census_run`` is
+    mapped over chunks of the codes, so the graphs are decoded and counted
+    where they are classified and no ``Graph`` is pickled.
     """
     with _Pool(jobs) as pool:
         if not 1 <= max_n <= ENUM_MAX_ORDER:
@@ -706,13 +714,14 @@ def census(max_n: int = 7, jobs: int = 1) -> list[CensusRow]:
             codes = _connected_codes(n, pool)
             split = balanced = pseudo = ng = 0
             families: dict[str, int] = {}
-            for sp, bal, tag, ps, isng in pool(partial(_census_one, n), codes):
-                split += sp
-                balanced += bal
-                pseudo += ps
-                ng += isng
-                if tag is not None:
-                    families[tag] = families.get(tag, 0) + 1
+            for tally in pool(partial(_census_run, n), codes):
+                for (sp, bal, tag, ps, isng), k in tally.items():
+                    split += sp * k
+                    balanced += bal * k
+                    pseudo += ps * k
+                    ng += isng * k
+                    if tag is not None:
+                        families[tag] = families.get(tag, 0) + k
             rows.append(
                 CensusRow(
                     n=n,

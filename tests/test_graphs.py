@@ -607,7 +607,7 @@ def test_order_9_kernel_codes_are_canonical_codes():
     assert len(parents) == 112
     children = 0
     for parent in parents:
-        for code in graphs._child_codes(9, parent):
+        for code in graphs._child_codes(9, (parent,)):
             assert canonical_code(_graph_from_code(9, code)) == code
             children += 1
     assert children == 2688

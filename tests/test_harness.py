@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import multiprocessing
@@ -235,10 +236,11 @@ def test_shared_witness_edge_is_searched_past_a_stored_no(corrupt, monkeypatch):
         return real(h, pattern)
 
     monkeypatch.setattr(recognition, "find_induced", find)
-    _, bad = harness._check_graph(("LEMMA1", "LEMMA2"), g.n, graphs._code(g))
+    _, bad = harness._check_run(("LEMMA1", "LEMMA2"), g.n, (graphs._code(g),))
+    g6 = write_graph6(g)
     assert bad == [
-        (0, ("contraction by (2,4) lacks the promised C4",), False),
-        (1, ("contraction by (2,4) lacks the promised 2K2/C4",), False),
+        (0, g6, ("contraction by (2,4) lacks the promised C4",), False),
+        (1, g6, ("contraction by (2,4) lacks the promised 2K2/C4",), False),
     ]
     # the stored no for C4 is read, not searched again
     assert searches == ["C4", "TWO_K2"]
@@ -400,12 +402,44 @@ def test_fused_walk_details_match_check_one():
         for active, n, codes in harness._segments(orders, pool):
             for code in codes:
                 g = graphs._graph_from_code(n, code)
-                _, bad = harness._check_graph(active, n, code)
-                fused = {active[i]: details for i, details, _ in bad}
+                _, bad = harness._check_run(active, n, (code,))
+                assert all(g6 == write_graph6(g) for _, g6, _, _ in bad)
+                fused = {active[i]: details for i, _, details, _ in bad}
                 for t in active:
                     assert fused.get(t, ()) == check_one(t, g), (t, g)
                 walked += 1
     assert walked == 1252 + 4 + 4  # every class to order 7, then C4..C7 and K4..K7
+
+
+def test_chunk_results_merge_to_the_whole_input_result():
+    # the pool hands each reducer a contiguous chunk of a run; merged in
+    # order, the chunks' results must be the whole run's, so no reducer
+    # carries state from one graph to the next or pins a report to the
+    # wrong graph (the check seconds aside)
+    def chunks(items, size):
+        return [items[i : i + size] for i in range(0, len(items), size)]
+
+    orders = {t: min(7, harness.CHECKERS[t].cap) for t in THEOREM_IDS}
+    with harness._Pool(1) as pool:
+        runs = list(harness._segments(orders, pool))
+    for size in (1, 3, 97):
+        for active, n, codes in runs:
+            whole = harness._check_run(active, n, codes)[1]
+            parts = [harness._check_run(active, n, part)[1] for part in chunks(codes, size)]
+            assert [r for bad in parts for r in bad] == whole, (size, active, n)
+            if size == 1:
+                for code, bad in zip(codes, parts):
+                    g6 = write_graph6(graphs._graph_from_code(n, code))
+                    assert all(r[1] == g6 for r in bad)
+        for n in range(1, 8):
+            codes = graphs._connected_codes(n)
+            tallies = [harness._census_run(n, part) for part in chunks(codes, size)]
+            merged = sum(map(collections.Counter, tallies), collections.Counter())
+            assert merged == collections.Counter(harness._census_run(n, codes)), (size, n)
+            if n > 1:
+                parents = graphs._connected_codes(n - 1)
+                children = [graphs._child_codes(n, part) for part in chunks(parents, size)]
+                assert set().union(*children) == graphs._child_codes(n, parents) == set(codes)
 
 
 def test_single_theorem_reports_match_verify_all():
@@ -725,7 +759,7 @@ def test_pool_enumeration_matches_serial(monkeypatch, method):
     assert [r.to_dict() for r in census(8, jobs=2)] == census_seq
     # the order-7 parents, more than the serial threshold, and the order-8 tally
     assert (graphs._child_codes, 853, 2) in maps
-    assert (harness._census_one, 11117, 2) in maps
+    assert (harness._census_run, 11117, 2) in maps
     assert graphs._codes[8] == serial
 
 
@@ -734,7 +768,7 @@ def pools(monkeypatch):
     """Every worker pool started, and every one terminated, while a test runs."""
     log = {"started": [], "terminated": [], "mapped": [], "sent": [], "received": []}
     Pool = multiprocessing.pool.Pool
-    real_init, real_terminate, real_map = Pool.__init__, Pool.terminate, Pool.map
+    real_init, real_terminate = Pool.__init__, Pool.terminate
 
     def init(self, *args, **kwargs):
         log["started"].append(self)
@@ -744,16 +778,22 @@ def pools(monkeypatch):
         log["terminated"].append(self)
         real_terminate(self)
 
-    def map_(self, fn, items, *args, **kwargs):
-        log["mapped"].append(fn)
-        log["sent"].append((fn.args, items))
-        results = real_map(self, fn, items, *args, **kwargs)
-        log["received"].append(results)
-        return results
+    def logged(real):
+        # every result is kept in a list, so a lazy map is read through
+        def map_(self, fn, items, *args, **kwargs):
+            items = list(items)
+            log["mapped"].append(fn)
+            log["sent"].append((fn.args, items))
+            results = list(real(self, fn, items, *args, **kwargs))
+            log["received"].append(results)
+            return results
+
+        return map_
 
     monkeypatch.setattr(Pool, "__init__", init)
     monkeypatch.setattr(Pool, "terminate", terminate)
-    monkeypatch.setattr(Pool, "map", map_)
+    for name in ("map", "imap"):
+        monkeypatch.setattr(Pool, name, logged(getattr(Pool, name)))
     return log
 
 
@@ -762,12 +802,20 @@ def without_ms(reports):
 
 
 def contains_graph(value) -> bool:
-    """Whether a Graph is value itself or inside its nested tuples and lists."""
+    """Whether a Graph is value itself or inside its nested tuples, lists,
+    sets and dicts (keys and values)."""
     if isinstance(value, Graph):
         return True
-    if isinstance(value, (tuple, list)):
+    if isinstance(value, dict):
+        return contains_graph(list(value.items()))
+    if isinstance(value, (tuple, list, set, frozenset)):
         return any(contains_graph(v) for v in value)
     return False
+
+
+def sent_codes(pools) -> list:
+    """Every item sent to a worker: each map sends chunks of items."""
+    return [code for _, chunks in pools["sent"] for chunk in chunks for code in chunk]
 
 
 def test_census_starts_one_pool(monkeypatch, pools):
@@ -779,18 +827,20 @@ def test_census_starts_one_pool(monkeypatch, pools):
     assert pools["terminated"] == pools["started"]
     # one pool fills order 8 and tallies orders 7 and 8 from their codes
     assert [(fn.func, fn.args) for fn in pools["mapped"]] == [
-        (harness._census_one, (7,)),
+        (harness._census_run, (7,)),
         (graphs._child_codes, (8,)),
-        (harness._census_one, (8,)),
+        (harness._census_run, (8,)),
     ]
-    # codes go out and flags come back: no Graph crosses to a worker
+    # codes go out and counts come back: no Graph crosses to a worker
     assert not contains_graph(pools["sent"]) and not contains_graph(pools["received"])
-    assert all(type(code) is int for _, codes in pools["sent"] for code in codes)
+    assert all(type(code) is int for code in sent_codes(pools))
+    # one reduced result per chunk, at most 4 chunks per worker
+    assert all(len(results) <= 4 * 2 for results in pools["received"])
     # with order 8 cached, the call still tallies on one pool of its own
     assert [r.to_dict() for r in census(8, jobs=2)] == census_seq
     assert len(pools["started"]) == 2
     assert pools["terminated"] == pools["started"]
-    assert [fn.func for fn in pools["mapped"][3:]] == [harness._census_one] * 2
+    assert [fn.func for fn in pools["mapped"][3:]] == [harness._census_run] * 2
 
 
 def test_verify_starts_one_pool(monkeypatch, pools):
@@ -811,12 +861,14 @@ def test_fused_walk_parallel_matches_serial(monkeypatch, pools, method):
     serial = without_ms(verify_all(7, jobs=1))
     monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context(method).Pool)
     assert without_ms(verify_all(7, jobs=2)) == serial
-    # the fused per-graph check, mapped over the long runs on one pool
+    # the fused check, mapped over chunks of the long runs on one pool
     assert len(pools["started"]) == 1
-    assert pools["mapped"] and all(fn.func is harness._check_graph for fn in pools["mapped"])
+    assert pools["mapped"] and all(fn.func is harness._check_run for fn in pools["mapped"])
     # codes go out and results come back: no Graph crosses to a worker
     assert not contains_graph(pools["sent"]) and not contains_graph(pools["received"])
-    assert all(type(code) is int for _, codes in pools["sent"] for code in codes)
+    assert all(type(code) is int for code in sent_codes(pools))
+    # one reduced result per chunk, at most 4 chunks per worker
+    assert all(len(results) <= 4 * 2 for results in pools["received"])
 
 
 def test_corpus_runs_start_one_pool(pools):
@@ -829,8 +881,9 @@ def test_corpus_runs_start_one_pool(pools):
     assert without_ms([verify("THM_NG", source=corpus, jobs=2)]) == all_seq[-1:]
     assert len(pools["started"]) == 2
     assert pools["terminated"] == pools["started"]
+    assert pools["mapped"] and pools["received"]
     assert not contains_graph(pools["sent"]) and not contains_graph(pools["received"])
-    assert all(type(code) is int for _, codes in pools["sent"] for code in codes)
+    assert all(type(code) is int for code in sent_codes(pools))
 
 
 def test_verify_all_takes_a_corpus_at_any_max_n():

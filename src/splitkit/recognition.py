@@ -218,20 +218,20 @@ def is_split_forbidden(g: Graph) -> bool:
     return not contains_2k2(g) and not contains_c4(g) and not contains_c5(g)
 
 
-def is_split_degrees(g: Graph) -> bool:
-    """Split test from the degree sequence (see ``_hammer_simeone``)."""
-    return _hammer_simeone(sorted(g.degrees(), reverse=True))[1]
+def is_split(g: Graph) -> bool:
+    """Default split test (the degree-sequence criterion, ``_degree_test``)."""
+    return _degree_test(g)[1]
 
 
-def _hammer_simeone(d: list[int]) -> tuple[int, bool]:
-    """(m, split) for a graph with non-increasing degree list d.
+def _degree_test(g: Graph) -> tuple[int, bool, int]:
+    """(m, split, d_m) for g with non-increasing degree list d.
 
-    m is the largest i with d_i >= i - 1, and the graph is split iff
+    m is the largest i with d_i >= i - 1, and g is split iff
     sum(d_i, i <= m) = m(m-1) + sum(d_i, i > m) (Hammer and Simeone, *The
     splittance of a graph*, Combinatorica 1 (1981)). The i with
     d_i >= i - 1 form a prefix, since d falls while i - 1 rises.
 
-    For a split graph h, omega(h) = m, and h is unbalanced iff
+    For a split graph g, omega(g) = m, and g is unbalanced iff
     d_m = m - 1. Take a partition (K, S) with |K| = omega (``ks_partition``
     says why one exists). Every K-vertex has degree >= omega - 1, and every
     S-vertex has degree <= omega - 1, since an S-vertex adjacent to all of
@@ -243,16 +243,12 @@ def _hammer_simeone(d: list[int]) -> tuple[int, bool]:
     Such a vertex has degree omega - 1 exactly, so alpha = |S| + 1, i.e.
     omega + alpha != n, iff the smallest K-degree d_m is m - 1.
     """
+    d = sorted(g.degrees(), reverse=True)
     n = len(d)
     m = 1
     while m < n and d[m] >= m:
         m += 1
-    return m, sum(d[:m]) == m * (m - 1) + sum(d[m:])
-
-
-def is_split(g: Graph) -> bool:
-    """Default split test (the degree-sequence criterion)."""
-    return is_split_degrees(g)
+    return m, sum(d[:m]) == m * (m - 1) + sum(d[m:]), d[m - 1]
 
 
 def ks_partition(g: Graph) -> KSPartition:
@@ -397,100 +393,58 @@ def detect_exceptional(g: Graph) -> FamilyTag | None:
 # where a witness label applies, as a predicate on the record, in the
 # order classify reports the labels: the hypotheses of LEMMA1, LEMMA2 and
 # THM_UNBALANCED, whose rows in harness.CHECKERS read them here, and
-# classify's rule for "nonsplit". A label's witness is the first edge
-# whose contraction passes the label's test, computed when first read
-# (``_Facts.witness``); g/e has its own record
+# classify's rule for "nonsplit". Contracting an edge of a split graph
+# K + S leaves it split, since no edge lies in S and the merged vertex
+# joins K, so a split g has no nonsplit witness and classify does not
+# search for one. THM_CONTRACTION reads ``witness("nonsplit")`` on every
+# graph: its search on split graphs is the exhaustive evidence of that
 _APPLIES: dict[str, Callable[[_Facts], bool]] = {
     "c4": lambda f: f.has_c4,
     "2k2": lambda f: f.has_2k2,
-    "nonsplit": lambda f: f.g.is_connected(),
+    "nonsplit": lambda f: f.g.is_connected() and not f.split,
     "unbalanced": lambda f: f.split and not f.star_excluded,
+}
+
+
+def _drops_unbalanced(f: _Facts, h: _Facts) -> bool:
+    # h = g/e unbalanced split with clique number omega(g) - 1, read off
+    # h's degree test; asked where g is split, so every g/e is split
+    m, split, dm = h.degree_test
+    if not split:
+        raise NotSplit("balancedness is defined for split graphs only")
+    return m == f.omega - 1 and dm == m - 1
+
+
+# each label's test on the record f of g and the record h of g/e; 2k2
+# tests C4 first, which the c4 search has often stored, and a C4 spares
+# the 2K2 scan
+_PASSES: dict[str, Callable[[_Facts, _Facts], bool]] = {
+    "c4": lambda f, h: h.has_c4,
+    "2k2": lambda f, h: h.has_c4 or h.has_2k2,
+    "nonsplit": lambda f, h: not h.split,
+    "unbalanced": _drops_unbalanced,
 }
 
 
 def _search(facts: _Facts, label: str) -> Edge | None:
     """The first edge e of facts.g, in lexicographic order, whose
-    contraction g/e passes the label's test, or None.
+    contraction g/e passes the label's test (``_PASSES``), or None.
 
-    The tests: "c4", g/e has an induced C4; "2k2", g/e has an induced 2K2
-    or C4; "nonsplit", g/e is not split; "unbalanced", g/e is unbalanced
-    split with clique number omega(g) - 1, asked where g is split (then
-    every g/e is split).
-
-    The c4 and 2k2 tests read the scans of g/e's own record
-    (``_Facts.contracted``), so the two labels share each scan. Once the c4
-    search has run, its C4 scans are stored up to the 2k2 witness, and the
-    2k2 test reads them first. The nonsplit and unbalanced tests read one
-    degree test per edge, ``_contracted_degrees`` and ``_hammer_simeone``,
-    kept on the record for both labels; it never builds g/e. A C4 or 2K2
-    makes g/e non-split, so a c4 or 2k2 witness already found ends the
-    nonsplit search at its edge.
+    Every test reads g/e's own record (``_Facts.contracted``), so the
+    labels share each contraction and each fact of it, and a label's
+    witness does not depend on which labels were read before it.
     """
-    found = facts._found
-    rows = facts.g.rows
-    if label == "c4":
-        def passes(u, v):
-            return facts.contracted(u, v).has_c4
-    elif label == "2k2" and "c4" in found:
-        def passes(u, v):
-            h = facts.contracted(u, v)
-            return h.has_c4 or h.has_2k2
-    elif label == "2k2":
-        def passes(u, v):
-            h = facts.contracted(u, v)
-            return h.has_2k2 or h.has_c4
-    else:
-        # the degree test of each edge, once per record: m and split from
-        # _hammer_simeone on the degree list d of g/e, and d's m-th entry
-        tests = facts._degree_tests
-        degrees = facts.g.degrees()
-        nonsplit = label == "nonsplit"
-        hits = [e for e in (found.get("c4"), found.get("2k2")) if e is not None]
-        su, sv = min(hits, default=(-1, -1)) if nonsplit else (-1, -1)
-        omega = 0 if nonsplit else facts.omega
-
-        def passes(u, v):
-            if u == su and v == sv:
-                return True
-            t = tests.get((u, v))
-            if t is None:
-                d = _contracted_degrees(degrees, rows, u, v)
-                m, split = _hammer_simeone(d)
-                t = tests[u, v] = m, split, d[m - 1]
-            m, split, dm = t
-            if nonsplit:
-                return not split
-            if not split:
-                raise NotSplit("balancedness is defined for split graphs only")
-            # the clique number dropped and g/e is unbalanced
-            return m == omega - 1 and dm == m - 1
-    for u, row in enumerate(rows):
+    passes = _PASSES[label]
+    contracted = facts.contracted
+    for u, row in enumerate(facts.g.rows):
         above = row >> (u + 1) << (u + 1)
         while above:
             b = above & -above
             above ^= b
             v = b.bit_length() - 1
-            if passes(u, v):
+            if passes(facts, contracted(u, v)):
                 return Edge(u, v)
     return None
-
-
-def _contracted_degrees(degrees: list[int], rows, u: int, v: int) -> list[int]:
-    """The non-increasing degree list of g/uv, u < v adjacent, from g's.
-
-    Each common neighbour of u and v loses one, the merged vertex is
-    adjacent to N(u) | N(v) minus u and v, and every other degree stays.
-    """
-    d = degrees.copy()
-    common = rows[u] & rows[v]
-    while common:
-        b = common & -common
-        common ^= b
-        d[b.bit_length() - 1] -= 1
-    d[u] = (rows[u] | rows[v]).bit_count() - 2
-    del d[v]
-    d.sort(reverse=True)
-    return d
 
 
 def find_c4_witness(g: Graph) -> Edge | None:
@@ -635,21 +589,26 @@ class _Facts:
     ``find_*_witness`` functions read a record. The oracles the checks
     compare against never read it.
 
-    ``witness(label)`` is the first edge whose contraction passes the
-    label's test (``_search``), computed when first read, for that label
-    alone; a caller pays only for the labels it reads. g/e has its own
-    record: ``contracted(u, v)`` builds it at most once per record, and
-    everything known about g/e lives there, its C4 and 2K2 scans, its
-    ``find_induced`` answers (``has_induced``) and THM_UNBALANCED's split
-    and omega. The witness search, the LEMMA re-checks, THM_UNBALANCED's
-    postcondition and the PROP checks all read it; the PROP checks test the
-    contraction's vertex map on it and code nothing.
+    The split fact reads the record's one degree test, (m, split, d_m)
+    from ``_degree_test``, which also gives a split graph's clique number
+    and balance. ``witness(label)`` is the first edge whose contraction
+    passes the label's test (``_search``), computed when first read, for
+    that label alone; a caller pays only for the labels it reads. g/e has
+    its own record: ``contracted(u, v)`` builds it at most once per
+    record, and everything known about g/e lives there, its C4 and 2K2
+    scans, its degree test, its ``find_induced`` answers (``has_induced``)
+    and THM_UNBALANCED's omega and balance. Every witness label, the LEMMA
+    re-checks, THM_UNBALANCED's postcondition and the PROP checks all read
+    it; the PROP checks test the contraction's vertex map on it and code
+    nothing.
     """
 
     def __init__(self, g: Graph):
         self.g = g
 
-    split = _fact(lambda f: is_split(f.g))
+    # (m, split, d_m) from g's degree list (see _degree_test)
+    degree_test = _fact(lambda f: _degree_test(f.g))
+    split = _fact(lambda f: f.degree_test[1])
     clique = _fact(lambda f: max_clique(f.g))
     omega = _fact(lambda f: len(f.clique))
     gc = _fact(lambda f: complement(f.g))
@@ -668,7 +627,6 @@ class _Facts:
     # find_unbalanced_witness refuses K1 and the stars K_(1,m), m >= 2
     star_excluded = _fact(lambda f: f.g.n < 2 or (f.g.n >= 3 and is_star(f.g)))
     _contractions = _fact(lambda f: {})
-    _degree_tests = _fact(lambda f: {})
     _rechecks = _fact(lambda f: {})
     _found = _fact(lambda f: {})
 

@@ -450,9 +450,9 @@ def test_single_theorem_reports_match_verify_all():
 
 def test_witness_rows_alone_match_verify_all_at_order_eight():
     # on its own, each row that reads a witness searches it with no earlier
-    # label's scans or cut-off: LEMMA2 has no C4 scan of the c4 search and
-    # no C4 answer of LEMMA1's to read, and the nonsplit search no c4 or
-    # 2k2 witness to stop at; order 8 is where the two paths part most
+    # label's contraction records: LEMMA2 has no C4 scan of the c4 search
+    # and no C4 answer of LEMMA1's to read, and the nonsplit and unbalanced
+    # searches build their own contractions; order 8 has the most of them
     together = without_ms(verify_all(8))
     for t in ("LEMMA1", "LEMMA2", "THM_CONTRACTION", "THM_UNBALANCED"):
         assert without_ms([verify(t, 8)]) == [together[THEOREM_IDS.index(t)]], t
@@ -539,12 +539,10 @@ def test_each_edge_is_contracted_once_per_graph(monkeypatch):
 
 
 def test_witness_labels_share_their_scans(monkeypatch):
-    # the C4 and 2K2 scans and the contracted degree lists of a verify_all
-    # walk, through the record: the c4 and 2k2 labels read the scans of one
-    # contraction record, and nonsplit and unbalanced one degree test per
-    # edge. A label that scanned or tested again what another label had
-    # would raise a count
-    calls = dict.fromkeys(("contains_c4", "contains_2k2", "_contracted_degrees"), 0)
+    # the contractions and the C4 and 2K2 scans of a verify_all walk,
+    # through the record: every label reads g/e's own record, so a label
+    # that built or scanned again what another label had would raise a count
+    calls = dict.fromkeys(("contains_c4", "contains_2k2", "_contract"), 0)
     for name in calls:
         real = getattr(recognition, name)
 
@@ -554,7 +552,7 @@ def test_witness_labels_share_their_scans(monkeypatch):
 
         monkeypatch.setattr(recognition, name, counted)
     assert all(r.verdict == "PASS" for r in verify_all(7))
-    assert calls == {"contains_c4": 3533, "contains_2k2": 4207, "_contracted_degrees": 2522}
+    assert calls == {"contains_c4": 3744, "contains_2k2": 4183, "_contract": 4159}
 
 
 def test_prop1_catches_a_relabelled_contraction(monkeypatch):

@@ -4,7 +4,7 @@ Enumeration covers every graph to order 8; here Hypothesis draws seeded
 graphs of orders 9-12 (see graphgen.py) and checks the recognizers, the
 decompositions, omega and alpha, the 2K2, C4 and claw scans, every witness
 that ``classify`` and the C4 and 2K2 witness searches report, and the
-degree-list witness tests on every edge against the brute-force oracles,
+degree test of every contraction against the brute-force oracles,
 the witness walk against a walk that tests each label on its own, the
 verify checks that read the walk on connected graphs of orders 9-10,
 the canonical codes that isomorphism answers by, the enumeration kernel's
@@ -39,7 +39,7 @@ from splitkit import (
     is_isomorphic,
     is_ng_by_characterisation,
     is_ng_by_definition,
-    is_split_degrees,
+    is_split,
     is_split_forbidden,
     ks_partition,
     parse_graph6,
@@ -93,7 +93,7 @@ def _check_witness(g, omega, label, e):
 @given(big_graphs())
 def test_classify_past_the_exhaustive_range(g):
     split = ks_partition_exists(g)
-    assert is_split_forbidden(g) == is_split_degrees(g) == split
+    assert is_split_forbidden(g) == is_split(g) == split
     r = classify(g)
     assert r.is_split == split
     assert (r.omega, r.alpha) == (clique_number_subsets(g), independence_number_subsets(g))

@@ -48,7 +48,6 @@ from splitkit import (
     is_ng_by_definition,
     is_pseudo_split,
     is_split,
-    is_split_degrees,
     is_split_forbidden,
     is_star,
     ks_partition,
@@ -59,14 +58,8 @@ from splitkit import (
     write_graph6,
 )
 from splitkit import recognition
-from splitkit.graphs import _contract
 from splitkit.invariants import _find_c5, _greedy_bound
-from splitkit.recognition import (
-    _Facts,
-    _contracted_degrees,
-    _hammer_simeone,
-    _ks,
-)
+from splitkit.recognition import _Facts, _ks
 
 from graphgen import labelled_graphs, random_graph, relabel
 from oracles import (
@@ -93,7 +86,6 @@ def test_split_recognizers_match_partition_search():
     for g in all_graphs_upto(6):
         expected = ks_partition_exists(g)
         assert is_split_forbidden(g) == expected
-        assert is_split_degrees(g) == expected
         assert is_split(g) == expected
 
 
@@ -235,24 +227,21 @@ def test_family_tag_str():
 
 
 def check_degree_tests(g):
-    """The degree-list witness tests on every edge of g agree with the
-    contraction itself, its split test and the brute-force omega and alpha:
-    the walk reads g/e as split when ``_hammer_simeone(d)`` says so, with
-    clique number m, and unbalanced when d_m = m - 1."""
-    degrees = g.degrees()
+    """The degree test (m, split, d_m) on the record of every g/e, which
+    the nonsplit and unbalanced labels read, agrees with the forbidden-
+    pattern split test and, where g/e is split, with the brute-force omega
+    and alpha: m is the clique number, and d_m = m - 1 iff g/e is
+    unbalanced."""
+    facts = _Facts(g)
     for u, v in g.edges():
-        h = _contract(g, u, v)
-        d = _contracted_degrees(degrees, g.rows, u, v)
-        assert d == sorted(h.degrees(), reverse=True)
-        split = is_split_degrees(h)
-        m, split_d = _hammer_simeone(d)
-        assert split_d == split
+        h = facts.contracted(u, v)
+        m, split, dm = h.degree_test
+        assert split == is_split_forbidden(h.g)
         if not split:
             continue
-        omega = clique_number_subsets(h)
-        unbalanced = omega + independence_number_subsets(h) != h.n
+        omega = clique_number_subsets(h.g)
         assert m == omega
-        assert (d[m - 1] == m - 1) == unbalanced
+        assert (dm == m - 1) == (omega + independence_number_subsets(h.g) != h.g.n)
 
 
 def test_unbalanced_walk_refuses_a_nonsplit_contraction():
@@ -415,29 +404,24 @@ def test_ng_definition_bound_matches_exact_sum():
 
 
 def test_witness_walk_keeps_each_tested_contraction():
-    # the LEMMA re-checks read the contraction record the search kept in
-    # the record's memo, so it must be g/e's; a degree-only hit keeps one
-    # only where a graph test built it
-    tests = ("c4", "2k2")
+    # the LEMMA re-checks and THM_UNBALANCED's postcondition read the
+    # contraction record the search kept in the record's memo, so every
+    # label keeps its witness's record, and every record kept is g/e's
     for n in range(2, 7):
         for g in enumerate_all(n):
             facts = _Facts(g)
-            labels = [label for label in tests if recognition._APPLIES[label](facts)]
-            for label in (*labels, "nonsplit"):
+            labels = [label for label, applies in recognition._APPLIES.items()
+                      if label == "nonsplit" or applies(facts)]
+            for label in labels:
                 e = facts.witness(label)
-                if e is None:
-                    continue
-                h = facts._contractions.get(e)
-                if label in tests:
-                    assert h.g == contract(g, e), (g, label)
-                else:
-                    assert h is None or h.g == contract(g, e), (g, label)
+                assert e is None or e in facts._contractions, (g, label)
+            for e, h in facts._contractions.items():
+                assert h.g == contract(g, e), (g, e)
 
 
-def test_witness_walk_lets_one_hit_settle_implied_labels(monkeypatch):
-    # a C4 in g/e passes 2k2 and makes g/e non-split, and a 2K2 makes it
-    # non-split: read in the order c4, 2k2, nonsplit, such a hit builds no
-    # degree list and runs no further scan
+def test_witness_labels_share_the_contraction_record(monkeypatch):
+    # every label tests g/e's own record: a contraction one label built,
+    # and the scans it ran there, serve the others, in either order
     calls = {}
 
     def counted(name):
@@ -449,37 +433,24 @@ def test_witness_walk_lets_one_hit_settle_implied_labels(monkeypatch):
 
         return count
 
-    for name in ("contains_c4", "contains_2k2", "_contracted_degrees"):
+    for name in ("_contract", "contains_c4", "contains_2k2"):
         monkeypatch.setattr(recognition, name, counted(name))
+    # g/(0,3) and g/(0,4) have neither pattern and g/(1,4) has a C4, which
+    # makes it the witness of all three labels
+    g = build(6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 3), (2, 5), (3, 5), (4, 5)])
     labels = ("c4", "2k2", "nonsplit")
-
-    def walk(g):
-        # every graph here has an induced C4 and 2K2; the record's own scans
-        # of g run before the count starts
+    for order in (labels, labels[::-1]):
+        # the record's own scans of g run before the count starts
         facts = _Facts(g)
         assert facts.has_c4 and facts.has_2k2
         calls.clear()
-        return {label: facts.witness(label) for label in labels}
-
-    # the C4 2-3-4-5 with the path 0-1-2: g/(0,1) keeps the C4
-    g = build(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 2)])
-    found = walk(g)
-    assert found == dict.fromkeys(labels, Edge(0, 1))
-    assert calls == {"contains_c4": 1}
-    # the C4 0-1-2-3 with the path 2-4-5: g/(0,1) loses the C4 and has a
-    # 2K2, found by the one 2K2 scan; the C4 scans go on alone up to the
-    # fifth edge, (2, 4)
-    g = build(6, [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (4, 5)])
-    found = walk(g)
-    assert found["2k2"] == found["nonsplit"] == Edge(0, 1)
-    assert found["c4"] == g.edges()[4] == Edge(2, 4)
-    assert calls == {"contains_c4": 5, "contains_2k2": 1}
-    # g/(0,3) and g/(0,4) have neither pattern: one C4 scan, one 2K2 scan
-    # and one degree list each; g/(1,4) has a C4, which settles all three
-    g = build(6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 3), (2, 5), (3, 5), (4, 5)])
-    found = walk(g)
-    assert found == dict.fromkeys(labels, Edge(1, 4))
-    assert calls == {"contains_c4": 3, "contains_2k2": 2, "_contracted_degrees": 2}
+        first, *rest = order
+        assert facts.witness(first) == Edge(1, 4)
+        assert calls["_contract"] == 3, order
+        assert {label: facts.witness(label) for label in rest} == dict.fromkeys(rest, Edge(1, 4))
+        # three contractions, each scanned at most once for each pattern;
+        # the C4 of g/(1,4) spares its 2K2 scan
+        assert calls == {"_contract": 3, "contains_c4": 3, "contains_2k2": 2}, order
 
 
 def walk_label_by_label(g, labels, omega=0):
@@ -511,8 +482,8 @@ def check_witness_walk(g, reorder=True):
     labels a caller reads on g (c4 and 2k2 where g has the pattern,
     nonsplit, and unbalanced on split non-stars), read in that order and,
     with reorder, in reverse order and each alone, each way on a fresh
-    record: the scans one label leaves and the nonsplit cut-off depend on
-    which labels were read first."""
+    record: the facts of g/e one label leaves depend on which labels were
+    read first."""
     labels = [label for label, has in (("c4", contains_c4), ("2k2", contains_2k2)) if has(g)]
     labels.append("nonsplit")
     omega = 0
@@ -530,9 +501,8 @@ def check_witness_walk(g, reorder=True):
 
 
 def test_witness_walk_matches_the_label_by_label_walk():
-    # the 2k2 test reads the C4 scans the c4 search left, and a c4 or 2k2
-    # witness ends the nonsplit search; whatever was read first, none of it
-    # may move a witness edge
+    # each label reads the facts of g/e's record that earlier labels left;
+    # whatever was read first, none of it may move a witness edge
     for g in all_graphs_upto(7):
         check_witness_walk(g)
     for g in enumerate_all(8):
@@ -590,6 +560,26 @@ def test_classify_matches_public_functions():
     graphs += [random_graph(rng, rng.randint(9, 12)) for _ in range(300)]
     for g in graphs:
         assert classify(g) == _report_from_public_functions(g), g
+
+
+def test_classify_searches_no_nonsplit_witness_on_a_split_graph(monkeypatch):
+    # every contraction of a split graph is split, so classify asks for a
+    # nonsplit witness only where g is connected and not split
+    searched = []
+    real = recognition._search
+
+    def search(facts, label):
+        if label == "nonsplit":
+            searched.append(facts.g)
+        return real(facts, label)
+
+    monkeypatch.setattr(recognition, "_search", search)
+    split = [g for g in all_graphs_upto(7) if is_split(g)]
+    for g in split:
+        classify(g)
+    assert len(split) == 257 and searched == []
+    classify(cycle_graph(5))
+    assert searched == [cycle_graph(5)]
 
 
 def test_classify_triangle():

@@ -56,6 +56,7 @@ from .graphs import (
 from .invariants import _contains_claw
 from .recognition import (
     _APPLIES,
+    _FIXED_FAMILIES,
     _Facts,
     _ks_case,
     is_split_forbidden,
@@ -262,10 +263,9 @@ def _check_lemma2(g: Graph, facts: _Facts):
     if e is None:
         return ("no 2K2/C4-preserving contraction on a non-terminal graph",)
     h = facts.contracted(*e)
-    # a C4 that h's record already holds (LEMMA1's re-check, when the c4 and
-    # 2k2 labels share their edge) settles it before any search of its own;
-    # a stored no does not, as h may still hold a 2K2
-    if not (h._rechecks.get(_C4) or h.has_induced(_TWO_K2) or h.has_induced(_C4)):
+    # search h for the pattern its scans found: a C4 where its C4 scan says
+    # yes (LEMMA1's stored answer, on a shared edge), else a 2K2
+    if not h.has_induced(_C4 if h.has_c4 else _TWO_K2):
         return (f"contraction by ({e.u},{e.v}) lacks the promised 2K2/C4",)
     return ()
 
@@ -329,13 +329,11 @@ def _check_contraction(g: Graph, facts: _Facts):
 
 
 def _expected_exceptional(max_n: int) -> set[str]:
-    names = []
-    for l in range(2, max_n - 1):
-        names.append(NamedPattern("K_2_L", l))
-    for tag, order in (("W4", 5), ("P5", 5), ("HAMMER", 5), ("BUTTERFLY", 5), ("OCTAHEDRON", 6)):
-        if order <= max_n:
-            names.append(NamedPattern(tag))
-    return {write_graph6(canonical_form(p.template)) for p in names}
+    # K_{2,l} and the connected fixed-order families (all but 2K2) to order max_n
+    templates = [NamedPattern("K_2_L", l).template for l in range(2, max_n - 1)]
+    fixed = (NamedPattern(tag).template for tag in _FIXED_FAMILIES.values())
+    templates += [t for t in fixed if t.n <= max_n and t.is_connected()]
+    return {write_graph6(canonical_form(t)) for t in templates}
 
 
 def _check_ks_cases(g: Graph, facts: _Facts):

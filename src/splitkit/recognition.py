@@ -23,12 +23,10 @@ from .invariants import (
     _find_c5,
     _greedy_bound,
     chromatic_number,
-    clique_number,
     contains_2k2,
     contains_c4,
     contains_c5,
     find_induced,
-    independence_number,
     max_clique,
 )
 
@@ -71,13 +69,7 @@ class KSPartition(NamedTuple):
     s: tuple[int, ...]
 
     def is_valid_for(self, g: Graph) -> bool:
-        ks = set(self.k)
-        ss = set(self.s)
-        if len(ks) != len(self.k) or len(ss) != len(self.s):
-            return False
-        if ks & ss or ks | ss != set(range(g.n)):
-            return False
-        return _is_clique(g, _mask(self.k)) and _is_independent(g, _mask(self.s))
+        return PseudoSplitDecomposition(self.k, self.s, ()).is_valid_for(g)
 
 
 class PseudoSplitDecomposition(NamedTuple):
@@ -258,9 +250,10 @@ def ks_partition(g: Graph) -> KSPartition:
     (K, S) and a maximum clique Q; |Q & S| <= 1, and if Q & S = {s} then
     Q - s lies inside K, so either |K| = omega already or K + s works.
     """
-    if not is_split(g):
+    ks = _Facts(g).ks
+    if ks is None:
         raise NotSplit("graph admits no clique/independent-set partition")
-    return _ks(g, clique_number(g))
+    return ks
 
 
 def _ks(g: Graph, omega: int) -> KSPartition:
@@ -301,7 +294,8 @@ def classify_ks_case(g: Graph, p: KSPartition) -> str:
     """
     if not p.is_valid_for(g):
         raise InvalidPartition(f"K={p.k} S={p.s} is not a valid partition")
-    return _ks_case((len(p.k), len(p.s)), clique_number(g), independence_number(g))
+    facts = _Facts(g)
+    return _ks_case((len(p.k), len(p.s)), facts.omega, facts.alpha)
 
 
 def _ks_case(sizes: tuple[int, int], w: int, a: int) -> str:
@@ -363,12 +357,15 @@ def _k2l_parameter(g: Graph) -> int | None:
     return None
 
 
+# the six exceptional families of fixed order, by pattern tag; harness reads it too
+_FIXED_FAMILIES = {"H2": "W4", "H3": "OCTAHEDRON", "H4": "TWO_K2",
+                   "H5": "P5", "H6": "HAMMER", "H7": "BUTTERFLY"}
+
+
 @lru_cache(maxsize=None)
 def _fixed_family_codes() -> dict[tuple[int, int], str]:
     # (order, canonical code) -> family, for the six families of fixed order
-    tags = {"H2": "W4", "H3": "OCTAHEDRON", "H4": "TWO_K2",
-            "H5": "P5", "H6": "HAMMER", "H7": "BUTTERFLY"}
-    templates = {family: NamedPattern(tag).template for family, tag in tags.items()}
+    templates = {family: NamedPattern(tag).template for family, tag in _FIXED_FAMILIES.items()}
     return {(t.n, canonical_code(t)): family for family, t in templates.items()}
 
 
@@ -512,7 +509,7 @@ def pseudo_split_decompose(g: Graph) -> PseudoSplitDecomposition:
     """
     if not is_pseudo_split(g):
         raise NotPseudoSplit("graph has an induced 2K2 or C4")
-    return _psd(g, _ks(g, clique_number(g)) if is_split(g) else None)
+    return _Facts(g).psd
 
 
 def _psd(g: Graph, ks: KSPartition | None) -> PseudoSplitDecomposition:
@@ -581,13 +578,16 @@ class _Facts:
     """The facts of one graph g that the paper's characterisations are
     stated in, each computed on its first read and at most once.
 
-    This is the one definition of balanced, pseudo-split, NG by the
-    characterisation, the star exclusion and the four witnesses.
-    ``classify``, the census tally, every verify theorem (its hypothesis,
-    its check and THM_CONTRACTION's exceptional region), and
-    ``is_balanced_split``, ``is_ng_by_characterisation`` and the
-    ``find_*_witness`` functions read a record. The oracles the checks
-    compare against never read it.
+    This is the one definition of balanced, the KS-partition, pseudo-split
+    and its decomposition, NG by the characterisation, the star exclusion
+    and the four witnesses. ``classify``, the census tally, every verify
+    theorem (hypothesis, check, exceptional region), ``ks_partition``,
+    ``classify_ks_case``, ``pseudo_split_decompose``, ``is_balanced_split``,
+    ``is_ng_by_characterisation`` and ``find_*_witness`` read a record, and
+    no other module reads its underscore fields. The oracles the checks
+    compare against never read it, nor does the decomposer's refusal
+    ``is_pseudo_split``: THM_PSEUDO hands it about 12,800 graphs per order-8
+    sweep, and a record built only to refuse one costs more than its scans.
 
     The split fact reads the record's one degree test, (m, split, d_m)
     from ``_degree_test``, which also gives a split graph's clique number

@@ -147,6 +147,29 @@ def balanced_partition_exists(g, omega: int, alpha: int) -> bool:
     return False
 
 
+def decomposition_is_valid(g, a, b, c) -> bool:
+    """Whether the tuples a, b, c list every vertex exactly once between
+    them, a is a clique, b independent, c empty or an induced C5 (some
+    order of it whose cyclic neighbours alone are adjacent), every a-c pair
+    adjacent and no b-c pair."""
+    if sorted(a + b + c) != list(range(g.n)):
+        return False
+    if not all(g.has_edge(u, v) for u, v in itertools.combinations(a, 2)):
+        return False
+    if any(g.has_edge(u, v) for u, v in itertools.combinations(b, 2)):
+        return False
+    if c:
+        pairs = list(itertools.combinations(range(5), 2))
+        if len(c) != 5 or not any(
+            all(g.has_edge(p[i], p[j]) == (j - i in (1, 4)) for i, j in pairs)
+            for p in itertools.permutations(c)
+        ):
+            return False
+    return all(g.has_edge(x, y) for x in a for y in c) and not any(
+        g.has_edge(x, y) for x in b for y in c
+    )
+
+
 def is_connected_search(g) -> bool:
     seen = {0}
     stack = [0]

@@ -492,10 +492,11 @@ def test_lemma1_recheck_catches_a_wrong_witness(monkeypatch):
 
 
 def test_lemma_rechecks_search_each_contraction_once(monkeypatch):
-    # LEMMA2 reads LEMMA1's C4 re-check where the c4 and 2k2 labels keep
-    # the same contraction, and a positive answer settles it before any
-    # search of its own: 1,158 searches, 241 of them finding nothing, when
-    # LEMMA2 searches for a 2K2 first; without the memo order 7 makes 1,381
+    # LEMMA2 re-checks the pattern the scans found in the witness
+    # contraction, a C4 where the C4 scan says yes and a 2K2 where it says
+    # no, so every search finds what it looks for; where the c4 and 2k2
+    # labels share their edge it reads LEMMA1's C4 answer from the
+    # contraction's record, so no search repeats
     current = []
     searches = []
     misses = []
@@ -515,8 +516,8 @@ def test_lemma_rechecks_search_each_contraction_once(monkeypatch):
     monkeypatch.setattr(harness, "_Facts", record)
     monkeypatch.setattr(recognition, "find_induced", find)
     assert all(r.verdict == "PASS" for r in verify_all(7))
-    assert len(searches) == len(set(searches)) == 860
-    assert sum(misses) == 18
+    assert len(searches) == len(set(searches)) == 842
+    assert sum(misses) == 0
 
 
 def test_each_edge_is_contracted_once_per_graph(monkeypatch):

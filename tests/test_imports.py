@@ -90,3 +90,30 @@ def test_orphaned_private_names_finds_an_unread_helper():
     a = ast.parse("def _used():\n    pass\n\ndef _orphan():\n    pass\n_LIMIT: int = 3\n")
     b = ast.parse("from a import _used\nx = _used()\n_y = x\nprint(_y)\n")
     assert orphaned_private_names({"a": a, "b": b}) == {"a": ["_LIMIT (line 6)", "_orphan (line 4)"]}
+
+
+def record_private_fields(tree: ast.Module) -> set[str]:
+    """The underscore attributes the class ``_Facts`` assigns in its body."""
+    facts = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Facts")
+    return {
+        t.id
+        for node in facts.body
+        if isinstance(node, ast.Assign)
+        for t in node.targets
+        if isinstance(t, ast.Name) and t.id.startswith("_") and not t.id.startswith("__")
+    }
+
+
+def test_only_recognition_reads_the_records_private_fields():
+    # the record's memos are laid out by recognition alone; every other
+    # module reads the record through its public facts and methods
+    fields = record_private_fields(ast.parse((SOURCE / "recognition.py").read_text()))
+    assert fields == {"_contractions", "_rechecks", "_found"}
+    readers = {
+        f"{p.name}:{node.lineno} {node.attr}"
+        for p in sorted(SOURCE.glob("*.py"))
+        if p.name != "recognition.py"
+        for node in ast.walk(ast.parse(p.read_text(), str(p)))
+        if isinstance(node, ast.Attribute) and node.attr in fields
+    }
+    assert readers == set()

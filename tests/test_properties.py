@@ -136,15 +136,20 @@ def test_witness_walk_past_the_exhaustive_range(g):
 @settings(derandomize=True, deadline=None, max_examples=200, database=None)
 @given(st.randoms(use_true_random=False), st.integers(9, CORPUS_MAX_ORDER))
 def test_witness_checks_pass_past_the_exhaustive_range(rng, n):
-    # the checks that read the witness walk, and THM_KS_CASES, which reads
-    # every partition the partition search yields on the split draws (about
-    # a third), on connected graphs of the corpus orders; on a disconnected
-    # one such as C4 + K1, LEMMA1 and THM_CONTRACTION report violations by
-    # design
+    # on connected graphs of the corpus orders: the checks that read the
+    # witness walk; THM_KS_CASES, which reads every partition the partition
+    # search yields on the split draws (about a third), and
+    # THM_SPLIT_FORBIDDEN, which asks it for one; THM_PSEUDO, which validates
+    # the record's decomposition; and THM_NG, which tests the record's NG
+    # fact against the colouring definition. On a disconnected graph such as
+    # C4 + K1, LEMMA1 and THM_CONTRACTION report violations by design
     g = random_graph(rng, n)
     if not g.is_connected():
         g = complement(g)  # the complement of a disconnected graph is connected
-    for theorem in ("LEMMA1", "LEMMA2", "THM_CONTRACTION", "THM_UNBALANCED", "THM_KS_CASES"):
+    for theorem in (
+        "LEMMA1", "LEMMA2", "THM_CONTRACTION", "THM_UNBALANCED", "THM_KS_CASES",
+        "THM_SPLIT_FORBIDDEN", "THM_PSEUDO", "THM_NG",
+    ):
         assert check_one(theorem, g) == (), (theorem, g)
 
 

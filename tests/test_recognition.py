@@ -65,6 +65,7 @@ from graphgen import labelled_graphs, random_graph, relabel
 from oracles import (
     balanced_partition_exists,
     clique_number_subsets,
+    decomposition_is_valid,
     first_ks_partition,
     independence_number_subsets,
     ks_partition_exists,
@@ -132,6 +133,30 @@ def test_ks_partition_validity_checks():
     assert not KSPartition((0, 0, 1), (2, 3)).is_valid_for(path_graph(4))  # duplicate
     assert not KSPartition((0, 3), (1, 2)).is_valid_for(path_graph(4))  # k not clique
     assert not KSPartition((0, 1), (2, 3)).is_valid_for(path_graph(4))  # s not independent
+
+
+def test_partition_validators_match_the_oracle():
+    # every assignment of each vertex to a, b or c, for every class to order
+    # 5 and, at order 6, those with c empty or of size 5; KSPartition is
+    # checked where c is empty. To order 4 a vertex is also listed twice in
+    # one part, in two parts, or left out
+    checked = 0
+    classes = [(g, None) for g in all_graphs_upto(5)] + [(g, (0, 5)) for g in enumerate_all(6)]
+    for g, c_sizes in classes:
+        for parts in itertools.product(range(3), repeat=g.n):
+            if c_sizes is not None and parts.count(2) not in c_sizes:
+                continue
+            a, b, c = (tuple(v for v in range(g.n) if parts[v] == i) for i in range(3))
+            cases = [(a, b, c)]
+            if g.n <= 4 and a:
+                cases += [(a + a[:1], b, c), (a, b + a[:1], c), (a[1:], b, c)]
+            for a, b, c in cases:
+                expected = decomposition_is_valid(g, a, b, c)
+                assert PseudoSplitDecomposition(a, b, c).is_valid_for(g) == expected, (g, a, b, c)
+                if not c:
+                    assert KSPartition(a, b).is_valid_for(g) == expected, (g, a, b)
+            checked += 1
+    assert checked == 21138
 
 
 def test_classify_ks_case():

@@ -59,7 +59,6 @@ from .recognition import (
     _FIXED_FAMILIES,
     _Facts,
     _ks_case,
-    is_split_forbidden,
     is_ng_by_definition,
     pseudo_split_decompose,
 )
@@ -307,8 +306,8 @@ def _ks_partitions(g: Graph):
 
 
 def _check_split_triple(g: Graph, facts: _Facts):
-    # the forbidden-pattern test scans g itself and reads no record fact
-    a = is_split_forbidden(g)
+    # the record's pattern scans and degree test, and the partition walk
+    a = facts.forbidden
     b = facts.split
     c = next(_ks_partitions(g), None) is not None
     return () if a == b == c else (f"forbidden={a} degrees={b} partition={c}",)
@@ -377,12 +376,12 @@ def _check_unbalanced(g: Graph, facts: _Facts):
 
 def _check_pseudo(g: Graph, facts: _Facts):
     # The refusal branch checks the decomposer's API: it must refuse every
-    # graph the record finds not pseudo-split. It refuses through the same
-    # contains_2k2 and contains_c4 scans that computed the record's pseudo
-    # fact, so it cannot catch a fault in them; THM_NG (against the
-    # colouring definition) and THM_SPLIT_FORBIDDEN (against the degree test
-    # and the partition search) cross-check those scans. A (2K2, C4)-free
-    # graph is decomposed from the record's facts.
+    # graph the record finds not pseudo-split. It refuses on the pseudo fact
+    # of a record of its own, computed by the same scans, so it cannot catch
+    # a fault in them; THM_NG (against the colouring definition) and
+    # THM_SPLIT_FORBIDDEN (against the degree test and the partition walk)
+    # cross-check those scans. A (2K2, C4)-free graph is decomposed from the
+    # record's facts.
     if not facts.pseudo:
         try:
             pseudo_split_decompose(g)

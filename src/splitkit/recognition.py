@@ -83,10 +83,7 @@ class PseudoSplitDecomposition(NamedTuple):
     c: tuple[int, ...]
 
     def is_valid_for(self, g: Graph) -> bool:
-        sa, sb, sc = set(self.a), set(self.b), set(self.c)
-        if len(sa) + len(sb) + len(sc) != len(self.a) + len(self.b) + len(self.c):
-            return False
-        if sa & sb or sa & sc or sb & sc or sa | sb | sc != set(range(g.n)):
+        if sorted((*self.a, *self.b, *self.c)) != list(range(g.n)):
             return False
         amask, bmask, cmask = _mask(self.a), _mask(self.b), _mask(self.c)
         if not _is_clique(g, amask) or not _is_independent(g, bmask):
@@ -207,12 +204,12 @@ def _json_list(items, pad: str) -> str:
 
 def is_split_forbidden(g: Graph) -> bool:
     """Split test by forbidden patterns: no induced 2K2, C4, or C5."""
-    return not contains_2k2(g) and not contains_c4(g) and not contains_c5(g)
+    return _Facts(g).forbidden
 
 
 def is_split(g: Graph) -> bool:
     """Default split test (the degree-sequence criterion, ``_degree_test``)."""
-    return _degree_test(g)[1]
+    return _Facts(g).split
 
 
 def _degree_test(g: Graph) -> tuple[int, bool, int]:
@@ -494,7 +491,7 @@ def find_unbalanced_witness(g: Graph) -> Edge | None:
 
 def is_pseudo_split(g: Graph) -> bool:
     """(2K2, C4)-free."""
-    return not contains_2k2(g) and not contains_c4(g)
+    return _Facts(g).pseudo
 
 
 def pseudo_split_decompose(g: Graph) -> PseudoSplitDecomposition:
@@ -507,9 +504,10 @@ def pseudo_split_decompose(g: Graph) -> PseudoSplitDecomposition:
     a-vertex is adjacent to every other vertex of a and c, so any induced C5
     is exactly c.
     """
-    if not is_pseudo_split(g):
+    facts = _Facts(g)
+    if not facts.pseudo:
         raise NotPseudoSplit("graph has an induced 2K2 or C4")
-    return _Facts(g).psd
+    return facts.psd
 
 
 def _psd(g: Graph, ks: KSPartition | None) -> PseudoSplitDecomposition:
@@ -578,16 +576,17 @@ class _Facts:
     """The facts of one graph g that the paper's characterisations are
     stated in, each computed on its first read and at most once.
 
-    This is the one definition of balanced, the KS-partition, pseudo-split
-    and its decomposition, NG by the characterisation, the star exclusion
-    and the four witnesses. ``classify``, the census tally, every verify
-    theorem (hypothesis, check, exceptional region), ``ks_partition``,
-    ``classify_ks_case``, ``pseudo_split_decompose``, ``is_balanced_split``,
-    ``is_ng_by_characterisation`` and ``find_*_witness`` read a record, and
-    no other module reads its underscore fields. The oracles the checks
-    compare against never read it, nor does the decomposer's refusal
-    ``is_pseudo_split``: THM_PSEUDO hands it about 12,800 graphs per order-8
-    sweep, and a record built only to refuse one costs more than its scans.
+    This is the one definition of split (by degrees and by forbidden
+    patterns), balanced, the KS-partition, pseudo-split and its
+    decomposition, NG by the characterisation, the star exclusion and the
+    four witnesses. ``classify``, the census tally, every verify theorem
+    (hypothesis, check, exceptional region) and the public recognizers
+    ``is_split``, ``is_split_forbidden``, ``is_pseudo_split``,
+    ``pseudo_split_decompose``, ``ks_partition``, ``classify_ks_case``,
+    ``is_balanced_split``, ``is_ng_by_characterisation`` and
+    ``find_*_witness`` read a record; no other module reads its underscore
+    fields. The oracles never read it: the partition walk, the
+    ``find_induced`` re-checks and the colouring definition.
 
     The split fact reads the record's one degree test, (m, split, d_m)
     from ``_degree_test``, which also gives a split graph's clique number
@@ -620,6 +619,8 @@ class _Facts:
     has_2k2 = _fact(lambda f: contains_2k2(f.g))
     has_c4 = _fact(lambda f: contains_c4(f.g))
     pseudo = _fact(lambda f: not f.has_2k2 and not f.has_c4)
+    # split by forbidden patterns: a pseudo-split graph with no induced C5
+    forbidden = _fact(lambda f: f.pseudo and not contains_c5(f.g))
     psd = _fact(lambda f: _psd(f.g, f.ks) if f.pseudo else None)
     # the NG characterisation: pseudo-split but not balanced split
     ng = _fact(lambda f: f.pseudo and not f.balanced)

@@ -192,6 +192,13 @@ def test_flipped_split_is_reported(corrupt):
     assert check_one("THM_2K2_CLAW", net) == ("(2K2, claw)-free with alpha >= 3 but not split",)
 
 
+def test_flipped_pattern_scan_is_reported(corrupt):
+    # THM_SPLIT_FORBIDDEN reads the record's scans, so a wrong C4 answer
+    # makes its forbidden-pattern test disagree with the other two
+    corrupt(P4, has_c4=True)
+    assert check_one("THM_SPLIT_FORBIDDEN", P4) == ("forbidden=False degrees=True partition=True",)
+
+
 def test_wrong_exceptional_tag_is_reported(corrupt):
     k22 = cycle_graph(4)
     corrupt(k22, tag=None)
@@ -541,8 +548,9 @@ def test_each_edge_is_contracted_once_per_graph(monkeypatch):
 
 def test_witness_labels_share_their_scans(monkeypatch):
     # the contractions and the C4 and 2K2 scans of a verify_all walk,
-    # through the record: every label reads g/e's own record, so a label
-    # that built or scanned again what another label had would raise a count
+    # through the record: every label reads g/e's own record, and
+    # THM_SPLIT_FORBIDDEN reads g's, so a label or check that built or
+    # scanned again what another had would raise a count
     calls = dict.fromkeys(("contains_c4", "contains_2k2", "_contract"), 0)
     for name in calls:
         real = getattr(recognition, name)
@@ -553,7 +561,7 @@ def test_witness_labels_share_their_scans(monkeypatch):
 
         monkeypatch.setattr(recognition, name, counted)
     assert all(r.verdict == "PASS" for r in verify_all(7))
-    assert calls == {"contains_c4": 3744, "contains_2k2": 4183, "_contract": 4159}
+    assert calls == {"contains_c4": 3158, "contains_2k2": 2931, "_contract": 4159}
 
 
 def test_prop1_catches_a_relabelled_contraction(monkeypatch):

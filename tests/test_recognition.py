@@ -367,6 +367,22 @@ def test_pseudo_split_decompose_split_case():
     assert (d.a, d.b) == tuple(ks_partition(PAW))
 
 
+def test_pseudo_split_decompose_scans_once(monkeypatch):
+    # the refusal and the decomposition read one record of the graph
+    calls = dict.fromkeys(("contains_2k2", "contains_c4"), 0)
+    for name in calls:
+        real = getattr(recognition, name)
+
+        def counted(g, name=name, real=real):
+            calls[name] += 1
+            return real(g)
+
+        monkeypatch.setattr(recognition, name, counted)
+    pseudo_split_decompose(path_graph(4))
+    pseudo_split_decompose(cycle_graph(5))
+    assert calls == {"contains_2k2": 2, "contains_c4": 2}
+
+
 def test_pseudo_split_decompose_rejects_others():
     with pytest.raises(NotPseudoSplit):
         pseudo_split_decompose(NamedPattern("TWO_K2").template)

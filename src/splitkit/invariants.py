@@ -19,27 +19,28 @@ def clique_number(g: Graph) -> int:
 
 
 def max_clique(g: Graph) -> tuple[int, ...]:
-    """One maximum clique, the first found in lowest-vertex-first order."""
-    rows = g.rows
-    best: list[int] = []
-    cur: list[int] = []
+    """The lexicographically smallest maximum clique.
 
-    def expand(cand: int) -> None:
-        nonlocal best
-        if len(cur) > len(best):
-            best = cur.copy()
+    Branch and bound on candidate bitmasks, lowest vertex first: cliques are
+    met in lexicographic order, and only a strictly larger one replaces the
+    best, so the first of the largest size is kept.
+    """
+    rows = g.rows
+    best = best_size = 0
+
+    def expand(cur: int, size: int, cand: int) -> None:
+        nonlocal best, best_size
+        if size > best_size:
+            best, best_size = cur, size
         while cand:
-            if len(cur) + cand.bit_count() <= len(best):
+            if size + cand.bit_count() <= best_size:
                 return
             b = cand & -cand
             cand ^= b
-            v = b.bit_length() - 1
-            cur.append(v)
-            expand(cand & rows[v])
-            cur.pop()
+            expand(cur | b, size + 1, cand & rows[b.bit_length() - 1])
 
-    expand(g.full_mask)
-    return tuple(best)
+    expand(0, 0, g.full_mask)
+    return tuple(v for v in range(g.n) if best >> v & 1)
 
 
 def independence_number(g: Graph) -> int:

@@ -420,6 +420,16 @@ _PASSES: dict[str, Callable[[_Facts, _Facts], bool]] = {
 }
 
 
+# the vertices a label's walk draws its edges from; an edge with an end
+# outside them cannot pass the label's test (see _search)
+_WITHIN: dict[str, Callable[[_Facts], int]] = {
+    "c4": lambda f: f.g.full_mask,
+    "2k2": lambda f: f.g.full_mask,
+    "nonsplit": lambda f: f.g.full_mask,
+    "unbalanced": lambda f: _mask(f.clique),
+}
+
+
 def _search(facts: _Facts, label: str) -> Edge | None:
     """The first edge e of facts.g, in lexicographic order, whose
     contraction g/e passes the label's test (``_PASSES``), or None.
@@ -427,11 +437,24 @@ def _search(facts: _Facts, label: str) -> Edge | None:
     Every test reads g/e's own record (``_Facts.contracted``), so the
     labels share each contraction and each fact of it, and a label's
     witness does not depend on which labels were read before it.
+
+    The walk tries only the edges with both ends in the label's vertex
+    mask (``_WITHIN``); every other edge fails the test. For "unbalanced"
+    that mask is the record's maximum clique Q, by this lemma: if Q misses
+    v, then omega(g/uv) >= omega(g). If Q misses u too, Q survives in
+    g/uv; otherwise the merged vertex keeps u's edges to Q - u, so it and
+    Q - u form a clique of size omega(g). The test asks for
+    omega(g/uv) = omega(g) - 1, so only edges inside Q can pass it.
     """
     passes = _PASSES[label]
     contracted = facts.contracted
-    for u, row in enumerate(facts.g.rows):
-        above = row >> (u + 1) << (u + 1)
+    rows = facts.g.rows
+    us = _WITHIN[label](facts)
+    while us:
+        ub = us & -us
+        us ^= ub
+        u = ub.bit_length() - 1
+        above = rows[u] & us
         while above:
             b = above & -above
             above ^= b

@@ -34,9 +34,10 @@ def relabel(g, perm):
     return build(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
-def random_graph(rng, n):
-    """A random graph of order n >= 6 drawn from ``rng`` (a ``random.Random``)."""
-    kind = rng.choice(("gnp", "split", "pseudo_c5"))
+def random_graph(rng, n, kind=None):
+    """A random graph of order n >= 6 drawn from ``rng`` (a ``random.Random``),
+    of the given kind, or of one drawn from ``rng`` when kind is None."""
+    kind = kind or rng.choice(("gnp", "split", "pseudo_c5"))
     edges = []
     if kind == "gnp":
         p = rng.choice((0.2, 0.5, 0.8))

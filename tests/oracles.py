@@ -73,6 +73,20 @@ def clique_number_subsets(g) -> int:
     return 1
 
 
+def maximum_cliques_subsets(g) -> list:
+    """Every maximum clique of g, as a vertex tuple, in combinations order;
+    the first is the lexicographically smallest."""
+    for r in range(g.n, 0, -1):
+        found = [
+            s
+            for s in itertools.combinations(range(g.n), r)
+            if all(g.has_edge(u, v) for u, v in itertools.combinations(s, 2))
+        ]
+        if found:
+            return found
+    return [()]
+
+
 def independence_number_subsets(g) -> int:
     for r in range(g.n, 1, -1):
         for s in itertools.combinations(range(g.n), r):

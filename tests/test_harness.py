@@ -25,6 +25,7 @@ from splitkit import (
     contains_c4,
     contract,
     cycle_graph,
+    find_unbalanced_witness,
     induced,
     parse_graph6_lines,
     path_graph,
@@ -181,6 +182,16 @@ def test_flipped_balanced_is_reported(corrupt):
     assert check_one("THM_KS_CASES", P4) == (
         "omega+alpha=n criterion disagrees with case-I existence",
     )
+
+
+def test_wrong_maximum_clique_is_reported(corrupt):
+    # the unbalanced walk tries only the edges inside the record's maximum
+    # clique; the cricket's witness is (0,1), and a planted clique of the
+    # right size that spans no edge leaves the walk nothing to try
+    cricket = build(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4)])
+    assert find_unbalanced_witness(cricket) == Edge(0, 1)
+    corrupt(cricket, clique=(1, 3, 4))
+    assert check_one("THM_UNBALANCED", cricket) == ("unbalanced=True but witness=None",)
 
 
 def test_flipped_split_is_reported(corrupt):
@@ -455,12 +466,28 @@ def test_single_theorem_reports_match_verify_all():
     assert alone == together
 
 
-def test_witness_rows_alone_match_verify_all_at_order_eight():
+@pytest.fixture(scope="module")
+def sweep8():
+    """The reports of verify_all(8), swept once for the tests that read them."""
+    return verify_all(8)
+
+
+def test_verify_all_at_order_eight_pins_every_row(sweep8):
+    # the headline sweep's acceptance counts, row by row, as the
+    # benchmark's output checks pin them
+    assert [r.theorem for r in sweep8] == list(THEOREM_IDS)
+    assert all(r.verdict == "PASS" for r in sweep8)
+    assert tuple(r.graphs_checked for r in sweep8) == (
+        208, 208, 143, 5, 5, 12113, 12113, 12369, 12113, 12113, 1252, 12113, 13598, 1252,
+    )
+
+
+def test_witness_rows_alone_match_verify_all_at_order_eight(sweep8):
     # on its own, each row that reads a witness searches it with no earlier
     # label's contraction records: LEMMA2 has no C4 scan of the c4 search
     # and no C4 answer of LEMMA1's to read, and the nonsplit and unbalanced
     # searches build their own contractions; order 8 has the most of them
-    together = without_ms(verify_all(8))
+    together = without_ms(sweep8)
     for t in ("LEMMA1", "LEMMA2", "THM_CONTRACTION", "THM_UNBALANCED"):
         assert without_ms([verify(t, 8)]) == [together[THEOREM_IDS.index(t)]], t
 

@@ -27,6 +27,7 @@ from splitkit import (
 )
 from splitkit.invariants import _contains_claw, _find_c5
 
+from graphgen import labelled_graphs
 from oracles import (
     chromatic_number_assignments,
     clique_number_subsets,
@@ -34,6 +35,7 @@ from oracles import (
     has_induced_copy,
     independence_number_subsets,
     iso_by_permutations,
+    maximum_cliques_subsets,
 )
 
 
@@ -67,6 +69,12 @@ def test_max_clique_is_a_maximum_clique():
 
 def test_max_clique_prefers_low_vertices():
     assert max_clique(cycle_graph(5)) == (0, 1)
+
+
+def test_max_clique_is_the_lexicographically_smallest():
+    # every class to order 7, and every labelling of order 5
+    for g in (*all_graphs_upto(7), *labelled_graphs(5)):
+        assert max_clique(g) == maximum_cliques_subsets(g)[0], g
 
 
 def test_chromatic_number_matches_assignment_scan():

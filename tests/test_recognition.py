@@ -69,6 +69,7 @@ from oracles import (
     first_ks_partition,
     independence_number_subsets,
     ks_partition_exists,
+    maximum_cliques_subsets,
 )
 
 PAW = build(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
@@ -548,6 +549,36 @@ def test_witness_walk_matches_the_label_by_label_walk():
         check_witness_walk(g)
     for g in enumerate_all(8):
         check_witness_walk(g, reorder=False)
+
+
+def test_contracting_an_edge_off_a_maximum_clique_keeps_omega():
+    # the lemma that lets the unbalanced walk try only the edges inside the
+    # record's maximum clique, by subset oracles that read no record: where
+    # some maximum clique misses u or v, omega(g/uv) >= omega(g). The lemma
+    # holds on every graph; is_split only picks the orders 7-8 graphs
+    graphs = [*all_graphs_upto(6), *(g for n in (7, 8) for g in enumerate_all(n) if is_split(g))]
+    tried = 0
+    for g in graphs:
+        cliques = maximum_cliques_subsets(g)
+        for u, v in g.edges():
+            if any(u not in q or v not in q for q in cliques):
+                assert clique_number_subsets(contract(g, (u, v))) >= len(cliques[0]), (g, u, v)
+                tried += 1
+    assert tried == 6895
+
+
+def test_unbalanced_witness_matches_the_unpruned_walk_past_order_eight():
+    # the walk over the record's maximum clique against the walk over every
+    # edge, on seeded split graphs past the exhaustive range
+    # (no star is drawn, which find_unbalanced_witness would refuse)
+    rng = random.Random(9)
+    found = 0
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(9, 12), "split")
+        expected = walk_label_by_label(g, ["unbalanced"], clique_number(g)).get("unbalanced")
+        assert find_unbalanced_witness(g) == expected, write_graph6(g)
+        found += expected is not None
+    assert found == 115
 
 
 # ---------------------------------------------------------------------------

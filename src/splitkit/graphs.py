@@ -787,11 +787,17 @@ def _child_codes(n: int, parent_codes) -> set[int]:
     return seen
 
 
+def _require_order(n: int, top: int = ENUM_MAX_ORDER) -> None:
+    """Refuse an order outside 1..top: by default, one the enumeration does
+    not reach. Every caller that enumerates asks here before it starts."""
+    if not 1 <= n <= top:
+        raise OrderOutOfRange(f"order {n} not in 1..{top}")
+
+
 def enumerate_connected(n: int) -> Iterator[Graph]:
     """One canonically labelled representative per connected graph of order n,
     decoded from ``_connected_codes(n)`` as it is read."""
-    if not 1 <= n <= ENUM_MAX_ORDER:
-        raise OrderOutOfRange(f"order {n} not in 1..{ENUM_MAX_ORDER}")
+    _require_order(n)
     for code in _connected_codes(n):
         yield _graph_from_code(n, code)
 

@@ -5,6 +5,10 @@ Each theorem is one row of ``CHECKERS``, a ``_Checker`` that states:
 - its substrate: the connected graphs of orders 1..max_n and the
   disconnected ones up to an order of their own, or, for PROP4 and PROP5,
   the cycles or cliques of orders 4..max_n;
+- its reach: how far ``verify_all`` sweeps it, and nothing else. An order
+  is refused only where the code cannot answer: by ``_segments``, below 1
+  or past the enumeration (past ``build``'s order 64 for PROP4 and PROP5),
+  and for a graph given from outside, past the exact colouring's order 12;
 - its hypothesis, a predicate on the graph's fact record
   (``recognition._Facts``). The check runs only where it holds; a graph of
   the substrate outside it is counted and passes;
@@ -32,38 +36,24 @@ import time
 from functools import partial
 from typing import Callable, Iterable, NamedTuple
 
-from .errors import (
-    InvalidJobs,
-    NotPseudoSplit,
-    NotSplit,
-    OrderOutOfRange,
-    UnclassifiablePartition,
-    UnknownTheorem,
-)
+from .errors import InvalidJobs, NotSplit, UnclassifiablePartition, UnknownTheorem
 from .graphs import (
     ENUM_MAX_ORDER,
+    MAX_ORDER,
     Graph,
     NamedPattern,
     _code,
     _connected_codes,
     _disconnected,
     _graph_from_code,
+    _require_order,
     canonical_form,
     complete_graph,
     cycle_graph,
     write_graph6,
 )
-from .invariants import _contains_claw
-from .recognition import (
-    _APPLIES,
-    _FIXED_FAMILIES,
-    _Facts,
-    _ks_case,
-    is_ng_by_definition,
-    pseudo_split_decompose,
-)
-
-CORPUS_MAX_ORDER = 10
+from .invariants import COLORING_MAX_ORDER, _contains_claw
+from .recognition import _APPLIES, _FIXED_FAMILIES, _Facts, _ks_case, is_ng_by_definition
 
 
 class TheoremReport(NamedTuple):
@@ -375,19 +365,10 @@ def _check_unbalanced(g: Graph, facts: _Facts):
 
 
 def _check_pseudo(g: Graph, facts: _Facts):
-    # The refusal branch checks the decomposer's API: it must refuse every
-    # graph the record finds not pseudo-split. It refuses on the pseudo fact
-    # of a record of its own, computed by the same scans, so it cannot catch
-    # a fault in them; THM_NG (against the colouring definition) and
-    # THM_SPLIT_FORBIDDEN (against the degree test and the partition walk)
-    # cross-check those scans. A (2K2, C4)-free graph is decomposed from the
-    # record's facts.
-    if not facts.pseudo:
-        try:
-            pseudo_split_decompose(g)
-        except NotPseudoSplit:
-            return ()
-        return ("decomposition accepted a graph with induced 2K2 or C4",)
+    # the record's decomposition of a (2K2, C4)-free graph; the scans behind
+    # the hypothesis are cross-checked by THM_NG (against the colouring
+    # definition) and THM_SPLIT_FORBIDDEN (against the degree test and the
+    # partition walk)
     try:
         d = facts.psd
     except NotSplit:
@@ -404,11 +385,13 @@ def _check_ng(g: Graph, facts: _Facts):
 
 
 class _Checker(NamedTuple):
-    cap: int
     check: Callable[[Graph, _Facts], tuple[str, ...]]
+    # how far ``verify_all`` sweeps the row; ``verify`` sweeps it to the
+    # order it is given
+    reach: int = ENUM_MAX_ORDER
     # the substrate: the connected graphs of orders 1..max_n and the
-    # disconnected ones of orders up to `disconnected`; or, when `family`
-    # is set, family(n) for n = 4..max_n alone
+    # disconnected ones of orders up to `disconnected`, whatever max_n; or,
+    # when `family` is set, family(n) for n = 4..max_n alone
     disconnected: int = 0
     family: Callable[[int], Graph] | None = None
     # the hypothesis, a predicate on the record: the check runs only where
@@ -420,35 +403,37 @@ class _Checker(NamedTuple):
 
 
 CHECKERS: dict[str, _Checker] = {
-    "PROP1": _Checker(6, _check_prop1, disconnected=6),
-    "PROP2": _Checker(6, _check_prop2, disconnected=6),
-    "PROP3": _Checker(6, _check_prop3),
+    "PROP1": _Checker(_check_prop1, reach=6, disconnected=6),
+    "PROP2": _Checker(_check_prop2, reach=6, disconnected=6),
+    "PROP3": _Checker(_check_prop3, reach=6),
     "PROP4": _Checker(
-        10, partial(_check_family, cycle_graph, "C"), family=cycle_graph,
+        partial(_check_family, cycle_graph, "C"), reach=10, family=cycle_graph,
         hypothesis=partial(_in_family, cycle_graph),
     ),
     "PROP5": _Checker(
-        10, partial(_check_family, complete_graph, "K"), family=complete_graph,
+        partial(_check_family, complete_graph, "K"), reach=10, family=complete_graph,
         hypothesis=partial(_in_family, complete_graph),
     ),
     # a row whose witness label applies only under its hypothesis reads it
     # where classify does
-    "LEMMA1": _Checker(8, _check_lemma1, hypothesis=_APPLIES["c4"]),
-    "LEMMA2": _Checker(8, _check_lemma2, hypothesis=_APPLIES["2k2"]),
-    # every class through order 7, connected classes only at 8
-    "THM_SPLIT_FORBIDDEN": _Checker(8, _check_split_triple, disconnected=7),
+    "LEMMA1": _Checker(_check_lemma1, hypothesis=_APPLIES["c4"]),
+    "LEMMA2": _Checker(_check_lemma2, hypothesis=_APPLIES["2k2"]),
+    # every class through order 7, connected classes only past it
+    "THM_SPLIT_FORBIDDEN": _Checker(_check_split_triple, disconnected=7),
     "THM_2K2_CLAW": _Checker(
-        8, _check_2k2_claw,
+        _check_2k2_claw,
         hypothesis=lambda f: not f.has_2k2 and not _contains_claw(f.g) and f.alpha >= 3,
     ),
     "THM_CONTRACTION": _Checker(
-        8, _check_contraction,
+        _check_contraction,
         region=(lambda f: not f.split and f.witness("nonsplit") is None, _expected_exceptional),
     ),
-    "THM_KS_CASES": _Checker(7, _check_ks_cases, disconnected=7, hypothesis=lambda f: f.split),
-    "THM_UNBALANCED": _Checker(8, _check_unbalanced, hypothesis=_APPLIES["unbalanced"]),
-    "THM_PSEUDO": _Checker(8, _check_pseudo, disconnected=8),
-    "THM_NG": _Checker(7, _check_ng, disconnected=7),
+    "THM_KS_CASES": _Checker(
+        _check_ks_cases, reach=7, disconnected=7, hypothesis=lambda f: f.split
+    ),
+    "THM_UNBALANCED": _Checker(_check_unbalanced, hypothesis=_APPLIES["unbalanced"]),
+    "THM_PSEUDO": _Checker(_check_pseudo, disconnected=8, hypothesis=lambda f: f.pseudo),
+    "THM_NG": _Checker(_check_ng, reach=7, disconnected=7),
 }
 
 THEOREM_IDS = tuple(CHECKERS)
@@ -494,10 +479,9 @@ def check_one(theorem: str, g: Graph) -> tuple[str, ...]:
 
 
 def _require_corpus_order(g: Graph) -> None:
-    # the checks' costs grow exponentially with the order (PROP1 walks every
-    # vertex subset), so a graph given from outside is capped
-    if g.n > CORPUS_MAX_ORDER:
-        raise OrderOutOfRange(f"corpus graph of order {g.n} exceeds {CORPUS_MAX_ORDER}")
+    # a graph given from outside goes as far as THM_NG's exact colouring,
+    # which classify also needs
+    _require_order(g.n, COLORING_MAX_ORDER)
 
 
 def default_jobs() -> int:
@@ -548,29 +532,26 @@ class _Pool:
 def verify(theorem: str, max_n: int = 7, source=None, jobs: int = 1) -> TheoremReport:
     """Sweep one theorem over the built-in enumeration or a corpus.
 
-    source: None for the built-in substrate, or an iterable of Graph of
-    order up to 10. With jobs above 1, one pool of jobs workers serves both
-    the top enumeration order and the checks.
+    source: None to sweep the theorem's substrate to max_n, whatever its
+    reach, as far as the enumeration goes (PROP4 and PROP5 to order 64); or
+    an iterable of Graph of order up to 12, which ignores max_n. With jobs
+    above 1, one pool of jobs workers serves both the top enumeration order
+    and the checks.
     """
     with _Pool(jobs) as pool:
         if theorem not in CHECKERS:
             raise UnknownTheorem(f"unknown theorem id {theorem!r}")
-        cap = CHECKERS[theorem].cap
-        if source is None and not 1 <= max_n <= cap:
-            raise OrderOutOfRange(f"{theorem} supports max_n 1..{cap}, got {max_n}")
         return _verify({theorem: max_n}, source, pool)[0]
 
 
 def verify_all(max_n: int = 7, jobs: int = 1, source=None) -> list[TheoremReport]:
     """One report per theorem id, from one walk over the graphs.
 
-    source is as for ``verify``. When enumerating, per-checker caps clamp
-    max_n (shown in the report).
+    source is as for ``verify``. When enumerating, each row is swept to
+    max_n or to its reach, whichever is lower (shown in the report).
     """
     with _Pool(jobs) as pool:
-        if source is None and max_n < 1:
-            raise OrderOutOfRange(f"max_n must be at least 1, got {max_n}")
-        return _verify({t: min(max_n, CHECKERS[t].cap) for t in THEOREM_IDS}, source, pool)
+        return _verify({t: min(max_n, CHECKERS[t].reach) for t in THEOREM_IDS}, source, pool)
 
 
 def _segments(orders: dict[str, int], pool: _Pool):
@@ -581,8 +562,13 @@ def _segments(orders: dict[str, int], pool: _Pool):
     whose substrate holds it: the canonical codes of the connected classes
     of each order, then the labelled codes (``_code``) of the disconnected
     ones and of the family graphs.
+
+    Before it enumerates anything, it refuses an order below 1, an
+    enumerated one past the enumeration and a family's past ``build``.
     """
     walked = [t for t in orders if CHECKERS[t].family is None]
+    for t, n in orders.items():
+        _require_order(n, ENUM_MAX_ORDER if t in walked else MAX_ORDER)
     for n in range(1, max((orders[t] for t in walked), default=0) + 1):
         connected = tuple(t for t in walked if n <= orders[t])
         yield connected, n, _connected_codes(n, pool)
@@ -702,10 +688,7 @@ def census(max_n: int = 7, jobs: int = 1) -> list[CensusRow]:
     where they are classified and no ``Graph`` is pickled.
     """
     with _Pool(jobs) as pool:
-        if not 1 <= max_n <= ENUM_MAX_ORDER:
-            raise OrderOutOfRange(
-                f"census supports max_n 1..{ENUM_MAX_ORDER}, got {max_n}"
-            )
+        _require_order(max_n)
         rows = []
         for n in range(1, max_n + 1):
             codes = _connected_codes(n, pool)

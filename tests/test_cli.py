@@ -9,6 +9,7 @@ import pytest
 import splitkit
 from splitkit import classify, cli, harness, parse_graph6, write_graph6
 from splitkit.cli import main
+from splitkit.graphs import ENUM_MAX_ORDER
 
 from graphgen import random_graph
 
@@ -184,8 +185,18 @@ def test_verify_all_json(capsys):
 
 
 def test_verify_max_n_over_cap(capsys):
-    code, _, err = run_cli(capsys, "verify", "--theorem", "PROP1", "--max-n", "9")
+    code, _, err = run_cli(
+        capsys, "verify", "--theorem", "PROP1", "--max-n", str(ENUM_MAX_ORDER + 1)
+    )
     assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("theorem", harness.THEOREM_IDS)
+def test_verify_at_the_default_order(capsys, theorem):
+    # every row sweeps to the default --max-n, whatever its reach in verify_all
+    code, out, err = run_cli(capsys, "verify", "--theorem", theorem)
+    assert code == 0 and err == ""
+    assert out.rstrip().endswith("PASS")
 
 
 def test_verify_corpus_failure_exit_code(tmp_path, capsys):
@@ -201,7 +212,7 @@ def test_verify_corpus_failure_exit_code(tmp_path, capsys):
 
 def test_verify_corpus_order_too_large(tmp_path, capsys):
     path = tmp_path / "corpus.g6"
-    path.write_text("J??????????\n")  # edgeless graph of order 11
+    path.write_text("L" + "?" * 13 + "\n")  # edgeless graph of order 13
     code, _, err = run_cli(
         capsys, "verify", "--theorem", "THM_NG", "--file", str(path)
     )
@@ -279,7 +290,7 @@ def test_census_json(capsys):
 
 
 def test_census_max_n_over_cap(capsys):
-    code, _, err = run_cli(capsys, "census", "--max-n", "9")
+    code, _, err = run_cli(capsys, "census", "--max-n", str(ENUM_MAX_ORDER + 1))
     assert code == 2 and err.startswith("error:")
 
 

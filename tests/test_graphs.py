@@ -641,7 +641,7 @@ def test_enumeration_matches_decoded_codes(n):
 
 
 def test_enumeration_order_bounds():
-    for bad in (0, 9):
+    for bad in (0, ENUM_MAX_ORDER + 1):
         with pytest.raises(OrderOutOfRange):
             list(enumerate_connected(bad))
         with pytest.raises(OrderOutOfRange):

@@ -36,6 +36,7 @@ from splitkit import (
 from splitkit import graphs, harness, recognition
 from splitkit.graphs import ENUM_MAX_ORDER, enumerate_all
 from splitkit.harness import render_census_text
+from splitkit.invariants import COLORING_MAX_ORDER
 
 from graphgen import labelled_graphs, relabel
 from oracles import (
@@ -111,16 +112,34 @@ def test_render_text():
     assert "PROP4" in text and "PASS" in text
 
 
-def test_verify_rejects_bad_arguments():
+def test_verify_rejects_bad_arguments(monkeypatch):
     with pytest.raises(ValueError) as exc:
         verify("NO_SUCH_THEOREM")
     assert isinstance(exc.value, UnknownTheorem) and isinstance(exc.value, SplitkitError)
     with pytest.raises(OrderOutOfRange):
-        verify("PROP1", max_n=7)  # capped at 6
-    with pytest.raises(OrderOutOfRange):
         verify("THM_NG", max_n=0)
-    with pytest.raises(OrderOutOfRange):
-        verify("THM_NG", max_n=8)  # exact coloring keeps the cap at 7
+    # a row's reach bounds verify_all alone: an explicit order past it is swept
+    r = verify("PROP1", max_n=7)
+    assert (r.verdict, r.max_n, r.graphs_checked) == ("PASS", 7, 1061)
+    r = verify("THM_NG", max_n=8)
+    assert (r.verdict, r.max_n, r.graphs_checked) == ("PASS", 8, 12369)
+
+    # an order past the enumeration is refused before anything is enumerated
+    def refuse(n, pool):
+        raise AssertionError("enumerated before checking the order")
+
+    monkeypatch.setattr(harness, "_connected_codes", refuse)
+    with pytest.raises(OrderOutOfRange, match=f"1..{ENUM_MAX_ORDER}"):
+        verify("LEMMA1", ENUM_MAX_ORDER + 1)
+
+
+def test_verify_all_stays_inside_the_enumeration():
+    # verify_all clamps each walked row to its reach, so it never asks the
+    # walk for an order the enumeration cannot give
+    for t in THEOREM_IDS:
+        row = harness.CHECKERS[t]
+        if row.family is None:
+            assert 1 <= row.reach <= ENUM_MAX_ORDER, t
 
 
 def test_check_one():
@@ -131,16 +150,25 @@ def test_check_one():
 
 
 def test_check_one_refuses_orders_past_the_corpus_cap():
-    # as a corpus does: PROP1 alone would walk all 2^14 vertex subsets
+    # as a corpus does: past the order THM_NG's exact colouring accepts
     with pytest.raises(OrderOutOfRange):
         check_one("PROP1", path_graph(14))
     with pytest.raises(OrderOutOfRange):
-        check_one("THM_NG", path_graph(harness.CORPUS_MAX_ORDER + 1))
-    assert check_one("PROP4", cycle_graph(harness.CORPUS_MAX_ORDER)) == ()
+        check_one("THM_NG", path_graph(COLORING_MAX_ORDER + 1))
+    assert check_one("PROP4", cycle_graph(COLORING_MAX_ORDER)) == ()
     # the family guard: a relabelled C7 is a cycle; C3 + C4 is 2-regular but
     # not connected, so PROP4 does not apply to it
     assert check_one("PROP4", relabel(cycle_graph(7), [3, 6, 0, 5, 1, 4, 2])) == ()
     assert check_one("PROP4", build(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)])) == ()
+
+
+def test_every_theorem_checks_a_graph_of_the_top_corpus_order():
+    # a connected graph of order 12 with an induced C4 and 2K2, which is
+    # neither split nor pseudo-split
+    g = build(COLORING_MAX_ORDER, [(i, i + 1) for i in range(COLORING_MAX_ORDER - 1)] + [(0, 3)])
+    assert g.is_connected() and contains_c4(g)
+    for theorem in THEOREM_IDS:
+        assert check_one(theorem, g) == (), theorem
 
 
 def test_lemma2_tells_c6_by_degrees_and_connectivity():
@@ -275,9 +303,13 @@ def test_wrong_omega_is_reported(corrupt):
 
 
 def test_wrong_decomposition_facts_are_reported(corrupt):
+    # a wrong pseudo fact turns THM_PSEUDO's hypothesis off; the rows that
+    # test the facts read from it against definitions of their own report it
     k3 = complete_graph(3)
     corrupt(k3, pseudo=False)
-    assert check_one("THM_PSEUDO", k3) == ("decomposition accepted a graph with induced 2K2 or C4",)
+    assert check_one("THM_PSEUDO", k3) == ()
+    assert check_one("THM_NG", k3) == ("definition=True characterisation=False",)
+    assert check_one("THM_SPLIT_FORBIDDEN", k3) == ("forbidden=False degrees=True partition=True",)
     corrupt(P4, ks=KSPartition((0, 3), (1, 2)))
     assert check_one("THM_PSEUDO", P4) == ("invalid decomposition a=(0, 3) b=(1, 2) c=()",)
 
@@ -312,8 +344,8 @@ def test_prop_checks_catch_a_wrong_contraction(monkeypatch):
 
 
 def test_a_fault_in_the_2k2_scan_is_caught_by_the_cross_checks(monkeypatch):
-    # THM_PSEUDO's refusal branch runs the scans behind the record's pseudo
-    # fact, so it cannot see a fault in them; THM_NG, against the colouring
+    # THM_PSEUDO's hypothesis is the record's pseudo fact, so it cannot see
+    # a fault in the scans behind it; THM_NG, against the colouring
     # definition, and THM_SPLIT_FORBIDDEN, against the degree test and the
     # partition search, can
     real = recognition.contains_2k2
@@ -360,6 +392,8 @@ ORACLE_HYPOTHESES = {
     and independence_number_subsets(g) >= 3,
     "THM_KS_CASES": ks_partition_exists,
     "THM_UNBALANCED": lambda g: ks_partition_exists(g) and not _star_excluded(g),
+    "THM_PSEUDO": lambda g: not has_induced_copy(g, _TWO_K2_TEMPLATE)
+    and not has_induced_copy(g, _C4_TEMPLATE),
 }
 
 
@@ -414,7 +448,7 @@ def test_gated_checks_run_exactly_where_the_hypothesis_holds(monkeypatch):
 def test_fused_walk_details_match_check_one():
     # every graph to order 7 with the theorems whose substrate holds it,
     # checked over one shared record, against each theorem on its own record
-    orders = {t: min(7, harness.CHECKERS[t].cap) for t in THEOREM_IDS}
+    orders = {t: min(7, harness.CHECKERS[t].reach) for t in THEOREM_IDS}
     with harness._Pool(1) as pool:
         walked = 0
         for active, n, codes in harness._segments(orders, pool):
@@ -437,7 +471,7 @@ def test_chunk_results_merge_to_the_whole_input_result():
     def chunks(items, size):
         return [items[i : i + size] for i in range(0, len(items), size)]
 
-    orders = {t: min(7, harness.CHECKERS[t].cap) for t in THEOREM_IDS}
+    orders = {t: min(7, harness.CHECKERS[t].reach) for t in THEOREM_IDS}
     with harness._Pool(1) as pool:
         runs = list(harness._segments(orders, pool))
     for size in (1, 3, 97):
@@ -462,7 +496,7 @@ def test_chunk_results_merge_to_the_whole_input_result():
 
 def test_single_theorem_reports_match_verify_all():
     together = without_ms(verify_all(7))
-    alone = without_ms([verify(t, min(7, harness.CHECKERS[t].cap)) for t in THEOREM_IDS])
+    alone = without_ms([verify(t, min(7, harness.CHECKERS[t].reach)) for t in THEOREM_IDS])
     assert alone == together
 
 
@@ -588,7 +622,9 @@ def test_witness_labels_share_their_scans(monkeypatch):
 
         monkeypatch.setattr(recognition, name, counted)
     assert all(r.verdict == "PASS" for r in verify_all(7))
-    assert calls == {"contains_c4": 3158, "contains_2k2": 2931, "_contract": 4159}
+    # 988 more 2K2 scans and 322 more C4 scans when THM_PSEUDO re-scans
+    # each of the 988 graphs to order 7 that are not pseudo-split
+    assert calls == {"contains_c4": 2836, "contains_2k2": 1943, "_contract": 4159}
 
 
 def test_prop1_catches_a_relabelled_contraction(monkeypatch):
@@ -655,7 +691,7 @@ def test_corpus_from_file(tmp_path):
 
 
 def test_corpus_from_iterable_bypasses_enumeration_cap():
-    # THM_NG enumerates only to 7, but corpus graphs may go to 10
+    # the enumeration stops at ENUM_MAX_ORDER, but corpus graphs may go to 12
     r = verify("THM_NG", source=[path_graph(9)])
     assert r.verdict == "PASS"
     assert r.graphs_checked == 1
@@ -664,7 +700,7 @@ def test_corpus_from_iterable_bypasses_enumeration_cap():
 
 def test_corpus_order_limit():
     with pytest.raises(OrderOutOfRange):
-        verify("THM_NG", source=[path_graph(11)])
+        verify("THM_NG", source=[path_graph(COLORING_MAX_ORDER + 1)])
 
 
 def test_corpus_counterexample_is_reported():
@@ -925,7 +961,7 @@ def test_verify_all_takes_a_corpus_at_any_max_n():
     reports = verify_all(0, source=[path_graph(9)])
     assert [(r.min_n, r.max_n, r.graphs_checked) for r in reports] == [(9, 9, 1)] * len(THEOREM_IDS)
     with pytest.raises(OrderOutOfRange):
-        verify_all(7, source=[path_graph(11)])
+        verify_all(7, source=[path_graph(COLORING_MAX_ORDER + 1)])
 
 
 def test_jobs_below_one_rejected():

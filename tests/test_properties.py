@@ -48,8 +48,8 @@ from splitkit import (
     write_graph6,
 )
 from splitkit.graphs import _child_codes, _code
-from splitkit.harness import CORPUS_MAX_ORDER, check_one
-from splitkit.invariants import _contains_claw, _greedy_bound
+from splitkit.harness import check_one
+from splitkit.invariants import COLORING_MAX_ORDER, _contains_claw, _greedy_bound
 
 from graphgen import random_graph, relabel
 from oracles import (
@@ -134,7 +134,7 @@ def test_witness_walk_past_the_exhaustive_range(g):
 
 
 @settings(derandomize=True, deadline=None, max_examples=200, database=None)
-@given(st.randoms(use_true_random=False), st.integers(9, CORPUS_MAX_ORDER))
+@given(st.randoms(use_true_random=False), st.integers(9, COLORING_MAX_ORDER))
 def test_witness_checks_pass_past_the_exhaustive_range(rng, n):
     # on connected graphs of the corpus orders: the checks that read the
     # witness walk; THM_KS_CASES, which reads every partition the partition

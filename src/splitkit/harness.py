@@ -104,82 +104,88 @@ class TheoremReport(NamedTuple):
 # of each violation
 
 
-def _keeps(facts: _Facts, cmask: int, u: int, v: int) -> bool:
-    """Whether the image of C in g/uv, u < v, induces a graph isomorphic to
-    G[C], for u and v not both in C.
+def _defects(facts: _Facts, u: int, v: int) -> list[int]:
+    """The defect table of the edge u < v: entry x is the set of y, x
+    itself included, where g/uv read through the contraction's vertex map
+    (v to u, every label above v down by one) disagrees with g, i.e. bit
+    φ(y) of row φ(x) of g/uv is not adj_g(x, y).
 
-    Then the contraction maps C one-to-one onto its image and keeps every
-    edge of G[C]; it can add edges only at the merged vertex. So the image
-    is isomorphic to G[C] exactly when it has no more edges, i.e. when the
-    map is an isomorphism: for each x in C, the row of x's image, masked
-    to the image of C, is the image of x's row in G[C].
+    The image of C then induces a graph isomorphic to G[C] exactly when no
+    defect lies inside C. With u and v not both in C, the map is one-to-one
+    on C, so the image is isomorphic to G[C] exactly when the map is an
+    isomorphism; with both in C, u and v are a defect of each other.
     """
-    rows = facts.g.rows
     image_rows = facts.contracted(u, v).g.rows
-    # a mask's image: v's bit moves to u (u is then outside the mask), and
-    # every label above v shifts down by one
-    bv = 1 << v
-    swap = bv | 1 << u
-    low = bv - 1
-    high = ~low
-    m = cmask ^ swap if cmask & bv else cmask
-    image = m & low | m >> 1 & high
-    m = cmask
-    while m:
-        b = m & -m
-        m ^= b
-        x = b.bit_length() - 1
-        y = u if x == v else x - (x > v)  # x's label in g/uv
-        r = rows[x] & cmask
-        if r & bv:
-            r ^= swap
-        if image_rows[y] & image != r & low | r >> 1 & high:
-            return False
-    return True
+    low = (1 << v) - 1
+    # row φ(x) of g/uv for each x of g, read on g's labels: bit y is bit φ(y)
+    images = image_rows[:v] + image_rows[u : u + 1] + image_rows[v:]
+    return [
+        (s & low | s >> v << (v + 1) | (s >> u & 1) << v) ^ r
+        for s, r in zip(images, facts.g.rows)
+    ]
+
+
+def _broken(defects: list[int], need: int, allowed: int) -> list[int]:
+    """Each C with need ⊆ C ⊆ allowed and a defect inside it, ascending."""
+    inside = [
+        (1 << x, d & allowed) for x, d in enumerate(defects) if d & allowed and allowed >> x & 1
+    ]
+    if not inside:
+        return []  # the walk below runs only on a broken contraction
+    found = []
+    free = allowed & ~need
+    s = 0
+    while True:
+        c = s | need
+        if any(c & b and c & d for b, d in inside):
+            found.append(c)
+        if s == free:
+            return found
+        s = (s - free) & free
+
+
+def _members(g: Graph, cmask: int) -> list[int]:
+    return [x for x in range(g.n) if cmask >> x & 1]
 
 
 def _check_prop1(g: Graph, facts: _Facts):
+    # C holds u and misses v and N(v) - N[u]; a failing C is one of them
+    # with a defect of the edge uv inside it
     bad = []
     rows = g.rows
-    for cmask in range(1, 1 << g.n):
-        m = cmask
-        while m:
-            b = m & -m
-            m ^= b
-            u = b.bit_length() - 1
-            ncu = rows[u] & cmask
-            outside = rows[u] & ~cmask
-            while outside:
-                b = outside & -outside
-                outside ^= b
-                v = b.bit_length() - 1
-                if rows[v] & cmask & ~(1 << u) & ~ncu:
-                    continue  # N_C(v) minus u not inside N_C(u)
-                if not _keeps(facts, cmask, min(u, v), max(u, v)):
-                    cset = [x for x in range(g.n) if cmask >> x & 1]
-                    bad.append(
-                        f"C={cset} u={u} v={v}: induced subgraph not preserved"
-                    )
-    return tuple(bad)
+    for a, b in g.edges():
+        defects = _defects(facts, a, b)
+        for u, v in ((a, b), (b, a)):
+            allowed = g.full_mask & ~(1 << v | rows[v] & ~rows[u] & ~(1 << u))
+            for cmask in _broken(defects, 1 << u, allowed):
+                bad.append((cmask, u, v))
+    # in the order of C, then u, then v
+    bad.sort()
+    return tuple(
+        f"C={_members(g, cmask)} u={u} v={v}: induced subgraph not preserved"
+        for cmask, u, v in bad
+    )
 
 
 def _check_prop2(g: Graph, facts: _Facts):
+    # a failing C avoids u and v and holds a defect of the edge uv
     bad = []
-    edges = g.edges()
-    for cmask in range(1, 1 << g.n):
-        for u, v in edges:
-            if cmask >> u & 1 or cmask >> v & 1:
-                continue
-            if not _keeps(facts, cmask, u, v):
-                cset = [x for x in range(g.n) if cmask >> x & 1]
-                bad.append(f"C={cset} e=({u},{v}): induced subgraph not preserved")
-    return tuple(bad)
+    for u, v in g.edges():
+        allowed = g.full_mask & ~(1 << u | 1 << v)
+        for cmask in _broken(_defects(facts, u, v), 0, allowed):
+            bad.append((cmask, u, v))
+    bad.sort()
+    return tuple(
+        f"C={_members(g, cmask)} e=({u},{v}): induced subgraph not preserved"
+        for cmask, u, v in bad
+    )
 
 
 def _check_prop3(g: Graph, facts: _Facts):
     bad = []
     rows = g.rows
     edges = g.edges()
+    tables: dict = {}  # each edge's defect table, made when first read
     for cmask in range(1, g.full_mask):
         cover = 0
         cset = []
@@ -192,13 +198,16 @@ def _check_prop3(g: Graph, facts: _Facts):
             cover |= b | rows[x]
         if cover == g.full_mask:
             continue  # dominating sets are out of scope
-        # an edge inside C maps two of its vertices to one, so the image is
-        # smaller than G[C]; _keeps asks for a one-to-one map
-        if not any(
-            _keeps(facts, cmask, u, v)
-            for u, v in edges
-            if not (cmask >> u & 1 and cmask >> v & 1)
-        ):
+        for e in edges:
+            u, v = e
+            if cmask >> u & 1 and cmask >> v & 1:
+                continue  # an edge inside C: the image is smaller than G[C]
+            defects = tables.get(e)
+            if defects is None:
+                defects = tables[e] = _defects(facts, u, v)
+            if not any(defects[x] & cmask for x in cset):
+                break
+        else:
             bad.append(f"C={cset}: no contraction preserves the induced subgraph")
     return tuple(bad)
 

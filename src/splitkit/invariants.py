@@ -136,33 +136,47 @@ def _template_prefixes(tag: str, param: int | None) -> tuple[frozenset[int], ...
 
 def _first_copy(rows, n: int, prefixes) -> tuple[int, ...] | None:
     """First increasing vertex tuple, in combinations order, whose code is in
-    ``prefixes[-1]``; a prefix whose code is not in its entry is pruned."""
+    ``prefixes[-1]``.
+
+    One loop over the tuple's positions. Position j tries the vertices
+    from just above position j - 1 up to n - k + j, the last that leaves
+    room for the k - 1 - j positions after it. A vertex's word, its
+    adjacency to the vertices before it, extends the prefix's code; the
+    vertex is kept when the new code is in entry j, and a position with no
+    vertex left returns to the one before it.
+    """
     k = len(prefixes)
     verts = [0] * k
-
-    def extend(j: int, start: int, code: int) -> bool:
-        ok = prefixes[j]
-        for v in range(start, n - k + j + 1):
-            rv = rows[v]
-            c = code
-            for i in range(j):
-                c = c << 1 | (rv >> verts[i] & 1)
-            if c in ok:
-                verts[j] = v
-                if j + 1 == k or extend(j + 1, v + 1, c):
-                    return True
-        return False
-
-    return tuple(verts) if extend(0, 0, 0) else None
+    codes = [0] * k  # codes[j]: the code of verts[:j]
+    j = v = 0
+    while True:
+        if v > n - k + j:
+            if j == 0:
+                return None
+            j -= 1
+            v = verts[j] + 1
+            continue
+        rv = rows[v]
+        c = codes[j]
+        for i in range(j):
+            c = c << 1 | (rv >> verts[i] & 1)
+        if c in prefixes[j]:
+            verts[j] = v
+            if j + 1 == k:
+                return tuple(verts)
+            j += 1
+            codes[j] = c
+        v += 1
 
 
 def find_induced(g: Graph, pattern: NamedPattern) -> PatternWitness | None:
     """First induced copy of the pattern in lexicographic vertex order, or None.
 
-    The search runs depth first over increasing vertex tuples, growing the
-    column-major code of the tuple one vertex at a time and pruning a prefix
-    that no ordering of the template starts with. A pattern of order above
-    PATTERN_MAX_ORDER = 8 raises OrderTooLargeForIsomorphism.
+    The search runs depth first over increasing vertex tuples, in one loop,
+    growing the column-major code of the tuple one vertex at a time and
+    pruning a prefix that no ordering of the template starts with. A
+    pattern of order above PATTERN_MAX_ORDER = 8 raises
+    OrderTooLargeForIsomorphism.
     """
     prefixes = _template_prefixes(pattern.tag, pattern.param)
     if len(prefixes) > g.n:

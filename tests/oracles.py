@@ -53,16 +53,67 @@ def first_induced_copy(g, template):
     k = template.n
     if k > g.n:
         return None
-    pairs = list(itertools.combinations(range(k), 2))
-    m = sum(template.has_edge(i, j) for i, j in pairs)
+
+    def degrees(h):
+        return sorted(sum(h.has_edge(i, j) for j in range(k) if j != i) for i in range(k))
+
+    want = degrees(template)
     for s in itertools.combinations(range(g.n), k):
         view = _InducedView(g, s)
-        # an edge-count mismatch rules a copy out before the permutation scan
-        if sum(view.has_edge(i, j) for i, j in pairs) == m and iso_by_permutations(
-            view, template
-        ):
+        # a degree-list mismatch rules a copy out before the permutation scan
+        if degrees(view) == want and iso_by_permutations(view, template):
             return s
     return None
+
+
+def prop_details(g, theorem, contract):
+    """The details PROP1, PROP2 or PROP3 reports on g, by walking every
+    vertex set C in mask order.
+
+    contract(g, u, v), u < v, gives g/uv, whose vertex map sends v to u and
+    every label above v down by one. The image of C keeps G[C] when C does
+    not hold both u and v and has_edge agrees on every pair of C and its
+    image; g/uv is made once per edge.
+    """
+    n = g.n
+    edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if g.has_edge(u, v)]
+    images = {}
+
+    def keeps(c, u, v):
+        if u in c and v in c:
+            return False
+        if (u, v) not in images:
+            images[u, v] = contract(g, u, v)
+        h = images[u, v]
+        phi = [u if x == v else x - (x > v) for x in range(n)]
+        return all(
+            h.has_edge(phi[a], phi[b]) == g.has_edge(a, b) for a, b in itertools.combinations(c, 2)
+        )
+
+    bad = []
+    for mask in range(1, 1 << n):
+        c = [x for x in range(n) if mask >> x & 1]
+        if theorem == "PROP1":
+            for u in c:
+                for v in range(n):
+                    if v in c or not g.has_edge(u, v):
+                        continue
+                    # N_C(v) - u inside N_C(u)
+                    if any(g.has_edge(v, y) and not g.has_edge(u, y) for y in c if y != u):
+                        continue
+                    if not keeps(c, min(u, v), max(u, v)):
+                        bad.append(f"C={c} u={u} v={v}: induced subgraph not preserved")
+        elif theorem == "PROP2":
+            for u, v in edges:
+                if u not in c and v not in c and not keeps(c, u, v):
+                    bad.append(f"C={c} e=({u},{v}): induced subgraph not preserved")
+        else:
+            dominated = all(y in c or any(g.has_edge(x, y) for x in c) for y in range(n))
+            if not dominated and not any(
+                keeps(c, u, v) for u, v in edges if not (u in c and v in c)
+            ):
+                bad.append(f"C={c}: no contraction preserves the induced subgraph")
+    return tuple(bad)
 
 
 def clique_number_subsets(g) -> int:

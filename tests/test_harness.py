@@ -3,6 +3,7 @@ import itertools
 import json
 import multiprocessing
 import multiprocessing.pool
+import random
 
 import pytest
 
@@ -38,7 +39,7 @@ from splitkit.graphs import ENUM_MAX_ORDER, enumerate_all
 from splitkit.harness import render_census_text
 from splitkit.invariants import COLORING_MAX_ORDER
 
-from graphgen import labelled_graphs, relabel
+from graphgen import labelled_graphs, random_graph, relabel
 from oracles import (
     has_induced_copy,
     independence_number_subsets,
@@ -46,6 +47,7 @@ from oracles import (
     iso_by_permutations,
     ks_partition_cliques,
     ks_partition_exists,
+    prop_details,
 )
 
 E2 = build(2)  # two isolated vertices, graph6 "A?"
@@ -643,12 +645,14 @@ def test_prop1_catches_a_relabelled_contraction(monkeypatch):
 
 
 def test_keeps_matches_isomorphism():
-    # the vertex-map test against a permutation search, for every class of
-    # order <= 6, every C and every edge not inside C
+    # the defect table against a permutation search, for every class of
+    # order <= 6, every C and every edge not inside C: the image of C keeps
+    # G[C] exactly when no defect of the edge lies inside C
     triples = 0
     for n in range(1, 7):
         for g in enumerate_all(n):
             facts = recognition._Facts(g)
+            tables = {(u, v): harness._defects(facts, u, v) for u, v in g.edges()}
             for cmask in range(1, 1 << n):
                 cset = [x for x in range(n) if cmask >> x & 1]
                 sub = induced(g, cset)
@@ -657,9 +661,56 @@ def test_keeps_matches_isomorphism():
                         continue
                     image = {u if x == v else x - (x > v) for x in cset}
                     iso = iso_by_permutations(sub, induced(contract(g, (u, v)), image))
-                    assert harness._keeps(facts, cmask, u, v) == iso, (g, cset, u, v)
+                    kept = not any(tables[u, v][x] & cmask for x in cset)
+                    assert kept == iso, (g, cset, u, v)
                     triples += 1
     assert triples == 59295
+
+
+def _contract_nothing(g, u, v):
+    return g
+
+
+def _reversed_labels(g, u, v):
+    h = graphs._contract(g, u, v)
+    return relabel(h, [h.n - 1 - i for i in range(h.n)])
+
+
+def _one_merged_edge_dropped(g, u, v):
+    # g/uv less its first edge at the merged vertex u
+    h = graphs._contract(g, u, v)
+    at = [e for e in h.edges() if u in e]
+    return build(h.n, [e for e in h.edges() if e != at[0]]) if at else h
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [None, _contract_nothing, _reversed_labels, _one_merged_edge_dropped],
+    ids=["real", "nothing", "reversed", "dropped-edge"],
+)
+def test_prop_details_match_the_subset_walk(monkeypatch, wrong):
+    # each PROP check's details, strings and order, against a walk over
+    # every C that compares g with g/uv pair by pair through has_edge, on
+    # the real contraction (None) and on three wrong ones planted in the
+    # record; every class to order 6, then 50 seeded graphs of orders 7-8
+    contraction = wrong or (lambda g, u, v: contract(g, (u, v)))
+    if wrong is not None:
+        monkeypatch.setattr(
+            recognition._Facts,
+            "contracted",
+            lambda facts, u, v: recognition._Facts(wrong(facts.g, u, v)),
+        )
+    rng = random.Random(5)
+    hosts = [g for n in range(1, 7) for g in enumerate_all(n)]
+    hosts += [random_graph(rng, rng.randint(7, 8)) for _ in range(50)]
+    found = 0
+    for g in hosts:
+        for theorem in ("PROP1", "PROP2", "PROP3"):
+            details = check_one(theorem, g)
+            assert details == prop_details(g, theorem, contraction), (theorem, g)
+            found += len(details)
+    # PROP3 fails on disconnected graphs even under the real contraction
+    assert found > 0
 
 
 def test_contraction_checks_read_no_canonical_code(monkeypatch):
@@ -762,14 +813,15 @@ def test_ks_partition_oracle_on_every_labelling():
 
 
 def test_keeps_follows_the_contraction_map():
-    # _keeps works out the images of C and of its rows itself; here the map
-    # v -> u, w -> w - 1 above v, is applied pair by pair through has_edge
+    # the defect table works out the images of the rows itself; here the
+    # map v -> u, w -> w - 1 above v, is applied pair by pair through has_edge
     for n in range(2, 6):
         for g in labelled_graphs(n):
             facts = recognition._Facts(g)
             for u, v in g.edges():
                 h = contract(g, Edge(u, v))
                 image = [u if w == v else w - (w > v) for w in range(n)]
+                defects = harness._defects(facts, u, v)
                 for cmask in range(1 << n):
                     if cmask >> u & 1 and cmask >> v & 1:
                         continue
@@ -778,7 +830,7 @@ def test_keeps_follows_the_contraction_map():
                         h.has_edge(image[a], image[b]) == g.has_edge(a, b)
                         for a, b in itertools.combinations(c, 2)
                     )
-                    assert harness._keeps(facts, cmask, u, v) == kept, (g, u, v, cmask)
+                    assert (not any(defects[w] & cmask for w in c)) == kept, (g, u, v, cmask)
 
 
 def test_default_jobs_follows_affinity(monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -27,7 +28,7 @@ from splitkit import (
 )
 from splitkit.invariants import _contains_claw, _find_c5
 
-from graphgen import labelled_graphs
+from graphgen import labelled_graphs, random_graph
 from oracles import (
     chromatic_number_assignments,
     clique_number_subsets,
@@ -183,6 +184,34 @@ def test_find_induced_first_witness_matches_combinations_scan():
         for g in enumerate_all(7):
             wit = find_induced(g, pattern)
             assert (None if wit is None else wit.vertices) == first_induced_copy(g, t), g
+
+
+def test_find_induced_first_copy_on_larger_hosts():
+    # the loop tries position j up to vertex n - k + j, which cuts most where
+    # the pattern is large and the host larger still: every pattern of order
+    # 6-7 on 40 seeded hosts of orders 9-11, each with one of the patterns
+    # planted on random vertices, so that every pattern has copies
+    patterns = [NamedPattern("C6"), NamedPattern("OCTAHEDRON")]
+    patterns += [NamedPattern("K_2_L", l) for l in (4, 5)]
+    patterns += [NamedPattern("STAR", m) for m in (5, 6)]
+    rng = random.Random(3)
+    copies = dict.fromkeys(patterns, 0)
+    at_top = 0
+    for i in range(40):
+        g = random_graph(rng, rng.randint(9, 11))
+        t = patterns[i % len(patterns)].template
+        spot = rng.sample(range(g.n), t.n)
+        edges = {e for e in g.edges() if not (e.u in spot and e.v in spot)}
+        g = build(g.n, edges | {(spot[a], spot[b]) for a, b in t.edges()})
+        for pattern in patterns:
+            wit = find_induced(g, pattern)
+            found = None if wit is None else wit.vertices
+            assert found == first_induced_copy(g, pattern.template), (g, pattern)
+            copies[pattern] += found is not None
+            at_top += found is not None and found[-1] == g.n - 1
+    # every pattern is found, and some first copies end at the host's last
+    # vertex, the bound's edge case
+    assert min(copies.values()) > 0 and at_top > 0
 
 
 def test_find_induced_none_when_absent():

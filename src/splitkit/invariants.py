@@ -18,22 +18,30 @@ def clique_number(g: Graph) -> int:
     return len(max_clique(g))
 
 
-def max_clique(g: Graph) -> tuple[int, ...]:
+def max_clique(g: Graph, bound: int | None = None) -> tuple[int, ...]:
     """The lexicographically smallest maximum clique.
 
     Branch and bound on candidate bitmasks, lowest vertex first: cliques are
     met in lexicographic order, and only a strictly larger one replaces the
     best, so the first of the largest size is kept.
+
+    ``bound``, when given, must be at least the clique number. The search
+    returns as soon as its best clique reaches it: that clique is then the
+    first of the largest size, the one the full search keeps. Once it is
+    found, the floor a branch must beat is raised to n, so every open
+    branch returns at its next test.
     """
     rows = g.rows
-    best = best_size = 0
+    stop = g.n if bound is None else bound
+    best = floor = 0
 
     def expand(cur: int, size: int, cand: int) -> None:
-        nonlocal best, best_size
-        if size > best_size:
-            best, best_size = cur, size
+        nonlocal best, floor
+        if size > floor:
+            best = cur
+            floor = size if size < stop else g.n
         while cand:
-            if size + cand.bit_count() <= best_size:
+            if size + cand.bit_count() <= floor:
                 return
             b = cand & -cand
             cand ^= b
@@ -53,10 +61,13 @@ def _greedy_bound(g: Graph) -> int:
     rows = g.rows
     classes: list[int] = []
     for v in sorted(range(g.n), key=lambda v: -rows[v].bit_count()):
-        for c, members in enumerate(classes):
-            if not rows[v] & members:
+        rv = rows[v]
+        c = 0
+        for members in classes:
+            if not rv & members:
                 classes[c] = members | 1 << v
                 break
+            c += 1
         else:
             classes.append(1 << v)
     return len(classes)
@@ -67,16 +78,19 @@ def chromatic_number(g: Graph) -> int:
 
     Seeds a maximum clique with distinct colours, then backtracks over the
     remaining vertices with new colours introduced in increasing order only.
+    The greedy colouring bound is at least chi, so at least omega: it both
+    stops the clique search and caps the backtracking.
     """
     if g.n > COLORING_MAX_ORDER:
         raise OrderTooLargeForColoring(f"order {g.n} exceeds {COLORING_MAX_ORDER}")
-    return _chromatic(g, max_clique(g))
-
-
-def _chromatic(g: Graph, clique: tuple[int, ...]) -> int:
-    # clique must be a maximum clique of g, already found by the caller
-    lb = len(clique)
     ub = _greedy_bound(g)
+    return _chromatic(g, max_clique(g, ub), ub)
+
+
+def _chromatic(g: Graph, clique: tuple[int, ...], ub: int) -> int:
+    # clique must be a maximum clique of g and ub its greedy bound
+    # (_greedy_bound), both already found by the caller
+    lb = len(clique)
     if lb == ub:
         return lb
     rows = g.rows

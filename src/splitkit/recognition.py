@@ -22,10 +22,8 @@ from .invariants import (
     _chromatic,
     _find_c5,
     _greedy_bound,
-    chromatic_number,
     contains_2k2,
     contains_c4,
-    contains_c5,
     find_induced,
     max_clique,
 )
@@ -420,13 +418,29 @@ _PASSES: dict[str, Callable[[_Facts, _Facts], bool]] = {
 }
 
 
+def _shared_clique(f: _Facts) -> int:
+    # the record's maximum clique Q less each w that some vertex x outside Q
+    # joins to all of Q - w: (Q - w) + x is then a maximum clique missing w
+    q = _mask(f.clique)
+    rows = f.g.rows
+    keep = q
+    rest = f.g.full_mask ^ q
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        miss = q & ~rows[b.bit_length() - 1]
+        if miss.bit_count() == 1:
+            keep &= ~miss
+    return keep
+
+
 # the vertices a label's walk draws its edges from; an edge with an end
 # outside them cannot pass the label's test (see _search)
 _WITHIN: dict[str, Callable[[_Facts], int]] = {
     "c4": lambda f: f.g.full_mask,
     "2k2": lambda f: f.g.full_mask,
     "nonsplit": lambda f: f.g.full_mask,
-    "unbalanced": lambda f: _mask(f.clique),
+    "unbalanced": _shared_clique,
 }
 
 
@@ -440,11 +454,15 @@ def _search(facts: _Facts, label: str) -> Edge | None:
 
     The walk tries only the edges with both ends in the label's vertex
     mask (``_WITHIN``); every other edge fails the test. For "unbalanced"
-    that mask is the record's maximum clique Q, by this lemma: if Q misses
-    v, then omega(g/uv) >= omega(g). If Q misses u too, Q survives in
-    g/uv; otherwise the merged vertex keeps u's edges to Q - u, so it and
-    Q - u form a clique of size omega(g). The test asks for
-    omega(g/uv) = omega(g) - 1, so only edges inside Q can pass it.
+    that mask is drawn from the record's maximum clique Q, by this lemma:
+    if some maximum clique Q' misses v, then omega(g/uv) >= omega(g). If
+    Q' misses u too, Q' survives in g/uv; otherwise the merged vertex
+    keeps u's edges to Q' - u, so it and Q' - u form a clique of size
+    omega(g). The test asks for omega(g/uv) = omega(g) - 1, so an edge
+    passes only when both its ends lie in every maximum clique. The mask
+    is Q less each w that some x outside Q joins to all of Q - w, as
+    (Q - w) + x is a maximum clique that misses w; it holds every vertex
+    that all maximum cliques share.
     """
     passes = _PASSES[label]
     contracted = facts.contracted
@@ -533,13 +551,16 @@ def pseudo_split_decompose(g: Graph) -> PseudoSplitDecomposition:
     return facts.psd
 
 
-def _psd(g: Graph, ks: KSPartition | None) -> PseudoSplitDecomposition:
-    # g (2K2, C4)-free; ks its KS-partition, None when g is not split
-    c = _find_c5(g)
+def _psd(f: _Facts) -> PseudoSplitDecomposition:
+    # f the record of a (2K2, C4)-free graph g. A split graph has no
+    # induced C5, so its decomposition is its KS-partition with c empty,
+    # read with no scan; any other g reads the record's one C5 scan
+    if f.split:
+        return PseudoSplitDecomposition(f.ks.k, f.ks.s, ())
+    c = f.c5
     if c is None:
-        if ks is None:
-            raise NotSplit("graph admits no clique/independent-set partition")
-        return PseudoSplitDecomposition(ks.k, ks.s, ())
+        raise NotSplit("graph admits no clique/independent-set partition")
+    g = f.g
     cmask = _mask(c)
     a = []
     b = []
@@ -558,13 +579,17 @@ def is_ng_by_definition(g: Graph) -> bool:
 
     chi is at most the greedy colouring bound, so when the two greedy
     bounds sum to n or less the sum cannot reach n + 1, and no exact
-    colouring runs.
+    colouring runs. Each bound is computed once: it also stops the clique
+    search that seeds its exact colouring, as in ``chromatic_number``.
     """
+    if g.n > COLORING_MAX_ORDER:
+        raise OrderTooLargeForColoring(f"order {g.n} exceeds {COLORING_MAX_ORDER}")
     gc = complement(g)
-    # past COLORING_MAX_ORDER chromatic_number refuses the graph either way
-    if g.n <= COLORING_MAX_ORDER and _greedy_bound(g) + _greedy_bound(gc) <= g.n:
+    ub, co_ub = _greedy_bound(g), _greedy_bound(gc)
+    if ub + co_ub <= g.n:
         return False
-    return chromatic_number(g) + chromatic_number(gc) == g.n + 1
+    chi = _chromatic(g, max_clique(g, ub), ub)
+    return chi + _chromatic(gc, max_clique(gc, co_ub), co_ub) == g.n + 1
 
 
 def is_ng_by_characterisation(g: Graph) -> bool:
@@ -613,11 +638,14 @@ class _Facts:
 
     The split fact reads the record's one degree test, (m, split, d_m)
     from ``_degree_test``, which also gives a split graph's clique number
-    and balance. ``witness(label)`` is the first edge whose contraction
-    passes the label's test (``_search``), computed when first read, for
-    that label alone; a caller pays only for the labels it reads. g/e has
-    its own record: ``contracted(u, v)`` builds it at most once per
-    record, and everything known about g/e lives there, its C4 and 2K2
+    and balance. The clique searches behind omega and alpha stop at a
+    bound the record holds, and one C5 scan serves the forbidden-pattern
+    fact and the decomposition of a graph that is not split.
+    ``witness(label)`` is the first edge whose contraction passes the
+    label's test (``_search``), computed when first read, for that label
+    alone; a caller pays only for the labels it reads. g/e has its own
+    record: ``contracted(u, v)`` builds it at most once per record, and
+    everything known about g/e lives there, its C4 and 2K2
     scans, its degree test, its ``find_induced`` answers (``has_induced``)
     and THM_UNBALANCED's omega and balance. Every witness label, the LEMMA
     re-checks, THM_UNBALANCED's postcondition and the PROP checks all read
@@ -631,10 +659,20 @@ class _Facts:
     # (m, split, d_m) from g's degree list (see _degree_test)
     degree_test = _fact(lambda f: _degree_test(f.g))
     split = _fact(lambda f: f.degree_test[1])
-    clique = _fact(lambda f: max_clique(f.g))
+    # the greedy colouring bound, at least chi and so at least omega
+    colours = _fact(lambda f: _greedy_bound(f.g))
+    # the clique search stops at a bound on omega (see max_clique): m from
+    # the degree test on a split graph, where m = omega, else the greedy
+    # bound; every graph has m >= omega, as an omega-clique has omega
+    # vertices of degree >= omega - 1, so a wrong split fact costs time only
+    clique = _fact(lambda f: max_clique(f.g, f.degree_test[0] if f.split else f.colours))
     omega = _fact(lambda f: len(f.clique))
     gc = _fact(lambda f: complement(f.g))
-    co_clique = _fact(lambda f: max_clique(f.gc))
+    co_colours = _fact(lambda f: _greedy_bound(f.gc))
+    # the same on the complement, which is split when g is
+    co_clique = _fact(
+        lambda f: max_clique(f.gc, _degree_test(f.gc)[0] if f.split else f.co_colours)
+    )
     alpha = _fact(lambda f: len(f.co_clique))
     # split with omega + alpha = n (see is_balanced_split)
     balanced = _fact(lambda f: f.split and f.omega + f.alpha == f.g.n)
@@ -642,9 +680,13 @@ class _Facts:
     has_2k2 = _fact(lambda f: contains_2k2(f.g))
     has_c4 = _fact(lambda f: contains_c4(f.g))
     pseudo = _fact(lambda f: not f.has_2k2 and not f.has_c4)
-    # split by forbidden patterns: a pseudo-split graph with no induced C5
-    forbidden = _fact(lambda f: f.pseudo and not contains_c5(f.g))
-    psd = _fact(lambda f: _psd(f.g, f.ks) if f.pseudo else None)
+    # the one C5 scan: the sorted vertices of an induced C5, or None
+    c5 = _fact(lambda f: _find_c5(f.g))
+    # split by forbidden patterns: a pseudo-split graph with no induced C5;
+    # it scans every pseudo-split graph, so it stays independent of the
+    # degree test that spares a split graph's decomposition the scan
+    forbidden = _fact(lambda f: f.pseudo and f.c5 is None)
+    psd = _fact(lambda f: _psd(f) if f.pseudo else None)
     # the NG characterisation: pseudo-split but not balanced split
     ng = _fact(lambda f: f.pseudo and not f.balanced)
     tag = _fact(lambda f: detect_exceptional(f.g))
@@ -688,8 +730,8 @@ def classify(g: Graph) -> ClassificationReport:
             f"classification needs exact coloring, order {g.n} > {COLORING_MAX_ORDER}"
         )
     facts = _Facts(g)
-    chi = _chromatic(g, facts.clique)
-    chi_c = _chromatic(facts.gc, facts.co_clique)
+    chi = _chromatic(g, facts.clique, facts.colours)
+    chi_c = _chromatic(facts.gc, facts.co_clique, facts.co_colours)
     found = [
         (label, facts.witness(label)) for label, applies in _APPLIES.items() if applies(facts)
     ]

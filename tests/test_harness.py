@@ -629,6 +629,32 @@ def test_witness_labels_share_their_scans(monkeypatch):
     assert calls == {"contains_c4": 2836, "contains_2k2": 1943, "_contract": 4159}
 
 
+def test_a_record_scans_for_c5_at_most_once(monkeypatch):
+    # THM_SPLIT_FORBIDDEN's forbidden-pattern fact and THM_PSEUDO's
+    # decomposition read one C5 scan of the graph, and the decomposition of
+    # a split graph, its KS-partition with c empty, reads none
+    scanned = []
+    real = recognition._find_c5
+
+    def counted(g):
+        scanned.append(g)  # holding g keeps its id from being reused
+        return real(g)
+
+    monkeypatch.setattr(recognition, "_find_c5", counted)
+    assert all(r.verdict == "PASS" for r in verify_all(7))
+    ids = [id(g) for g in scanned]
+    # 528 when each of the two facts scans on its own
+    assert len(ids) == len(set(ids)) == 264
+    for n in range(1, 8):
+        for g in enumerate_all(n):
+            facts = recognition._Facts(g)
+            scanned.clear()
+            assert (facts.psd is None) == (not facts.pseudo), g
+            assert len(scanned) == (facts.pseudo and not facts.split), g
+            assert facts.forbidden == facts.split, g
+            assert len(scanned) == facts.pseudo, g
+
+
 def test_prop1_catches_a_relabelled_contraction(monkeypatch):
     # g/uv with its labels reversed: some images of C still induce a P3, as
     # G[C] does, but the contraction's vertex map no longer keeps G[C]

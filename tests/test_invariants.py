@@ -26,7 +26,8 @@ from splitkit import (
     path_graph,
     star_graph,
 )
-from splitkit.invariants import _contains_claw, _find_c5
+from splitkit.invariants import _contains_claw, _find_c5, _greedy_bound
+from splitkit.recognition import _degree_test
 
 from graphgen import labelled_graphs, random_graph
 from oracles import (
@@ -76,6 +77,21 @@ def test_max_clique_is_the_lexicographically_smallest():
     # every class to order 7, and every labelling of order 5
     for g in (*all_graphs_upto(7), *labelled_graphs(5)):
         assert max_clique(g) == maximum_cliques_subsets(g)[0], g
+
+
+def test_max_clique_stops_at_an_upper_bound():
+    # at omega, at the degree test's m, at the greedy colouring bound and at
+    # n, each at least omega, the search that stops there returns the
+    # lexicographically smallest maximum clique, as the full search does:
+    # every class to order 7, and 300 seeded graphs of orders 9-12 with
+    # their complements
+    rng = random.Random(2021)
+    seeded = [random_graph(rng, rng.randint(9, 12)) for _ in range(300)]
+    for g in (*all_graphs_upto(7), *seeded, *map(complement, seeded)):
+        first = maximum_cliques_subsets(g)[0]
+        assert max_clique(g) == first, g
+        for bound in (len(first), _degree_test(g)[0], _greedy_bound(g), g.n):
+            assert max_clique(g, bound) == first, (g, bound)
 
 
 def test_chromatic_number_matches_assignment_scan():

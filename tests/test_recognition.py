@@ -57,7 +57,7 @@ from splitkit import (
     star_graph,
     write_graph6,
 )
-from splitkit import recognition
+from splitkit import invariants, recognition
 from splitkit.invariants import _find_c5, _greedy_bound
 from splitkit.recognition import _Facts, _ks
 
@@ -271,12 +271,57 @@ def check_degree_tests(g):
 
 
 def test_unbalanced_walk_refuses_a_nonsplit_contraction():
-    # the contractions of a split graph are split; a record that calls C5
-    # split makes the unbalanced search meet C5/(0,1) = C4
-    facts = _Facts(cycle_graph(5))
+    # the contractions of a split graph are split; a record that calls K4
+    # and C5 sharing vertex 3 split walks the edges inside the K4, and
+    # g/(0,1) keeps the C5. (On C5 alone the walk's mask is empty: each
+    # vertex of the maximum clique (0, 1) is swapped out by a neighbour.)
+    k4 = list(itertools.combinations(range(4), 2))
+    g = build(8, k4 + [(3, 4), (4, 5), (5, 6), (6, 7), (7, 3)])
+    facts = _Facts(g)
     facts.split = True
     with pytest.raises(NotSplit):
         facts.witness("unbalanced")
+
+
+def test_record_omega_and_alpha_match_the_subset_scans():
+    # the record's clique searches stop at m or at the greedy colouring
+    # bound, which hold on every graph, so a record whose split fact is
+    # planted wrong either way still finds the same cliques: every class to
+    # order 7, and 300 seeded graphs of orders 9-12 with their complements
+    rng = random.Random(2021)
+    seeded = [random_graph(rng, rng.randint(9, 12)) for _ in range(300)]
+    for g in (*all_graphs_upto(7), *seeded, *map(complement, seeded)):
+        omega, alpha = clique_number_subsets(g), independence_number_subsets(g)
+        first = maximum_cliques_subsets(g)[0]
+        for planted in (None, True, False):
+            facts = _Facts(g)
+            if planted is not None:
+                facts.split = planted
+            assert (facts.omega, facts.alpha, facts.clique) == (omega, alpha, first), (g, planted)
+
+
+def test_unbalanced_mask_holds_every_shared_clique_vertex():
+    # the vertices the unbalanced walk draws its edges from, against every
+    # maximum clique found by brute force, on every split graph to order 8:
+    # the mask lies inside the record's clique Q, holds each vertex that all
+    # maximum cliques share, and drops a vertex of Q only where some
+    # maximum clique misses it. It is exactly the shared vertices on 662 of
+    # the 814 graphs; each of the other 152 has a maximum clique that
+    # differs from Q in two vertices or more, which the one-swap test
+    # does not see
+    exact = 0
+    split = [g for g in all_graphs_upto(8) if is_split(g)]
+    for g in split:
+        cliques = maximum_cliques_subsets(g)
+        shared = set.intersection(*map(set, cliques))
+        facts = _Facts(g)
+        mask = recognition._WITHIN["unbalanced"](facts)
+        kept = {v for v in range(g.n) if mask >> v & 1}
+        assert shared <= kept <= set(facts.clique), g
+        for w in set(facts.clique) - kept:
+            assert any(w not in q for q in cliques), (g, w)
+        exact += kept == shared
+    assert (len(split), exact) == (814, 662)
 
 
 def test_degree_tests_match_the_contraction():
@@ -445,6 +490,28 @@ def test_ng_definition_bound_matches_exact_sum():
     assert decided == 1071
 
 
+def test_ng_definition_computes_each_colouring_bound_once(monkeypatch):
+    # the colouring definition hands its two greedy bounds to the exact
+    # colourings, whose clique searches stop there, and reads no record
+    calls = []
+    real = invariants._greedy_bound
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    def no_record(g):
+        raise AssertionError("the colouring definition read a record")
+
+    for module in (invariants, recognition):
+        monkeypatch.setattr(module, "_greedy_bound", counted)
+    monkeypatch.setattr(recognition, "_Facts", no_record)
+    for g in all_graphs_upto(7):
+        calls.clear()
+        is_ng_by_definition(g)
+        assert len(calls) == 2, g
+
+
 def test_witness_walk_keeps_each_tested_contraction():
     # the LEMMA re-checks and THM_UNBALANCED's postcondition read the
     # contraction record the search kept in the record's memo, so every
@@ -552,9 +619,10 @@ def test_witness_walk_matches_the_label_by_label_walk():
 
 
 def test_contracting_an_edge_off_a_maximum_clique_keeps_omega():
-    # the lemma that lets the unbalanced walk try only the edges inside the
-    # record's maximum clique, by subset oracles that read no record: where
-    # some maximum clique misses u or v, omega(g/uv) >= omega(g). The lemma
+    # the lemma that lets the unbalanced walk try only the edges between
+    # the vertices every maximum clique shares, by subset oracles that read
+    # no record: where some maximum clique misses u or v,
+    # omega(g/uv) >= omega(g). The lemma
     # holds on every graph; is_split only picks the orders 7-8 graphs
     graphs = [*all_graphs_upto(6), *(g for n in (7, 8) for g in enumerate_all(n) if is_split(g))]
     tried = 0
@@ -568,8 +636,9 @@ def test_contracting_an_edge_off_a_maximum_clique_keeps_omega():
 
 
 def test_unbalanced_witness_matches_the_unpruned_walk_past_order_eight():
-    # the walk over the record's maximum clique against the walk over every
-    # edge, on seeded split graphs past the exhaustive range
+    # the walk over the shared clique vertices against the walk over every
+    # edge, on seeded split graphs past the exhaustive range (to order 8,
+    # test_witness_walk_matches_the_label_by_label_walk compares every graph)
     # (no star is drawn, which find_unbalanced_witness would refuse)
     rng = random.Random(9)
     found = 0

@@ -26,7 +26,7 @@ from .errors import (
 )
 
 MAX_ORDER = 64
-ENUM_MAX_ORDER = 8
+ENUM_MAX_ORDER = 9
 ISO_MAX_ORDER = 12
 
 

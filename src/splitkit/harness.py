@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import os
 import time
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import InvalidJobs, NotSplit, UnclassifiablePartition, UnknownTheorem
@@ -182,34 +182,28 @@ def _check_prop2(g: Graph, facts: _Facts):
 
 
 def _check_prop3(g: Graph, facts: _Facts):
-    bad = []
+    # a failing C misses N[y] for some y, and every edge not inside C has a
+    # defect inside C (an edge inside C leaves an image smaller than G[C]).
+    # So C is a set _broken lists for y's first edge within V - N[y], or,
+    # if y has no edge, any non-empty set there, as for a table where each
+    # vertex is its own defect
     rows = g.rows
-    edges = g.edges()
-    tables: dict = {}  # each edge's defect table, made when first read
-    for cmask in range(1, g.full_mask):
-        cover = 0
-        cset = []
-        m = cmask
-        while m:
-            b = m & -m
-            m ^= b
-            x = b.bit_length() - 1
-            cset.append(x)
-            cover |= b | rows[x]
-        if cover == g.full_mask:
-            continue  # dominating sets are out of scope
-        for e in edges:
-            u, v = e
-            if cmask >> u & 1 and cmask >> v & 1:
-                continue  # an edge inside C: the image is smaller than G[C]
-            defects = tables.get(e)
-            if defects is None:
-                defects = tables[e] = _defects(facts, u, v)
-            if not any(defects[x] & cmask for x in cset):
-                break
-        else:
-            bad.append(f"C={cset}: no contraction preserves the induced subgraph")
-    return tuple(bad)
+    table = cache(partial(_defects, facts))  # each edge's, made when first read
+    candidates = set()
+    for y in range(g.n):
+        allowed = g.full_mask & ~(1 << y | rows[y])
+        w = (rows[y] & -rows[y]).bit_length() - 1
+        if allowed:
+            defects = table(min(y, w), max(y, w)) if w >= 0 else [1 << x for x in range(g.n)]
+            candidates.update(_broken(defects, 0, allowed))
+    return tuple(
+        f"C={_members(g, cmask)}: no contraction preserves the induced subgraph"
+        for cmask in sorted(candidates)
+        if all(
+            cmask >> u & 1 and cmask >> v & 1 or _broken(table(u, v), cmask, cmask)
+            for u, v in g.edges()
+        )
+    )
 
 
 def _is_member(family: Callable[[int], Graph], n: int, g: Graph) -> bool:

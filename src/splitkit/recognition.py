@@ -419,16 +419,15 @@ _PASSES: dict[str, Callable[[_Facts, _Facts], bool]] = {
 
 
 def _shared_clique(f: _Facts) -> int:
-    # the record's maximum clique Q less each w that some vertex x outside Q
-    # joins to all of Q - w: (Q - w) + x is then a maximum clique missing w
-    q = _mask(f.clique)
+    # the vertices every maximum clique of a split graph holds (see _search)
+    k = _mask(f.ks.k)
     rows = f.g.rows
-    keep = q
-    rest = f.g.full_mask ^ q
+    keep = k
+    rest = f.g.full_mask ^ k
     while rest:
         b = rest & -rest
         rest ^= b
-        miss = q & ~rows[b.bit_length() - 1]
+        miss = k & ~rows[b.bit_length() - 1]
         if miss.bit_count() == 1:
             keep &= ~miss
     return keep
@@ -454,15 +453,13 @@ def _search(facts: _Facts, label: str) -> Edge | None:
 
     The walk tries only the edges with both ends in the label's vertex
     mask (``_WITHIN``); every other edge fails the test. For "unbalanced"
-    that mask is drawn from the record's maximum clique Q, by this lemma:
-    if some maximum clique Q' misses v, then omega(g/uv) >= omega(g). If
-    Q' misses u too, Q' survives in g/uv; otherwise the merged vertex
-    keeps u's edges to Q' - u, so it and Q' - u form a clique of size
-    omega(g). The test asks for omega(g/uv) = omega(g) - 1, so an edge
-    passes only when both its ends lie in every maximum clique. The mask
-    is Q less each w that some x outside Q joins to all of Q - w, as
-    (Q - w) + x is a maximum clique that misses w; it holds every vertex
-    that all maximum cliques share.
+    that mask is the vertices every maximum clique holds: if a maximum
+    clique Q' misses v, then Q' survives in g/uv when it misses u too, and
+    otherwise the merged vertex and Q' - u form a clique, so
+    omega(g/uv) >= omega(g) where the test asks for omega(g) - 1. Those
+    vertices are the record's KS-partition clique K (|K| = omega) less
+    each w that some s in S joins to all of K - w: a maximum clique meets
+    the independent S at most once, so it is K or such a K - w + s.
     """
     passes = _PASSES[label]
     contracted = facts.contracted

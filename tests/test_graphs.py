@@ -527,10 +527,11 @@ def test_enumerate_all_covers_disconnected_classes():
     assert canonical_code(build(4)) in codes
 
 
-@pytest.mark.parametrize("n", range(1, ENUM_MAX_ORDER + 1))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_enumerate_all_yields_the_connected_classes_first(n):
     # enumerate_all lists the connected classes, as enumerate_connected
-    # does, and then the disconnected ones
+    # does, and then the disconnected ones; order 9 (about 9 s) is left to
+    # the CI step that counts its classes
     connected = list(enumerate_connected(n))
     graphs = list(enumerate_all(n))
     assert graphs[: len(connected)] == connected

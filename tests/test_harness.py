@@ -35,7 +35,7 @@ from splitkit import (
     write_graph6,
 )
 from splitkit import graphs, harness, recognition
-from splitkit.graphs import ENUM_MAX_ORDER, enumerate_all
+from splitkit.graphs import ENUM_MAX_ORDER, enumerate_all, enumerate_connected
 from splitkit.harness import render_census_text
 from splitkit.invariants import COLORING_MAX_ORDER
 
@@ -215,12 +215,13 @@ def test_flipped_balanced_is_reported(corrupt):
 
 
 def test_wrong_maximum_clique_is_reported(corrupt):
-    # the unbalanced walk tries only the edges inside the record's maximum
-    # clique; the cricket's witness is (0,1), and a planted clique of the
-    # right size that spans no edge leaves the walk nothing to try
+    # the unbalanced walk tries only the edges inside the clique of the
+    # record's KS-partition; the cricket's witness is (0,1), and a planted
+    # partition whose clique has the right size and spans no edge leaves
+    # the walk nothing to try
     cricket = build(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4)])
     assert find_unbalanced_witness(cricket) == Edge(0, 1)
-    corrupt(cricket, clique=(1, 3, 4))
+    corrupt(cricket, ks=KSPartition((1, 3, 4), (0, 2)))
     assert check_one("THM_UNBALANCED", cricket) == ("unbalanced=True but witness=None",)
 
 
@@ -719,6 +720,7 @@ def test_prop_details_match_the_subset_walk(monkeypatch, wrong):
     # every C that compares g with g/uv pair by pair through has_edge, on
     # the real contraction (None) and on three wrong ones planted in the
     # record; every class to order 6, then 50 seeded graphs of orders 7-8
+    # and 10 of order 9, past the enumeration
     contraction = wrong or (lambda g, u, v: contract(g, (u, v)))
     if wrong is not None:
         monkeypatch.setattr(
@@ -729,6 +731,7 @@ def test_prop_details_match_the_subset_walk(monkeypatch, wrong):
     rng = random.Random(5)
     hosts = [g for n in range(1, 7) for g in enumerate_all(n)]
     hosts += [random_graph(rng, rng.randint(7, 8)) for _ in range(50)]
+    hosts += [random_graph(rng, 9) for _ in range(10)]
     found = 0
     for g in hosts:
         for theorem in ("PROP1", "PROP2", "PROP3"):
@@ -737,6 +740,26 @@ def test_prop_details_match_the_subset_walk(monkeypatch, wrong):
             found += len(details)
     # PROP3 fails on disconnected graphs even under the real contraction
     assert found > 0
+
+
+def test_prop3_reads_at_most_one_table_per_vertex(monkeypatch):
+    # on the real contraction each vertex y's first edge has its defects at
+    # its own ends, which lie in N[y], so PROP3 finds no candidate C and
+    # reads no table past those edges: at most n per connected graph, where
+    # a walk over every C reads one for each edge it tries
+    calls = []
+    real = harness._defects
+
+    def counted(facts, u, v):
+        calls.append((u, v))
+        return real(facts, u, v)
+
+    monkeypatch.setattr(harness, "_defects", counted)
+    for n in range(1, 8):
+        for g in enumerate_connected(n):
+            calls.clear()
+            assert check_one("PROP3", g) == (), g
+            assert len(calls) <= n, g
 
 
 def test_contraction_checks_read_no_canonical_code(monkeypatch):

@@ -272,14 +272,16 @@ def check_degree_tests(g):
 
 def test_unbalanced_walk_refuses_a_nonsplit_contraction():
     # the contractions of a split graph are split; a record that calls K4
-    # and C5 sharing vertex 3 split walks the edges inside the K4, and
-    # g/(0,1) keeps the C5. (On C5 alone the walk's mask is empty: each
-    # vertex of the maximum clique (0, 1) is swapped out by a neighbour.)
+    # and C5 sharing vertex 3 split, with the K4 as its partition's clique,
+    # walks the edges inside the K4, and g/(0,1) keeps the C5, so its degree
+    # test refuses it. (Without the planted partition, the partition walk
+    # of the planted record refuses the graph before any contraction.)
     k4 = list(itertools.combinations(range(4), 2))
     g = build(8, k4 + [(3, 4), (4, 5), (5, 6), (6, 7), (7, 3)])
     facts = _Facts(g)
     facts.split = True
-    with pytest.raises(NotSplit):
+    facts.ks = KSPartition((0, 1, 2, 3), (4, 5, 6, 7))
+    with pytest.raises(NotSplit, match="balancedness"):
         facts.witness("unbalanced")
 
 
@@ -300,28 +302,32 @@ def test_record_omega_and_alpha_match_the_subset_scans():
             assert (facts.omega, facts.alpha, facts.clique) == (omega, alpha, first), (g, planted)
 
 
+def _shared_vertices(g):
+    # the vertices of g that every maximum clique holds, by brute force
+    return set.intersection(*map(set, maximum_cliques_subsets(g)))
+
+
+def _unbalanced_mask(g):
+    mask = recognition._WITHIN["unbalanced"](_Facts(g))
+    return {v for v in range(g.n) if mask >> v & 1}
+
+
 def test_unbalanced_mask_holds_every_shared_clique_vertex():
-    # the vertices the unbalanced walk draws its edges from, against every
-    # maximum clique found by brute force, on every split graph to order 8:
-    # the mask lies inside the record's clique Q, holds each vertex that all
-    # maximum cliques share, and drops a vertex of Q only where some
-    # maximum clique misses it. It is exactly the shared vertices on 662 of
-    # the 814 graphs; each of the other 152 has a maximum clique that
-    # differs from Q in two vertices or more, which the one-swap test
-    # does not see
-    exact = 0
+    # the vertices the unbalanced walk draws its edges from are exactly
+    # those every maximum clique holds, against every maximum clique found
+    # by brute force, on every split graph to order 8
     split = [g for g in all_graphs_upto(8) if is_split(g)]
+    assert len(split) == 814
     for g in split:
-        cliques = maximum_cliques_subsets(g)
-        shared = set.intersection(*map(set, cliques))
-        facts = _Facts(g)
-        mask = recognition._WITHIN["unbalanced"](facts)
-        kept = {v for v in range(g.n) if mask >> v & 1}
-        assert shared <= kept <= set(facts.clique), g
-        for w in set(facts.clique) - kept:
-            assert any(w not in q for q in cliques), (g, w)
-        exact += kept == shared
-    assert (len(split), exact) == (814, 662)
+        assert _unbalanced_mask(g) == _shared_vertices(g), g
+
+
+def test_unbalanced_mask_is_exact_past_the_enumeration():
+    # the same on 100 seeded split graphs of orders 9-10
+    rng = random.Random(9)
+    for _ in range(100):
+        g = random_graph(rng, rng.randint(9, 10), "split")
+        assert _unbalanced_mask(g) == _shared_vertices(g), g
 
 
 def test_degree_tests_match_the_contraction():

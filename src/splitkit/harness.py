@@ -53,7 +53,7 @@ from .graphs import (
     write_graph6,
 )
 from .invariants import COLORING_MAX_ORDER, _contains_claw
-from .recognition import _APPLIES, _FIXED_FAMILIES, _Facts, _ks_case, is_ng_by_definition
+from .recognition import _FIXED_FAMILIES, _LABELS, _Facts, _ks_case, is_ng_by_definition
 
 
 class TheoremReport(NamedTuple):
@@ -419,8 +419,8 @@ CHECKERS: dict[str, _Checker] = {
     ),
     # a row whose witness label applies only under its hypothesis reads it
     # where classify does
-    "LEMMA1": _Checker(_check_lemma1, hypothesis=_APPLIES["c4"]),
-    "LEMMA2": _Checker(_check_lemma2, hypothesis=_APPLIES["2k2"]),
+    "LEMMA1": _Checker(_check_lemma1, hypothesis=_LABELS["c4"].applies),
+    "LEMMA2": _Checker(_check_lemma2, hypothesis=_LABELS["2k2"].applies),
     # every class through order 7, connected classes only past it
     "THM_SPLIT_FORBIDDEN": _Checker(_check_split_triple, disconnected=7),
     "THM_2K2_CLAW": _Checker(
@@ -434,7 +434,7 @@ CHECKERS: dict[str, _Checker] = {
     "THM_KS_CASES": _Checker(
         _check_ks_cases, reach=7, disconnected=7, hypothesis=lambda f: f.split
     ),
-    "THM_UNBALANCED": _Checker(_check_unbalanced, hypothesis=_APPLIES["unbalanced"]),
+    "THM_UNBALANCED": _Checker(_check_unbalanced, hypothesis=_LABELS["unbalanced"].applies),
     "THM_PSEUDO": _Checker(_check_pseudo, disconnected=8, hypothesis=lambda f: f.pseudo),
     "THM_NG": _Checker(_check_ng, reach=7, disconnected=7),
 }

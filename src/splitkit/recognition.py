@@ -382,22 +382,6 @@ def detect_exceptional(g: Graph) -> FamilyTag | None:
 # witness edges
 
 
-# where a witness label applies, as a predicate on the record, in the
-# order classify reports the labels: the hypotheses of LEMMA1, LEMMA2 and
-# THM_UNBALANCED, whose rows in harness.CHECKERS read them here, and
-# classify's rule for "nonsplit". Contracting an edge of a split graph
-# K + S leaves it split, since no edge lies in S and the merged vertex
-# joins K, so a split g has no nonsplit witness and classify does not
-# search for one. THM_CONTRACTION reads ``witness("nonsplit")`` on every
-# graph: its search on split graphs is the exhaustive evidence of that
-_APPLIES: dict[str, Callable[[_Facts], bool]] = {
-    "c4": lambda f: f.has_c4,
-    "2k2": lambda f: f.has_2k2,
-    "nonsplit": lambda f: f.g.is_connected() and not f.split,
-    "unbalanced": lambda f: f.split and not f.star_excluded,
-}
-
-
 def _drops_unbalanced(f: _Facts, h: _Facts) -> bool:
     # h = g/e unbalanced split with clique number omega(g) - 1, read off
     # h's degree test; asked where g is split, so every g/e is split
@@ -405,17 +389,6 @@ def _drops_unbalanced(f: _Facts, h: _Facts) -> bool:
     if not split:
         raise NotSplit("balancedness is defined for split graphs only")
     return m == f.omega - 1 and dm == m - 1
-
-
-# each label's test on the record f of g and the record h of g/e; 2k2
-# tests C4 first, which the c4 search has often stored, and a C4 spares
-# the 2K2 scan
-_PASSES: dict[str, Callable[[_Facts, _Facts], bool]] = {
-    "c4": lambda f, h: h.has_c4,
-    "2k2": lambda f, h: h.has_c4 or h.has_2k2,
-    "nonsplit": lambda f, h: not h.split,
-    "unbalanced": _drops_unbalanced,
-}
 
 
 def _shared_clique(f: _Facts) -> int:
@@ -433,26 +406,45 @@ def _shared_clique(f: _Facts) -> int:
     return keep
 
 
-# the vertices a label's walk draws its edges from; an edge with an end
-# outside them cannot pass the label's test (see _search)
-_WITHIN: dict[str, Callable[[_Facts], int]] = {
-    "c4": lambda f: f.g.full_mask,
-    "2k2": lambda f: f.g.full_mask,
-    "nonsplit": lambda f: f.g.full_mask,
-    "unbalanced": _shared_clique,
+class _Label(NamedTuple):
+    # where the label applies, a predicate on the record f of g
+    applies: Callable[[_Facts], bool]
+    # its test on f and the record h of g/e
+    passes: Callable[[_Facts, _Facts], bool]
+    # the vertices its walk draws its edges from, as a mask; None is every
+    # vertex. An edge with an end outside them cannot pass (see _search)
+    within: Callable[[_Facts], int] | None = None
+
+
+# each witness label, in the order classify reports them. applies is the
+# hypothesis of LEMMA1, LEMMA2 and THM_UNBALANCED, whose rows in
+# harness.CHECKERS read it here, and classify's rule for "nonsplit".
+# Contracting an edge of a split graph K + S leaves it split, since no edge
+# lies in S and the merged vertex joins K, so a split g has no nonsplit
+# witness and classify does not search for one. THM_CONTRACTION reads
+# ``witness("nonsplit")`` on every graph: its search on split graphs is the
+# exhaustive evidence of that. 2k2 tests C4 first, which the c4 search has
+# often stored, and a C4 spares the 2K2 scan
+_LABELS: dict[str, _Label] = {
+    "c4": _Label(lambda f: f.has_c4, lambda f, h: h.has_c4),
+    "2k2": _Label(lambda f: f.has_2k2, lambda f, h: h.has_c4 or h.has_2k2),
+    "nonsplit": _Label(lambda f: f.g.is_connected() and not f.split, lambda f, h: not h.split),
+    "unbalanced": _Label(
+        lambda f: f.split and not f.star_excluded, _drops_unbalanced, _shared_clique
+    ),
 }
 
 
 def _search(facts: _Facts, label: str) -> Edge | None:
     """The first edge e of facts.g, in lexicographic order, whose
-    contraction g/e passes the label's test (``_PASSES``), or None.
+    contraction g/e passes the test of the label's ``_LABELS`` entry, or None.
 
     Every test reads g/e's own record (``_Facts.contracted``), so the
     labels share each contraction and each fact of it, and a label's
     witness does not depend on which labels were read before it.
 
-    The walk tries only the edges with both ends in the label's vertex
-    mask (``_WITHIN``); every other edge fails the test. For "unbalanced"
+    The walk tries only the edges with both ends in the entry's vertex
+    mask (``within``); every other edge fails the test. For "unbalanced"
     that mask is the vertices every maximum clique holds: if a maximum
     clique Q' misses v, then Q' survives in g/uv when it misses u too, and
     otherwise the merged vertex and Q' - u form a clique, so
@@ -461,10 +453,11 @@ def _search(facts: _Facts, label: str) -> Edge | None:
     each w that some s in S joins to all of K - w: a maximum clique meets
     the independent S at most once, so it is K or such a K - w + s.
     """
-    passes = _PASSES[label]
+    entry = _LABELS[label]
+    passes = entry.passes
     contracted = facts.contracted
     rows = facts.g.rows
-    us = _WITHIN[label](facts)
+    us = facts.g.full_mask if entry.within is None else entry.within(facts)
     while us:
         ub = us & -us
         us ^= ub
@@ -639,12 +632,12 @@ class _Facts:
     bound the record holds, and one C5 scan serves the forbidden-pattern
     fact and the decomposition of a graph that is not split.
     ``witness(label)`` is the first edge whose contraction passes the
-    label's test (``_search``), computed when first read, for that label
-    alone; a caller pays only for the labels it reads. g/e has its own
-    record: ``contracted(u, v)`` builds it at most once per record, and
-    everything known about g/e lives there, its C4 and 2K2
-    scans, its degree test, its ``find_induced`` answers (``has_induced``)
-    and THM_UNBALANCED's omega and balance. Every witness label, the LEMMA
+    test of the label's one ``_LABELS`` entry (``_search``), computed when
+    first read, for that label alone; a caller pays only for the labels it
+    reads. g/e has its own record: ``contracted(u, v)`` builds it at most
+    once per record, and everything known about g/e lives there, its C4
+    and 2K2 scans, its degree test, its ``find_induced`` answers
+    (``has_induced``) and THM_UNBALANCED's omega and balance. Every witness label, the LEMMA
     re-checks, THM_UNBALANCED's postcondition and the PROP checks all read
     it; the PROP checks test the contraction's vertex map on it and code
     nothing.
@@ -730,7 +723,7 @@ def classify(g: Graph) -> ClassificationReport:
     chi = _chromatic(g, facts.clique, facts.colours)
     chi_c = _chromatic(facts.gc, facts.co_clique, facts.co_colours)
     found = [
-        (label, facts.witness(label)) for label, applies in _APPLIES.items() if applies(facts)
+        (label, facts.witness(label)) for label, entry in _LABELS.items() if entry.applies(facts)
     ]
     return ClassificationReport(
         is_split=facts.split,

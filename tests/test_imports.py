@@ -117,3 +117,52 @@ def test_only_recognition_reads_the_records_private_fields():
         if isinstance(node, ast.Attribute) and node.attr in fields
     }
     assert readers == set()
+
+
+WITNESS_LABELS = {"c4", "2k2", "nonsplit", "unbalanced"}
+
+
+def label_tables(tree: ast.Module) -> set[str]:
+    """The module-level names bound to a dict literal with a witness label
+    among its keys."""
+    tables = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign):
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if isinstance(value, ast.Dict) and any(
+            isinstance(k, ast.Constant) and k.value in WITNESS_LABELS for k in value.keys
+        ):
+            tables.update(t.id for t in targets if isinstance(t, ast.Name))
+    return tables
+
+
+def test_label_tables_finds_a_parallel_table():
+    tree = ast.parse('_A = {"c4": 1}\n_B: dict = {"2k2": 2, "x": 3}\n_C = {"H2": "W4"}\n')
+    assert label_tables(tree) == {"_A", "_B"}
+
+
+def test_each_witness_label_has_one_entry():
+    # the paper's four contraction witnesses are each defined once, in
+    # recognition._LABELS: the verify rows read their hypotheses there,
+    # classify reports the labels in its order, and no other table of
+    # recognition is keyed by them
+    from splitkit import classify, enumerate_all
+    from splitkit.harness import CHECKERS
+    from splitkit.recognition import _LABELS
+
+    assert list(_LABELS) == ["c4", "2k2", "nonsplit", "unbalanced"]
+    for theorem, label in (("LEMMA1", "c4"), ("LEMMA2", "2k2"), ("THM_UNBALANCED", "unbalanced")):
+        assert CHECKERS[theorem].hypothesis is _LABELS[label].applies, theorem
+    several = 0
+    for n in range(1, 7):
+        for g in enumerate_all(n):
+            labels = [label for label, _ in classify(g).witnesses]
+            assert labels == [label for label in _LABELS if label in labels], g
+            several += len(labels) >= 2
+    assert several
+    tree = ast.parse((SOURCE / "recognition.py").read_text())
+    assert label_tables(tree) == {"_LABELS"}

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import random
@@ -308,7 +309,7 @@ def _shared_vertices(g):
 
 
 def _unbalanced_mask(g):
-    mask = recognition._WITHIN["unbalanced"](_Facts(g))
+    mask = recognition._LABELS["unbalanced"].within(_Facts(g))
     return {v for v in range(g.n) if mask >> v & 1}
 
 
@@ -525,8 +526,8 @@ def test_witness_walk_keeps_each_tested_contraction():
     for n in range(2, 7):
         for g in enumerate_all(n):
             facts = _Facts(g)
-            labels = [label for label, applies in recognition._APPLIES.items()
-                      if label == "nonsplit" or applies(facts)]
+            labels = [label for label, entry in recognition._LABELS.items()
+                      if label == "nonsplit" or entry.applies(facts)]
             for label in labels:
                 e = facts.witness(label)
                 assert e is None or e in facts._contractions, (g, label)
@@ -639,6 +640,61 @@ def test_contracting_an_edge_off_a_maximum_clique_keeps_omega():
                 assert clique_number_subsets(contract(g, (u, v))) >= len(cliques[0]), (g, u, v)
                 tried += 1
     assert tried == 6895
+
+
+def _is_induced_c4(g, vs):
+    # four distinct vertices each adjacent to exactly two of the others
+    # span a 2-regular graph on four vertices, which is a C4
+    return all(sum(g.has_edge(v, w) for w in vs if w != v) == 2 for v in vs)
+
+
+def _induced_c4s(g):
+    # the vertex sets of g's induced C4s, by brute force over 4-subsets
+    return [z for z in itertools.combinations(range(g.n), 4) if _is_induced_c4(g, z)]
+
+
+def _merged_label(u, v):
+    # where contract(g, (u, v)) sends each vertex of g: the larger end
+    # merges into the smaller, and labels above it shift down by one
+    u, v = min(u, v), max(u, v)
+    return lambda w: u if w == v else w - (w > v)
+
+
+def test_an_induced_c4_off_the_contracted_edge_survives():
+    # the first local fact of the every-order LEMMA1 argument: contracting
+    # an edge with neither end on an induced C4 Z keeps Z's image an
+    # induced C4, on every graph to order 7
+    cases = 0
+    for g in all_graphs_upto(7):
+        for z in _induced_c4s(g):
+            for u, v in g.edges():
+                if u in z or v in z:
+                    continue
+                label = _merged_label(u, v)
+                assert _is_induced_c4(contract(g, (u, v)), [label(w) for w in z]), (g, z, u, v)
+                cases += 1
+    assert cases == 2830
+
+
+def test_an_induced_c4_through_the_contracted_edge_survives_unless_closed():
+    # the second local fact: for z on an induced C4 Z and x off Z adjacent
+    # to z, Z with z replaced by the merged vertex is an induced C4 of
+    # g/zx exactly when x is not adjacent to z's opposite on Z, on every
+    # graph to order 7
+    answers = collections.Counter()
+    for g in all_graphs_upto(7):
+        for z in _induced_c4s(g):
+            for y in z:
+                opposite = next(w for w in z if w != y and not g.has_edge(y, w))
+                for x in range(g.n):
+                    if x in z or not g.has_edge(y, x):
+                        continue
+                    label = _merged_label(y, x)
+                    kept = _is_induced_c4(contract(g, (y, x)), [label(w) for w in z])
+                    assert kept == (not g.has_edge(x, opposite)), (g, z, y, x)
+                    answers[kept] += 1
+    assert sum(answers.values()) == 11795
+    assert answers[True] and answers[False]
 
 
 def test_unbalanced_witness_matches_the_unpruned_walk_past_order_eight():
